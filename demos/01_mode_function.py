@@ -9,8 +9,6 @@ combination exp(2 gamma t) Im(eps* eps'), and the saturating map t -> t'.
 Run:  python demos/01_mode_function.py
 """
 
-import math
-
 import numpy as np
 
 from cktomo import epsilon, epsilon_residual, make_params, time_backward, time_forward
@@ -24,7 +22,7 @@ print(f"gamma = {gamma},  Omega = sqrt(1 - gamma^2) = {params.omega_reduced:.12f
 print("\n   t      Re eps     Im eps     |eps|       e^{2gt} Im(eps* eps')   ODE residual")
 for t in np.linspace(0.0, 12.0, 9):
     es = epsilon(t, params)
-    wronskian = math.exp(2.0 * gamma * t) * (es.eps.conjugate() * es.eps_dot).imag
+    wronskian = es.e2 * es.ce.imag  # e^{2 gamma t} Im(eps* eps')
     res = epsilon_residual(t, params)
     print(
         f"{t:6.2f}  {es.eps.real:9.5f}  {es.eps.imag:9.5f}  {abs(es.eps):9.5f}"

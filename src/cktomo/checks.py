@@ -30,7 +30,6 @@ from .dynamics import (
 from .errors import DomainError
 from .evolution import (
     convergence_study,
-    evolution_residual,
     evolution_residual_tprime,
     evolution_terms,
     relative_residual,
@@ -43,7 +42,7 @@ from .invariants import (
     tomogram_characteristic,
 )
 from .numerics import QuadratureSpec, central_diff, hermite, integrate
-from .states import Coherent, Fock, coherent_psi, fock_psi, psi, wigner
+from .states import Coherent, Fock, _fock_widening, coherent_psi, fock_psi, psi, wigner
 from .tomography import (
     TomographyFrame,
     coherent_tomogram,
@@ -51,9 +50,9 @@ from .tomography import (
     frame_scale_sq,
     ground_tomogram,
     normalization,
-    optical_frame,
     radon_tomogram,
     tomogram,
+    wigner_moments,
 )
 
 __all__ = ["CheckResult", "TOLERANCES", "SUITES", "run_checks", "rk4_epsilon"]
@@ -143,10 +142,8 @@ def coherent_moments_from_psi(alpha: complex, t: float, params) -> tuple[float, 
     the oracle shares nothing with the tomogram formulas but the mode
     function itself.
     """
-    es = epsilon(t, params)
-    ee = (es.eps * es.eps.conjugate()).real
-    sigma = math.sqrt(ee / 2.0)
-    q_center = _SQRT2 * (alpha * es.eps.conjugate()).real
+    sigma = math.sqrt(epsilon(t, params).ee / 2.0)
+    q_center = wigner_moments(Coherent(alpha), t, params)[0][0]
     spec = QuadratureSpec(center=q_center, half_width=8.0 * sigma * (1.0 + abs(alpha)), points=400)
     fd_h = 1e-6
 
@@ -190,7 +187,7 @@ def _fd_direction_scales(mu, nu, t, params):
     step (the same idea as the StepTooLarge guard, extended beyond X).
     """
     g, om = params.gamma, params.omega_reduced
-    e2 = math.exp(2.0 * g * t)
+    e2 = epsilon(t, params).e2
     s2 = frame_scale_sq(mu, nu, t, params)
     d_mu = (2.0 * mu / e2 - 2.0 * g * nu) / om
     d_nu = (-2.0 * g * mu + 2.0 * e2 * nu) / om
@@ -249,7 +246,7 @@ def _check_wronskian(rng):
     for t, g in zip(rng.uniform(0.0, 20.0, size=200), rng.uniform(0.0, 0.9, size=200)):
         p = make_params(g)
         es = epsilon(t, p)
-        wr = math.exp(2.0 * g * t) * (es.eps.conjugate() * es.eps_dot).imag
+        wr = es.e2 * es.ce.imag
         worst = max(worst, abs(wr - 1.0))
     return worst
 
@@ -374,16 +371,13 @@ def _check_psi_norm(rng):
     worst = 0.0
     p = make_params(0.05)
     t = 5.0
-    ee = (epsilon(t, p).eps * epsilon(t, p).eps.conjugate()).real
-    sigma = math.sqrt(ee / 2.0)
+    sigma = math.sqrt(epsilon(t, p).ee / 2.0)
     for n in range(4):
-        widen = max(1.0, math.sqrt(2.0 * n + 1.0))
-        spec = QuadratureSpec(0.0, 8.0 * sigma * widen, 300)
+        spec = QuadratureSpec(0.0, 8.0 * sigma * _fock_widening(n), 300)
         nrm = integrate(lambda qs: np.abs(fock_psi(qs, t, n, p)) ** 2, spec)
         worst = max(worst, abs(nrm - 1.0))
     alpha = 1.0 + 0.5j
-    es = epsilon(t, p)
-    center = _SQRT2 * (alpha * es.eps.conjugate()).real
+    center = wigner_moments(Coherent(alpha), t, p)[0][0]
     spec = QuadratureSpec(center, 8.0 * sigma * (1.0 + abs(alpha)), 400)
     nrm = integrate(lambda qs: np.abs(coherent_psi(qs, t, alpha, p)) ** 2, spec)
     return max(worst, abs(nrm - 1.0))
@@ -397,10 +391,8 @@ def _check_psi_moments(rng):
         t = rng.uniform(0.0, 5.0)
         alpha = complex(rng.uniform(-1.5, 1.5), rng.uniform(-1.5, 1.5))
         p = make_params(g)
-        es = epsilon(t, p)
-        ee = (es.eps * es.eps.conjugate()).real
-        mean_exact = _SQRT2 * (alpha * es.eps.conjugate()).real
-        var_exact = ee / 2.0
+        mean_exact = wigner_moments(Coherent(alpha), t, p)[0][0]
+        var_exact = epsilon(t, p).ee / 2.0
         sigma = math.sqrt(var_exact)
         spec = QuadratureSpec(mean_exact, 9.0 * sigma * (1.0 + abs(alpha)), 400)
         dens = lambda qs: np.abs(coherent_psi(qs, t, alpha, p)) ** 2
@@ -425,12 +417,10 @@ def _check_wigner_marginal(rng):
     t = 5.0
     state = Fock(1)
     worst = 0.0
-    ee = (epsilon(t, p).eps * epsilon(t, p).eps.conjugate()).real
-    om = p.omega_reduced
-    e2 = math.exp(2.0 * p.gamma * t)
-    sigma_p = math.sqrt(e2 / om / 2.0) * math.sqrt(3.0)
+    es = epsilon(t, p)
+    sigma_p = math.sqrt(es.e2 / p.omega_reduced / 2.0) * math.sqrt(3.0)
     spec = QuadratureSpec(0.0, 9.0 * sigma_p, 300)
-    for q in rng.uniform(-1.0, 1.0, size=20) * math.sqrt(ee):
+    for q in rng.uniform(-1.0, 1.0, size=20) * math.sqrt(es.ee):
         marg = integrate(lambda ps: wigner(q, ps, t, state, p), spec) / (2.0 * math.pi)
         worst = max(worst, abs(marg - abs(psi(state, q, t, p)) ** 2))
     return worst
@@ -656,9 +646,9 @@ def _check_tprime_consistency(rng):
                 break
         # both forms approximate the same identity: the t-form replaces
         # d/dt' by e^{2 gamma t} d/dt via the chain rule
-        r_t = evolution_residual(state, x, mu, nu, t, h, p)
-        r_tp = evolution_residual_tprime(state, x, mu, nu, t, h, p)
         terms = evolution_terms(state, x, mu, nu, t, h, p)
+        r_t = sum(terms)
+        r_tp = evolution_residual_tprime(state, x, mu, nu, t, h, p)
         scale = max(1.0, *[abs(term) for term in terms])
         worst = max(worst, abs(r_t - r_tp) / scale)
     return worst

@@ -19,13 +19,13 @@ import math
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import checks
 from .dynamics import make_params
-from .errors import CkTomoError, DomainError
+from .errors import CkTomoError, DomainError, NonFinite
 from .numerics import Axis, ScalarGrid
 from .states import Coherent, Fock, QuantumState, _wigner_u_rule, _wigner_with_rule
 from .tomography import TomographyFrame, optical_frame, tomogram
@@ -62,7 +62,6 @@ class RunConfig:
     p_axis: Axis | None = None
     fmt: str = "csv"
     output: str | None = None
-    tol_overrides: dict[str, float] = field(default_factory=dict)
 
 
 def parse_state(text: str) -> QuantumState:
@@ -141,6 +140,8 @@ def _map_rows(fn, row_args, threads: int):
 
 
 def _emit(grid: ScalarGrid, fmt: str, output: str | None) -> None:
+    if not np.all(np.isfinite(grid.values)):
+        raise NonFinite("grid contains non-finite values; nothing was written")
     text = grid.to_csv() if fmt == "csv" else grid.to_json()
     if output is None:
         sys.stdout.write(text)
@@ -298,8 +299,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--state", type=str, default="fock:0", help="fock:N or coherent:RE,IM")
         p.add_argument("--format", dest="fmt", choices=("csv", "json"), default="csv")
         p.add_argument("--output", type=str, default=None, help="output path (default stdout)")
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--tol", action="append", default=[], help="name=value tolerance override")
 
     p_tom = sub.add_parser("tomogram", help="emit a tomogram grid")
     add_common(p_tom)
@@ -370,7 +369,6 @@ def _config_from_args(args) -> RunConfig:
         p_axis=p_axis,
         fmt=args.fmt,
         output=args.output,
-        tol_overrides=_parse_tol(args.tol),
     )
 
 
@@ -396,7 +394,8 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except CkTomoError as exc:
+    except (CkTomoError, ArithmeticError) as exc:
+        # e.g. an OverflowError from exp(2 gamma t) at very large gamma t
         print(f"numeric error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
 

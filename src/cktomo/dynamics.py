@@ -27,6 +27,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import DegenerateFrame, DomainError
 
 __all__ = [
@@ -39,6 +41,7 @@ __all__ = [
     "time_forward",
     "time_backward",
     "frame_coeffs",
+    "frame_quantities",
 ]
 
 
@@ -64,11 +67,16 @@ class DampingParams:
 
 @dataclass(frozen=True)
 class EpsilonState:
-    """Mode function eps and its analytic derivative at one instant."""
+    """Mode function eps, its analytic derivative and, computed only here,
+    ee = eps eps*, dd = eps' eps'*, ce = eps* eps' and e2 = exp(2*gamma*t)."""
 
     t: float
     eps: complex
     eps_dot: complex
+    ee: float
+    dd: float
+    ce: complex
+    e2: float
 
 
 @dataclass(frozen=True)
@@ -117,7 +125,10 @@ def epsilon(t: float, params: DampingParams) -> EpsilonState:
         * complex(math.cos(om * t), math.sin(om * t))
         / math.sqrt(om)
     )
-    return EpsilonState(t=t, eps=eps, eps_dot=complex(-g, om) * eps)
+    eps_dot = complex(-g, om) * eps
+    ee, dd = (eps * eps.conjugate()).real, (eps_dot * eps_dot.conjugate()).real
+    ce = eps.conjugate() * eps_dot
+    return EpsilonState(t, eps, eps_dot, ee, dd, ce, math.exp(2.0 * g * t))
 
 
 def epsilon_residual(t: float, params: DampingParams) -> float:
@@ -168,22 +179,27 @@ def time_backward(t_prime: float, gamma: float) -> float:
     return -math.log1p(-x) / (2.0 * gamma)
 
 
-def frame_coeffs(mu: float, nu: float, t: float, params: DampingParams) -> FrameCoeffs:
-    """Frame coefficients a, b of the (mu, nu) quadrature at time t.
+def frame_quantities(mu, nu, es: EpsilonState):
+    """Frame coefficients and tomogram scale for scalar or array mu, nu:
 
-        a = exp(2*gamma*t) * nu * (eps* eps' + eps eps'*) / (2 eps eps*) + mu
-        b = nu / (eps eps*)
+        a  = exp(2*gamma*t) * nu * (eps* eps' + eps eps'*) / (2 eps eps*) + mu
+        b  = nu / (eps eps*),    s2 = eps eps* (a**2 + b**2)
 
-    Both are assembled from manifestly real bilinears of eps, so the
-    results are exactly real.
+    All are built from manifestly real bilinears of eps, so exactly real.
     """
+    mu = np.asarray(mu, float)
+    nu = np.asarray(nu, float)
+    a = es.e2 * nu * es.ce.real / es.ee + mu
+    b = nu / es.ee
+    return a, b, es.ee * (a * a + b * b)
+
+
+def frame_coeffs(mu: float, nu: float, t: float, params: DampingParams) -> FrameCoeffs:
+    """Validated scalar view of :func:`frame_quantities`: the frame
+    coefficients a, b of the (mu, nu) quadrature at time t."""
     mu = _require_finite("mu", mu)
     nu = _require_finite("nu", nu)
     if mu == 0.0 and nu == 0.0:
         raise DegenerateFrame("frame direction (mu, nu) = (0, 0) is degenerate")
-    es = epsilon(t, params)
-    ee = (es.eps * es.eps.conjugate()).real
-    re = (es.eps.conjugate() * es.eps_dot).real  # (eps* eps' + eps eps'*)/2
-    a = math.exp(2.0 * params.gamma * t) * nu * re / ee + mu
-    b = nu / ee
-    return FrameCoeffs(a=a, b=b)
+    a, b, _ = frame_quantities(mu, nu, epsilon(t, params))
+    return FrameCoeffs(a=float(a), b=float(b))

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import DampingParams, time_backward, time_forward
+from .dynamics import DampingParams, epsilon, time_backward, time_forward
 from .errors import DomainError, StepTooLarge
 from .states import QuantumState
 from .tomography import TomographyFrame, frame_scale_sq, tomogram
@@ -46,7 +46,10 @@ class ResidualReport:
     converged_order: float
 
 
-def _check_step(x: float, mu: float, nu: float, t: float, h: float, params: DampingParams) -> None:
+def _frame_terms(state: QuantumState, x, mu, nu, t, h, params: DampingParams):
+    """Step guard and the stencil shared by both residual forms: returns the
+    tomogram evaluator w(x, mu, nu, t), exp(2 gamma t) and the frame terms
+    (-mu dw/dnu, e^{4gt} nu dw/dmu), each from a central difference."""
     if not (math.isfinite(h) and h > 0.0):
         raise DomainError(f"step h must be positive and finite, got {h}")
     if t - h < 0.0:
@@ -56,6 +59,14 @@ def _check_step(x: float, mu: float, nu: float, t: float, h: float, params: Damp
         raise StepTooLarge(
             f"h = {h} exceeds 0.1 * min(1, sqrt(s2)) = {0.1 * min(1.0, scale)}"
         )
+    e2 = epsilon(t, params).e2
+
+    def w(x_, mu_, nu_, t_):
+        return float(tomogram(state, TomographyFrame(x_, mu_, nu_), t_, params))
+
+    dw_dnu = (w(x, mu, nu + h, t) - w(x, mu, nu - h, t)) / (2.0 * h)
+    dw_dmu = (w(x, mu + h, nu, t) - w(x, mu - h, nu, t)) / (2.0 * h)
+    return w, e2, -mu * dw_dnu, e2 * e2 * nu * dw_dmu
 
 
 def evolution_terms(
@@ -69,17 +80,9 @@ def evolution_terms(
 ) -> tuple[float, float, float]:
     """The three residual terms (e^{2gt} dw/dt, -mu dw/dnu, e^{4gt} nu dw/dmu),
     each from an order-1 central difference with step h."""
-    _check_step(x, mu, nu, t, h, params)
-    e2 = math.exp(2.0 * params.gamma * t)
-    e4 = e2 * e2
-
-    def w(x_, mu_, nu_, t_):
-        return float(tomogram(state, TomographyFrame(x_, mu_, nu_), t_, params))
-
+    w, e2, mu_term, nu_term = _frame_terms(state, x, mu, nu, t, h, params)
     dw_dt = (w(x, mu, nu, t + h) - w(x, mu, nu, t - h)) / (2.0 * h)
-    dw_dnu = (w(x, mu, nu + h, t) - w(x, mu, nu - h, t)) / (2.0 * h)
-    dw_dmu = (w(x, mu + h, nu, t) - w(x, mu - h, nu, t)) / (2.0 * h)
-    return e2 * dw_dt, -mu * dw_dnu, e4 * nu * dw_dmu
+    return e2 * dw_dt, mu_term, nu_term
 
 
 def evolution_residual(
@@ -132,21 +135,13 @@ def evolution_residual_tprime(
     this must agree with :func:`evolution_residual` up to finite-difference
     noise, cross-checking the time reparameterization maps.
     """
-    _check_step(x, mu, nu, t, h, params)
+    w, _, mu_term, nu_term = _frame_terms(state, x, mu, nu, t, h, params)
     g = params.gamma
-    e2 = math.exp(2.0 * g * t)
-    e4 = e2 * e2
     tp0 = time_forward(t, g)
-
-    def w(x_, mu_, nu_, t_):
-        return float(tomogram(state, TomographyFrame(x_, mu_, nu_), t_, params))
-
     w_plus = w(x, mu, nu, time_backward(tp0 + h, g))
     w_minus = w(x, mu, nu, time_backward(tp0 - h, g))
     dw_dtp = (w_plus - w_minus) / (2.0 * h)
-    dw_dnu = (w(x, mu, nu + h, t) - w(x, mu, nu - h, t)) / (2.0 * h)
-    dw_dmu = (w(x, mu + h, nu, t) - w(x, mu - h, nu, t)) / (2.0 * h)
-    return dw_dtp - mu * dw_dnu + e4 * nu * dw_dmu
+    return dw_dtp + mu_term + nu_term
 
 
 def convergence_study(

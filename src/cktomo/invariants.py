@@ -52,7 +52,7 @@ from .dynamics import DampingParams, epsilon
 from .errors import DomainError, KTooSmall
 from .numerics import QuadratureSpec, integrate
 from .states import Fock, QuantumState
-from .tomography import TomographyFrame, frame_scale_sq, tomogram
+from .tomography import TomographyFrame, _x_window, tomogram
 
 __all__ = [
     "DualPoint",
@@ -87,18 +87,10 @@ class DualPoint:
 def _characteristic_spec(
     state: QuantumState, k: float, mu: float, nu: float, t: float, params: DampingParams
 ) -> QuadratureSpec:
-    s2 = frame_scale_sq(mu, nu, t, params)
-    sigma = math.sqrt(s2 / 2.0)
-    if isinstance(state, Fock):
-        widen = max(1.0, math.sqrt(2.0 * state.n + 1.0))
-        extra = 16 * state.n
-    else:
-        widen = 1.0 + abs(state.alpha)
-        extra = 0
-    half_width = 8.0 * sigma * widen
-    # nodes scale with the widening (core sampling density) and with the
-    # fastest oscillation k * half_width on the window
-    points = 220 + extra + int(110.0 * (widen - 1.0)) + int(0.8 * abs(k) * half_width)
+    # the tomogram's X-window, plus nodes for the fastest oscillation
+    # k * half_width of the kernel on it
+    half_width, points = _x_window(state, mu, nu, t, params)
+    points += int(0.8 * abs(k) * half_width)
     return QuadratureSpec(center=0.0, half_width=half_width, points=points)
 
 
@@ -155,15 +147,6 @@ def _stencil(state, point: DualPoint, h: float, params):
     return w00, d_mu, d_nu, d_mumu, d_nunu, d_munu
 
 
-def _bilinears(t: float, params: DampingParams):
-    es = epsilon(t, params)
-    ee = (es.eps * es.eps.conjugate()).real
-    dd = (es.eps_dot * es.eps_dot.conjugate()).real
-    ce = es.eps.conjugate() * es.eps_dot  # eps* eps'
-    e2 = math.exp(2.0 * params.gamma * t)
-    return ee, dd, ce, e2
-
-
 def _validate_apply(variant: str, state: Fock, point: DualPoint, h: float, k_min: float):
     if variant not in ("direct", "conjugate"):
         raise DomainError(f"variant must be 'direct' or 'conjugate', got {variant!r}")
@@ -192,7 +175,8 @@ def number_apply(
     """
     _validate_apply(variant, state, point, h, k_min)
     k, mu, nu = point.k, point.mu, point.nu
-    ee, dd, ce, e2 = _bilinears(point.t, params)
+    es = epsilon(point.t, params)
+    ee, dd, ce, e2 = es.ee, es.dd, es.ce, es.e2
     s = 2.0 * ce.real  # eps* eps' + eps eps'*
     e4 = e2 * e2
     w00, d_mu, d_nu, d_mumu, d_nunu, d_munu = _stencil(state, point, h, params)
@@ -227,7 +211,8 @@ def number_apply_printed(
     """
     _validate_apply(variant, state, point, h, k_min)
     k, mu, nu = point.k, point.mu, point.nu
-    ee, dd, ce, e2 = _bilinears(point.t, params)
+    es = epsilon(point.t, params)
+    ee, dd, ce, e2 = es.ee, es.dd, es.ce, es.e2
     cd = ce.conjugate()  # eps'* eps
     s = (ce + cd).real
     e4 = e2 * e2

@@ -25,6 +25,11 @@ __all__ = [
 ]
 
 _MAX_HERMITE = 64
+# Fock psi and tomograms use hermite_gauss from this order on; below it the
+# plain recurrence keeps coherent alpha = 0 bit-identical to Fock 0
+_HERMITE_GAUSS_MIN_N = 10
+# over 3x the largest rule the library's own windows ask for (~600 nodes)
+_MAX_RULE_POINTS = 2048
 # rescale before mantissas reach the overflow range when accumulating
 # H_n together with its Gaussian weight
 _RESCALE_LIMIT = 1e120
@@ -109,6 +114,10 @@ class QuadratureSpec:
 
 @lru_cache(maxsize=128)
 def _gauss_legendre(n: int):
+    """Gauss-Legendre nodes and weights on [-1, 1]; every rule is built
+    here, so one cap bounds the O(n**2) memory of the eigen-solve."""
+    if n > _MAX_RULE_POINTS:
+        raise DomainError(f"quadrature rule of {n} nodes exceeds the cap {_MAX_RULE_POINTS}")
     x, w = np.polynomial.legendre.leggauss(n)
     return x, w
 
@@ -171,7 +180,10 @@ class Axis:
             if np.any(d <= 0.0):
                 raise DomainError(f"axis {self.name!r} must be strictly increasing")
             step = d[0]
-            if np.any(np.abs(d - step) > 1e-12 * abs(step)):
+            # np.linspace rounds each value to within about one ulp of the
+            # largest |value|, so the spacings scatter by a few such ulps
+            slack = 1e-12 * abs(step) + 4.0 * np.spacing(np.max(np.abs(vals)))
+            if np.any(np.abs(d - step) > slack):
                 raise DomainError(f"axis {self.name!r} is not uniformly spaced")
         object.__setattr__(self, "values", vals)
 

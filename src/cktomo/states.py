@@ -29,7 +29,7 @@ import numpy as np
 
 from .dynamics import DampingParams, epsilon
 from .errors import DomainError, NonFinite
-from .numerics import _gauss_legendre, hermite, hermite_gauss
+from .numerics import _HERMITE_GAUSS_MIN_N, _gauss_legendre, hermite, hermite_gauss
 
 __all__ = [
     "Coherent",
@@ -45,8 +45,6 @@ _PI_QUARTER = math.pi ** (-0.25)
 _SQRT2 = math.sqrt(2.0)
 _MAX_FOCK = 16
 _MAX_ALPHA = 8.0
-# switch Fock evaluation to the rescaled Gaussian-weighted Hermite pair
-_HERMITE_GAUSS_MIN_N = 10
 
 
 @dataclass(frozen=True)
@@ -81,6 +79,12 @@ class Fock:
 QuantumState = Union[Coherent, Fock]
 
 
+def _fock_widening(n: int) -> float:
+    """Widening sqrt(2n+1) of every quadrature window for Fock n: its
+    Hermite factor pushes the turning points out to sqrt(2n+1) sigma."""
+    return math.sqrt(2.0 * n + 1.0)
+
+
 def _inv_sqrt_eps(t: float, params: DampingParams) -> complex:
     # eps**(-1/2) on the continuously tracked branch: modulus
     # Omega**(1/4) exp(gamma t / 2), phase -Omega t / 2.
@@ -110,8 +114,7 @@ def coherent_psi(
     """
     alpha = complex(Coherent(alpha).alpha)
     es = epsilon(t, params)
-    e2 = math.exp(2.0 * params.gamma * t)
-    c2 = 0.5j * es.eps_dot * e2 / es.eps
+    c2 = 0.5j * es.eps_dot * es.e2 / es.eps
     coeff = es.eps_dot.conjugate() if dotted_alpha_term else es.eps.conjugate()
     const = -coeff * alpha * alpha / (2.0 * es.eps) - abs(alpha) ** 2 / 2.0
     qa = np.asarray(q, dtype=float)
@@ -136,16 +139,13 @@ def fock_psi(q, t: float, n: int, params: DampingParams) -> complex | np.ndarray
     """
     n = Fock(n).n
     es = epsilon(t, params)
-    g, om = params.gamma, params.omega_reduced
-    e2 = math.exp(2.0 * g * t)
-    c2 = 0.5j * es.eps_dot * e2 / es.eps
-    ee = (es.eps * es.eps.conjugate()).real
-    ratio_pow = 2.0 ** (-0.5 * n) * cmath.exp(-1j * n * om * t)
+    c2 = 0.5j * es.eps_dot * es.e2 / es.eps
+    ratio_pow = 2.0 ** (-0.5 * n) * cmath.exp(-1j * n * params.omega_reduced * t)
     prefactor = _PI_QUARTER * _inv_sqrt_eps(t, params) * ratio_pow / math.sqrt(
         math.factorial(n)
     )
     qa = np.asarray(q, dtype=float)
-    y = qa / math.sqrt(ee)
+    y = qa / math.sqrt(es.ee)
     if n < _HERMITE_GAUSS_MIN_N:
         out = prefactor * np.exp(c2 * qa * qa) * hermite(n, y)
     else:
@@ -176,17 +176,16 @@ def _wigner_u_rule(
     The node count tracks the fastest phase exp(-i p u) seen on the grid.
     """
     es = epsilon(t, params)
-    ee = (es.eps * es.eps.conjugate()).real
     widen, n_extra, freq_extra = 1.0, 0, 0.0
     if isinstance(state, Fock):
-        widen = max(1.0, math.sqrt(2.0 * state.n + 1.0))
+        widen = _fock_widening(state.n)
         n_extra = 8 * state.n
     elif isinstance(state, Coherent):
-        freq_extra = _SQRT2 * abs(state.alpha) / math.sqrt(ee)
-    half_width = 8.0 * math.sqrt(2.0 * ee) * widen
+        freq_extra = _SQRT2 * abs(state.alpha) / math.sqrt(es.ee)
+    half_width = 8.0 * math.sqrt(2.0 * es.ee) * widen
     freq = (
         float(np.max(np.abs(p)))
-        + params.gamma * math.exp(2.0 * params.gamma * t) * float(np.max(np.abs(q)))
+        + params.gamma * es.e2 * float(np.max(np.abs(q)))
         + freq_extra
     )
     n_u = 96 + n_extra + int(0.85 * half_width * freq)

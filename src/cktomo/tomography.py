@@ -6,14 +6,18 @@ All tomograms share the scale
 
     s2(mu, nu, t) = eps eps* (a**2 + b**2)
 
-with (a, b) from :func:`cktomo.dynamics.frame_coeffs`; the ground-like
-state is the centered Gaussian
+with (a, b, s2) from :func:`cktomo.dynamics.frame_quantities`; the
+ground-like state is the centered Gaussian
 
     w0 = exp(-X**2 / s2) / sqrt(pi * s2),
 
 Fock states multiply it by H_n(X/sqrt(s2))**2 / (2**n n!), and the
 coherent tomogram is a displaced Gaussian assembled from three exponential
 factors whose last two are mutual complex conjugates.
+
+Every X-integral of a tomogram (the normalization here, the characteristic
+function in :mod:`cktomo.invariants`) sizes its window with the single
+helper :func:`_x_window`.
 """
 
 from __future__ import annotations
@@ -23,10 +27,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import DampingParams, epsilon
+from .dynamics import DampingParams, epsilon, frame_quantities
 from .errors import ConjugationBroken, DegenerateFrame, DomainError
-from .numerics import QuadratureSpec, _gauss_legendre, hermite, hermite_gauss, integrate
-from .states import Coherent, Fock, QuantumState, wigner
+from .numerics import _HERMITE_GAUSS_MIN_N, QuadratureSpec, _gauss_legendre, hermite, hermite_gauss, integrate
+from .states import Coherent, Fock, QuantumState, _fock_widening, wigner
 
 __all__ = [
     "TomographyFrame",
@@ -41,7 +45,6 @@ __all__ = [
 ]
 
 _SQRT2 = math.sqrt(2.0)
-_HERMITE_GAUSS_MIN_N = 10
 
 
 @dataclass(frozen=True)
@@ -94,23 +97,12 @@ def optical_frame(phi):
     return mu, nu
 
 
-def _frame_quantities(mu, nu, t: float, params: DampingParams):
-    """Vectorized (a, b, s2) for arrays mu, nu at one instant."""
-    es = epsilon(t, params)
-    ee = (es.eps * es.eps.conjugate()).real
-    re = (es.eps.conjugate() * es.eps_dot).real
-    e2 = math.exp(2.0 * params.gamma * t)
-    a = e2 * np.asarray(nu, float) * re / ee + np.asarray(mu, float)
-    b = np.asarray(nu, float) / ee
-    return a, b, ee * (a * a + b * b)
-
-
 def frame_scale_sq(mu, nu, t: float, params: DampingParams):
     """Tomogram Gaussian scale s2 = eps eps* (a**2 + b**2); the variance of
     the ground-like quadrature distribution is s2 / 2."""
     if np.any((np.asarray(mu) == 0.0) & (np.asarray(nu) == 0.0)):
         raise DegenerateFrame("frame direction (mu, nu) = (0, 0) is degenerate")
-    return _frame_quantities(mu, nu, t, params)[2]
+    return frame_quantities(mu, nu, epsilon(t, params))[2]
 
 
 def ground_tomogram(frame: TomographyFrame, t: float, params: DampingParams):
@@ -150,7 +142,7 @@ def coherent_tomogram(frame: TomographyFrame, t: float, alpha: complex, params: 
     """
     alpha = complex(Coherent(alpha).alpha)
     es = epsilon(t, params)
-    a, b, s2 = _frame_quantities(frame.mu, frame.nu, t, params)
+    a, b, s2 = frame_quantities(frame.mu, frame.nu, es)
     x = np.asarray(frame.x, dtype=float)
     eps, eps_c = es.eps, es.eps.conjugate()
     a_m_ib = a - 1j * b
@@ -199,7 +191,7 @@ def _x_window(state: QuantumState, mu: float, nu: float, t: float, params: Dampi
     s2 = frame_scale_sq(mu, nu, t, params)
     sigma = math.sqrt(s2 / 2.0)
     if isinstance(state, Fock):
-        widen = max(1.0, math.sqrt(2.0 * state.n + 1.0))
+        widen = _fock_widening(state.n)
         extra = 16 * state.n
     else:
         widen = 1.0 + abs(state.alpha)
@@ -230,15 +222,16 @@ def wigner_moments(state: QuantumState, t: float, params: DampingParams):
     (sqrt(2) Re(alpha eps*), sqrt(2) e^{2 gamma t} Re(alpha eps'*)).
     """
     es = epsilon(t, params)
-    g, om = params.gamma, params.omega_reduced
-    e2 = math.exp(2.0 * g * t)
+    g, om, e2 = params.gamma, params.omega_reduced, es.e2
     cov = np.array([[1.0 / (e2 * om), -g / om], [-g / om, e2 / om]]) / 2.0
     mean = np.zeros(2)
     if isinstance(state, Coherent):
+        # Re(alpha z*) = Re(alpha) Re(z) + Im(alpha) Im(z), for z = eps, eps'
+        ar, ai = state.alpha.real, state.alpha.imag
         mean = np.array(
             [
-                _SQRT2 * (state.alpha * es.eps.conjugate()).real,
-                _SQRT2 * e2 * (state.alpha * es.eps_dot.conjugate()).real,
+                _SQRT2 * (ar * es.eps.real + ai * es.eps.imag),
+                _SQRT2 * e2 * (ar * es.eps_dot.real + ai * es.eps_dot.imag),
             ]
         )
     elif isinstance(state, Fock):
@@ -275,7 +268,7 @@ def radon_tomogram(state: QuantumState, frame: TomographyFrame, t: float, params
     tau_center = -float(d @ cov_inv @ (base - mean)) / curvature
     sigma_slice = 1.0 / math.sqrt(curvature)
     n_fock = state.n if isinstance(state, Fock) else 0
-    half_width = 9.0 * max(1.0, math.sqrt(2.0 * n_fock + 1.0)) * sigma_slice
+    half_width = 9.0 * _fock_widening(n_fock) * sigma_slice
     n_tau = 220 + 60 * n_fock
     nodes, weights = _gauss_legendre(n_tau)
     taus = tau_center + half_width * nodes

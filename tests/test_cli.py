@@ -260,6 +260,46 @@ class TestExitCodes:
         res = run_cli(["tomogram", "--gamma", "1.5", "--state", "fock:0", "--mu", "1", "--nu", "0", "--x-grid=-1:1:5"])
         assert res.returncode == 3
 
+    def test_usage_error_check_only_options(self):
+        # --seed and --tol belong to `check`; the grid commands reject them
+        grids = (
+            ["tomogram", "--state", "fock:0", "--mu", "1", "--nu", "0", "--x-grid=-1:1:5"],
+            ["wigner", "--state", "fock:0", "--q-grid=-1:1:5", "--p-grid=-1:1:5"],
+        )
+        for argv in grids:
+            for extra in (["--seed", "3"], ["--tol", "radon=1e-3"]):
+                with pytest.raises(SystemExit) as exc:
+                    main([*argv, *extra])
+                assert exc.value.code == 2
+
+    def test_x_grid_from_linspace_accepted(self, tmp_path):
+        for spec in ("--x-grid=-6:6:8001", "--x-grid=100:101:201"):
+            out = tmp_path / "grid.csv"
+            code = main(
+                ["tomogram", "--state", "fock:1", "--mu", "1", "--nu", "0", spec, "--output", str(out)]
+            )
+            assert code == 0
+            assert np.all(np.isfinite(ScalarGrid.from_csv(out.read_text()).values))
+
+    def test_numeric_error_overflow_no_traceback(self):
+        res = run_cli(["tomogram", "--gamma", "0.9", "--t", "500", "--state", "fock:1", "--mu", "1", "--nu", "0", "--x-grid=-1:1:5"])
+        assert res.returncode == 3
+        assert b"Traceback" not in res.stderr
+        assert res.stderr.startswith(b"numeric error:")
+
+    def test_numeric_error_non_finite_grid(self):
+        res = run_cli(["tomogram", "--state", "fock:1", "--mu", "1e-300", "--nu", "1e-300", "--x-grid=-1:1:3"])
+        assert res.returncode == 3
+        assert res.stdout == b""
+        assert b"Traceback" not in res.stderr
+
+    def test_numeric_error_rule_cap(self):
+        # the u-rule for this strongly squeezed state would need ~1e10 nodes
+        res = run_cli(["wigner", "--gamma", "0.9", "--t", "20", "--state", "fock:16", "--q-grid=-1:1:5", "--p-grid=-1:1:5"])
+        assert res.returncode == 3
+        assert b"Traceback" not in res.stderr
+        assert res.stdout == b""
+
     def test_check_failure_exit_one(self):
         res = run_cli(["check", "dynamics", "--seed", "0", "--tol", "ode_residual=1e-30"])
         assert res.returncode == 1

@@ -16,6 +16,7 @@ from cktomo import (
     time_forward,
 )
 from cktomo.checks import rk4_epsilon
+from cktomo.dynamics import frame_quantities
 
 
 class TestMakeParams:
@@ -93,6 +94,28 @@ class TestEpsilon:
         assert abs(wr - 1.0) < 1e-10
 
 
+class TestEpsilonBilinears:
+    @given(
+        st.floats(min_value=0.0, max_value=20.0),
+        st.floats(min_value=0.0, max_value=0.9),
+    )
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    def test_exact_identities(self, t, g):
+        p = make_params(g)
+        es = epsilon(t, p)
+        assert es.e2 == math.exp(2.0 * g * t)
+        assert es.ee == pytest.approx(math.exp(-2.0 * g * t) / p.omega_reduced, rel=1e-13)
+        # the Omega cross terms of Re(eps* eps') cancel only to rounding
+        # of ee, so the gamma term is compared on the scale of ee
+        assert abs(es.ce.real + g * es.ee) <= 1e-13 * es.ee
+        assert es.e2 * es.ce.imag == pytest.approx(1.0, abs=1e-12)
+        assert es.dd == pytest.approx(abs(es.eps_dot) ** 2, rel=1e-13)
+
+    def test_ce_is_eps_conjugate_times_derivative(self):
+        es = epsilon(2.7, make_params(0.3))
+        assert es.ce == es.eps.conjugate() * es.eps_dot
+
+
 class TestTimeMaps:
     def test_gamma_zero_identity(self):
         assert time_forward(7.0, 0.0) == 7.0
@@ -157,3 +180,15 @@ class TestFrameCoeffs:
     def test_degenerate_frame(self):
         with pytest.raises(DegenerateFrame):
             frame_coeffs(0.0, 0.0, 1.0, make_params(0.1))
+
+    def test_scalar_view_matches_vectorized_exactly(self):
+        rng = np.random.default_rng(11)
+        for g, t in ((0.0, 0.0), (0.05, 5.0), (0.3, 2.0), (0.7, 9.5)):
+            p = make_params(g)
+            mus = rng.uniform(-2.0, 2.0, size=25)
+            nus = rng.uniform(-2.0, 2.0, size=25)
+            a, b, s2 = frame_quantities(mus, nus, epsilon(t, p))
+            for i, (mu, nu) in enumerate(zip(mus, nus)):
+                fc = frame_coeffs(mu, nu, t, p)
+                assert fc.a == a[i] and fc.b == b[i]
+                assert s2[i] == epsilon(t, p).ee * (fc.a * fc.a + fc.b * fc.b)

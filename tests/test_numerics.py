@@ -16,6 +16,7 @@ from cktomo import (
     hermite_gauss,
     integrate,
 )
+from cktomo.numerics import _MAX_RULE_POINTS, _gauss_legendre
 
 
 class TestHermite:
@@ -109,6 +110,10 @@ class TestIntegrate:
         with pytest.raises(NonFinite):
             integrate(lambda x: np.full_like(x, np.nan), QuadratureSpec(0.0, 1.0, 16))
 
+    def test_rule_size_cap(self):
+        with pytest.raises(DomainError):
+            _gauss_legendre(_MAX_RULE_POINTS + 1)
+
     def test_spec_validation(self):
         with pytest.raises(DomainError):
             QuadratureSpec(0.0, -1.0, 64)
@@ -164,6 +169,19 @@ class TestScalarGrid:
             Axis("x", np.array([0.0, 1.0, 1.5]))  # nonuniform
         with pytest.raises(DomainError):
             Axis("x", np.array([0.0, -1.0]))  # decreasing
+
+    def test_axis_accepts_linspace_grids(self):
+        # linspace rounding scatters the spacing by about one ulp of the
+        # largest |value|, which far exceeds 1e-12 of a small step
+        for lo, hi in ((-6.0, 6.0), (100.0, 101.0), (0.0, 2.0 * math.pi), (-1e-9, 3e-9), (-7e5, -7e5 + 3.0)):
+            for count in (2, 3, 241, 6800, 8001, 40_001, 100_000):
+                Axis("x", np.linspace(lo, hi, count))
+
+    def test_axis_rejects_small_nonuniformity(self):
+        vals = np.linspace(-6.0, 6.0, 8001)
+        vals[4000] += 1e-9 * (vals[1] - vals[0])
+        with pytest.raises(DomainError):
+            Axis("x", vals)
 
     def test_csv_roundtrip_exact(self):
         grid = self._grid2d()
