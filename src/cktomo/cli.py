@@ -8,8 +8,8 @@ reference two-lobe figure, and the seeded verification suites.
     ck-tomo check all --seed 42
 
 Exit codes: 0 success, 1 check failure, 2 usage/config error, 3 numeric
-domain error.  CK_TOMO_THREADS caps the grid worker count (0 = auto);
-output bytes are identical for any thread count.
+domain error.  CK_TOMO_THREADS caps the worker count for `tomogram` rows
+only (0 = auto); output bytes are identical for any thread count.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from . import checks
 from .dynamics import make_params
 from .errors import CkTomoError, DomainError, NonFinite
 from .numerics import Axis, ScalarGrid
-from .states import Coherent, Fock, QuantumState, _wigner_u_rule, _wigner_with_rule
+from .states import Coherent, Fock, QuantumState, _wigner_grid
 from .tomography import TomographyFrame, optical_frame, tomogram
 
 __all__ = ["main", "UsageError", "parse_state", "parse_grid", "RunConfig"]
@@ -210,33 +210,16 @@ def cmd_wigner(config: RunConfig) -> ScalarGrid:
         raise UsageError("wigner requires --q-grid and --p-grid")
     if len(config.q_axis) > _MAX_WIGNER_AXIS or len(config.p_axis) > _MAX_WIGNER_AXIS:
         raise UsageError(f"wigner grids are capped at {_MAX_WIGNER_AXIS} points per axis")
-    qs = config.q_axis.values
-    ps = config.p_axis.values
-    # one u-rule for the whole grid, then strict per-row evaluation: both
-    # are required for byte-identical output across thread counts
-    u_nodes, u_weights = _wigner_u_rule(config.state, qs, ps, config.t, params)
-
-    def row(q: float) -> np.ndarray:
-        return _wigner_with_rule(
-            config.state,
-            np.full(ps.shape, q),
-            ps,
-            config.t,
-            params,
-            u_nodes,
-            u_weights,
-        )
-
-    rows = _map_rows(row, list(qs), _thread_count())
+    values = _wigner_grid(
+        config.state, config.q_axis.values, config.p_axis.values, config.t, params
+    )
     meta = {
         "gamma": "%.17g" % config.gamma,
         "t": "%.17g" % config.t,
         "state": _state_descriptor(config.state),
         "equation": "wigner",
     }
-    return ScalarGrid(
-        axis1=config.q_axis, axis2=config.p_axis, values=np.vstack(rows), meta=meta
-    )
+    return ScalarGrid(axis1=config.q_axis, axis2=config.p_axis, values=values, meta=meta)
 
 
 def cmd_figure1(fmt: str = "csv", output: str | None = None) -> ScalarGrid:
@@ -395,7 +378,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (CkTomoError, ArithmeticError) as exc:
-        # e.g. an OverflowError from exp(2 gamma t) at very large gamma t
+        # a residual overflow or floating-point error the library did not type
         print(f"numeric error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
 

@@ -25,6 +25,7 @@ Useful exact consequences used throughout:
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,6 +44,9 @@ __all__ = [
     "frame_coeffs",
     "frame_quantities",
 ]
+
+# largest x with exp(x) finite in double precision
+_LOG_MAX = math.log(sys.float_info.max)
 
 
 @dataclass(frozen=True)
@@ -117,9 +121,16 @@ def epsilon(t: float, params: DampingParams) -> EpsilonState:
     The derivative is obtained analytically, eps' = (i*Omega - gamma)*eps,
     never by numerical differentiation; at t = 0 the initial data
     (1/sqrt(Omega), (i*Omega - gamma)/sqrt(Omega)) is reproduced exactly.
+    Times at which exp(2*gamma*t) or exp(-gamma*t) leaves the double range
+    raise DomainError.
     """
     t = _require_finite("t", t)
     g, om = params.gamma, params.omega_reduced
+    if 2.0 * g * t > _LOG_MAX or -g * t > _LOG_MAX:
+        raise DomainError(
+            f"gamma*t = {g * t!r} puts exp(2*gamma*t) or exp(-gamma*t) "
+            "outside the double range"
+        )
     eps = (
         math.exp(-g * t)
         * complex(math.cos(om * t), math.sin(om * t))

@@ -112,10 +112,12 @@ class QuadratureSpec:
             raise DomainError(f"at least 16 quadrature points required, got {self.points}")
 
 
-@lru_cache(maxsize=128)
+@lru_cache(maxsize=None)
 def _gauss_legendre(n: int):
     """Gauss-Legendre nodes and weights on [-1, 1]; every rule is built
-    here, so one cap bounds the O(n**2) memory of the eigen-solve."""
+    here, so one cap bounds the O(n**2) memory of the eigen-solve.  The cap
+    also bounds the cache: all 2048 rules together hold about 33 MB, so no
+    rule is ever evicted and rebuilt in a long-lived process."""
     if n > _MAX_RULE_POINTS:
         raise DomainError(f"quadrature rule of {n} nodes exceeds the cap {_MAX_RULE_POINTS}")
     x, w = np.polynomial.legendre.leggauss(n)
@@ -156,10 +158,6 @@ def central_diff(f: Callable, x: float, h: float, order: int = 1) -> float:
 
 
 _FMT = "%.17g"  # 17 significant digits round-trip binary doubles exactly
-
-
-def _fmt(x: float) -> str:
-    return _FMT % float(x)
 
 
 @dataclass(frozen=True)
@@ -229,13 +227,16 @@ class ScalarGrid:
         lines = [f"# {k}={v}" for k, v in self.meta.items()]
         if self.axis2 is None:
             lines.append(f"{self.axis1.name},value")
-            for a, v in zip(self.axis1.values, self.values):
-                lines.append(f"{_fmt(a)},{_fmt(v)}")
+            for a, v in zip(self.axis1.values.tolist(), self.values.tolist()):
+                lines.append(f"{_FMT % a},{_FMT % v}")
         else:
             lines.append(f"{self.axis1.name},{self.axis2.name},value")
-            for i, a in enumerate(self.axis1.values):
-                for j, b in enumerate(self.axis2.values):
-                    lines.append(f"{_fmt(a)},{_fmt(b)},{_fmt(self.values[i, j])}")
+            # axis2 is formatted once per grid; each row is then one
+            # template "a,b_0,%.17g\na,b_1,%.17g..." filled from its values
+            tails = [f",{_FMT % b},{_FMT}" for b in self.axis2.values.tolist()]
+            for a, row in zip(self.axis1.values.tolist(), self.values.tolist()):
+                head = _FMT % a
+                lines.append((head + ("\n" + head).join(tails)) % tuple(row))
         return "\n".join(lines) + "\n"
 
     @classmethod

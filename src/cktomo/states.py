@@ -205,7 +205,12 @@ def _wigner_with_rule(
     left = psi(state, q[..., None] + 0.5 * u_nodes, t, params)
     right = psi(state, q[..., None] - 0.5 * u_nodes, t, params)
     phase = np.exp(-1j * p[..., None] * u_nodes)
-    w = (left * np.conj(right) * phase) @ u_weights
+    return _real_wigner((left * np.conj(right) * phase) @ u_weights)
+
+
+def _real_wigner(w: np.ndarray) -> np.ndarray:
+    """Real part of quadrature values of W, refusing non-finite values and
+    imaginary parts above quadrature rounding (1e-9 relative)."""
     if not np.all(np.isfinite(w)):
         raise NonFinite("Wigner quadrature produced non-finite values")
     if np.any(np.abs(w.imag) >= 1e-9 * (1.0 + np.abs(w.real))):
@@ -213,6 +218,27 @@ def _wigner_with_rule(
             f"Wigner values not real: max |Im| = {float(np.max(np.abs(w.imag)))}"
         )
     return w.real
+
+
+def _wigner_grid(
+    state: QuantumState, qs: np.ndarray, ps: np.ndarray, t: float, params: DampingParams
+) -> np.ndarray:
+    """W over the product grid qs x ps (1-D axes), shape (Q, P), as one
+    separable product W = Re[K E^T] with
+
+        K(q, u) = psi(q + u/2) psi*(q - u/2) w_u,    E(p, u) = exp(-i p u),
+
+    so psi is evaluated once per (q, u) node instead of once per (q, p, u).
+    The u-rule is the one `wigner` would pick for the same grid.  The
+    contraction is a plain einsum (no BLAS), whose summation order does not
+    depend on the BLAS thread count, so the bytes do not either.
+    """
+    u_nodes, u_weights = _wigner_u_rule(state, qs, ps, t, params)
+    left = psi(state, qs[:, None] + 0.5 * u_nodes, t, params)
+    right = psi(state, qs[:, None] - 0.5 * u_nodes, t, params)
+    kernel = left * np.conj(right) * u_weights
+    phase = np.exp(-1j * ps[:, None] * u_nodes)
+    return _real_wigner(np.einsum("qu,pu->qp", kernel, phase))
 
 
 def wigner(q, p, t: float, state: QuantumState, params: DampingParams):

@@ -337,6 +337,19 @@ class TestDeterminism:
         ]
         assert outs[0] == outs[1]
 
+    def test_wigner_identical_across_blas_threads(self):
+        # the grid contraction must not depend on how BLAS splits a sum
+        args = [
+            "wigner", "--gamma", "0.05", "--t", "2", "--state", "coherent:1.2,-0.7",
+            "--q-grid=-5:5:201", "--p-grid=-5:5:201",
+        ]
+        outs = [
+            run_cli(args, env_extra={"OPENBLAS_NUM_THREADS": n, "OMP_NUM_THREADS": n})
+            for n in ("1", "2")
+        ]
+        assert outs[0].returncode == 0 and outs[0].stdout.count(b"\n") > 201 * 201
+        assert outs[0].stdout == outs[1].stdout
+
     def test_csv_byte_roundtrip(self, tmp_path):
         out = tmp_path / "grid.csv"
         main(

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -62,6 +63,20 @@ class TestEpsilon:
         assert es.eps == pytest.approx(
             0.21637691550945426 - 0.748646296989567j, abs=1e-14
         )
+
+    def test_out_of_range_time_is_typed(self):
+        p = make_params(0.9)
+        for t in (500.0, -800.0, 1e308):
+            with pytest.raises(DomainError):
+                epsilon(t, p)
+        with pytest.raises(DomainError):
+            frame_coeffs(1.0, 0.0, 500.0, p)
+        # the largest time at which exp(2 gamma t) is still finite
+        t = math.log(sys.float_info.max) / 1.8
+        while 2.0 * 0.9 * t > math.log(sys.float_info.max):
+            t = math.nextafter(t, 0.0)
+        es = epsilon(t, p)
+        assert es.e2 == math.exp(2.0 * 0.9 * t) and math.isfinite(es.e2)
 
     def test_closed_form_vs_rk4(self):
         # independent oracle: fixed-step RK4 from the initial data

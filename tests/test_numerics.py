@@ -16,6 +16,7 @@ from cktomo import (
     hermite_gauss,
     integrate,
 )
+from cktomo import checks
 from cktomo.numerics import _MAX_RULE_POINTS, _gauss_legendre
 
 
@@ -113,6 +114,22 @@ class TestIntegrate:
     def test_rule_size_cap(self):
         with pytest.raises(DomainError):
             _gauss_legendre(_MAX_RULE_POINTS + 1)
+
+    def test_rule_cache_never_evicts(self, monkeypatch):
+        checks.run_checks("all", 1)
+        # a long-lived process builds many other rules between two runs
+        for n in range(16, 200):
+            _gauss_legendre(n)
+        builds = []
+        leggauss = np.polynomial.legendre.leggauss
+
+        def counted(n):
+            builds.append(n)
+            return leggauss(n)
+
+        monkeypatch.setattr(np.polynomial.legendre, "leggauss", counted)
+        checks.run_checks("all", 1)
+        assert builds == []
 
     def test_spec_validation(self):
         with pytest.raises(DomainError):

@@ -3,10 +3,12 @@ import math
 import numpy as np
 import pytest
 
+from cktomo import states
 from cktomo import (
     Coherent,
     DomainError,
     Fock,
+    NonFinite,
     QuadratureSpec,
     coherent_psi,
     epsilon,
@@ -185,3 +187,36 @@ class TestWigner:
             ps = rng.uniform(-2.0, 2.0, size=100)
             vals = wigner(qs, ps, 1.0, state, p)
             assert np.all(np.isfinite(vals))
+
+
+class TestWignerGrid:
+    @pytest.mark.parametrize(
+        "state, gamma, t",
+        [(Fock(12), 0.2, 3.0), (Coherent(1.2 - 0.7j), 0.05, 2.0)],
+    )
+    def test_matches_pointwise(self, state, gamma, t):
+        # the separable product sums in another order than the pointwise
+        # quadrature, so the two agree to rounding, not bit for bit
+        p = make_params(gamma)
+        qs = np.linspace(-5.0, 5.0, 41)
+        ps = np.linspace(-4.5, 4.0, 37)
+        qq, pp = np.meshgrid(qs, ps, indexing="ij")
+        grid = states._wigner_grid(state, qs, ps, t, p)
+        point = wigner(qq, pp, t, state, p)
+        assert grid.shape == (41, 37)
+        assert np.max(np.abs(grid - point)) <= 1e-13 * np.max(np.abs(point))
+
+    def test_non_finite_refused(self, monkeypatch):
+        real_psi = states.psi
+
+        def broken_psi(state, q, t, params):
+            out = real_psi(state, q, t, params)
+            out.flat[0] = np.nan
+            return out
+
+        monkeypatch.setattr(states, "psi", broken_psi)
+        qs = np.linspace(-1.0, 1.0, 5)
+        with pytest.raises(NonFinite):
+            states._wigner_grid(Fock(1), qs, qs, 1.0, make_params(0.1))
+        with pytest.raises(NonFinite):
+            wigner(qs, qs, 1.0, Fock(1), make_params(0.1))
