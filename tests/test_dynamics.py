@@ -20,6 +20,28 @@ from cktomo.checks import rk4_epsilon
 from cktomo.dynamics import frame_quantities
 
 
+def _rk4_stagewise(gamma, t_end, dt):
+    """Reference: the four RK4 stages of y'' + 2 gamma y' + y = 0, step by step."""
+    om = math.sqrt(1.0 - gamma * gamma)
+    y0 = 1.0 / math.sqrt(om)
+    y1 = complex(-gamma, om) / math.sqrt(om)
+    steps = max(1, round(t_end / dt))
+    h = t_end / steps
+    two_g = 2.0 * gamma
+    for _ in range(steps):
+        k1a = y1
+        k1b = -two_g * y1 - y0
+        k2a = y1 + 0.5 * h * k1b
+        k2b = -two_g * k2a - (y0 + 0.5 * h * k1a)
+        k3a = y1 + 0.5 * h * k2b
+        k3b = -two_g * k3a - (y0 + 0.5 * h * k2a)
+        k4a = y1 + h * k3b
+        k4b = -two_g * k4a - (y0 + h * k3a)
+        y0 = y0 + h * (k1a + 2.0 * k2a + 2.0 * k3a + k4a) / 6.0
+        y1 = y1 + h * (k1b + 2.0 * k2b + 2.0 * k3b + k4b) / 6.0
+    return y0
+
+
 class TestMakeParams:
     def test_frictionless_limit(self):
         assert make_params(0.0).omega_reduced == 1.0
@@ -83,6 +105,11 @@ class TestEpsilon:
         for g, t_end in ((0.0, 10.0), (0.05, 5.0), (0.5, 10.0)):
             numeric = rk4_epsilon(g, t_end, dt=1e-4)
             assert abs(epsilon(t_end, make_params(g)).eps - numeric) < 1e-7
+
+    def test_rk4_increment_matches_stagewise(self):
+        # the four cases of checks._check_closed_vs_ode
+        for g, t_end in ((0.0, 10.0), (0.05, 5.0), (0.05, 10.0), (0.5, 10.0)):
+            assert abs(rk4_epsilon(g, t_end, dt=1e-4) - _rk4_stagewise(g, t_end, 1e-4)) <= 1e-13
 
     @pytest.mark.parametrize(
         "t,g", [(0.0, 0.0), (5.0, 0.05), (20.0, 0.5)]

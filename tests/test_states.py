@@ -145,8 +145,8 @@ class TestWigner:
         sp = math.sqrt(e2 / om / 2.0) * math.sqrt(5.0)
         qs = np.linspace(-8.0 * sq, 8.0 * sq, 301)
         ps = np.linspace(-8.0 * sp, 8.0 * sp, 301)
-        qq, pp = np.meshgrid(qs, ps, indexing="ij")
-        w = wigner(qq, pp, t, state, p)
+        # the separable grid agrees with pointwise wigner() (TestWignerGrid)
+        w = states._wigner_grid(state, qs, ps, t, p)
         mass = np.trapezoid(np.trapezoid(w, ps, axis=1), qs) / (2.0 * math.pi)
         assert mass == pytest.approx(1.0, abs=1e-7)
 
