@@ -174,12 +174,17 @@ def number_apply(
     it equals n * w~ up to finite-difference and quadrature noise.
     """
     _validate_apply(variant, state, point, h, k_min)
+    return _apply_to_stencil(variant, point, params, _stencil(state, point, h, params))
+
+
+def _apply_to_stencil(variant: str, point: DualPoint, params: DampingParams, stencil) -> complex:
+    """(N w~)(k, mu, nu, t) of either variant from the `_stencil` values."""
     k, mu, nu = point.k, point.mu, point.nu
     es = epsilon(point.t, params)
     ee, dd, ce, e2 = es.ee, es.dd, es.ce, es.e2
     s = 2.0 * ce.real  # eps* eps' + eps eps'*
     e4 = e2 * e2
-    w00, d_mu, d_nu, d_mumu, d_nunu, d_munu = _stencil(state, point, h, params)
+    w00, d_mu, d_nu, d_mumu, d_nunu, d_munu = stencil
     second = -(1.0 / (k * k)) * (ee * d_nunu + dd * e4 * d_mumu - e2 * s * d_munu)
     mult = (k * k / 4.0) * (ee * mu * mu + dd * e4 * nu * nu + e2 * s * mu * nu) * w00
     first = 1j * (
@@ -262,7 +267,10 @@ def eigen_residual(
     for point in points:
         w00 = tomogram_characteristic(state, point.k, point.mu, point.nu, point.t, params)
         denom = max(abs(w00), 1e-3)
+        _validate_apply("direct", state, point, h, k_min)
+        # one stencil serves both variants
+        stencil = _stencil(state, point, h, params)
         for variant in ("direct", "conjugate"):
-            value = number_apply(variant, state, point, h, params, k_min=k_min)
+            value = _apply_to_stencil(variant, point, params, stencil)
             worst = max(worst, abs(value - n * w00) / denom)
     return worst

@@ -193,6 +193,27 @@ def _wigner_u_rule(
     return half_width * nodes, half_width * weights
 
 
+def _half_rule(u_nodes: np.ndarray, u_weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Nonnegative half of a u-rule, weights doubled except at u = 0.
+
+    The integrand f(u) = psi(q+u/2) psi*(q-u/2) exp(-i p u) of W satisfies
+    f(-u) = conj f(u) for every state, so over a mirror-symmetric rule the
+    full sum equals 2 Re of the sum over the nonnegative nodes, with the
+    middle node of an odd rule at half weight.  W is then real by
+    construction; the identity needs the rule to be exactly symmetric, so
+    any other rule is refused.
+    """
+    if not (
+        np.array_equal(u_nodes, -u_nodes[::-1]) and np.array_equal(u_weights, u_weights[::-1])
+    ):
+        raise DomainError("the Wigner u-rule is not exactly mirror-symmetric")
+    h = u_nodes.size // 2
+    weights = 2.0 * u_weights[h:]
+    if u_nodes.size % 2:
+        weights[0] = u_weights[h]
+    return u_nodes[h:], weights
+
+
 def _wigner_with_rule(
     state: QuantumState,
     q: np.ndarray,
@@ -202,43 +223,52 @@ def _wigner_with_rule(
     u_nodes: np.ndarray,
     u_weights: np.ndarray,
 ) -> np.ndarray:
-    left = psi(state, q[..., None] + 0.5 * u_nodes, t, params)
-    right = psi(state, q[..., None] - 0.5 * u_nodes, t, params)
-    phase = np.exp(-1j * p[..., None] * u_nodes)
-    return _real_wigner((left * np.conj(right) * phase) @ u_weights)
+    u_nodes, u_weights = _half_rule(u_nodes, u_weights)
+    kernel = psi(state, q[..., None] + 0.5 * u_nodes, t, params) * np.conj(
+        psi(state, q[..., None] - 0.5 * u_nodes, t, params)
+    )
+    pu = p[..., None] * u_nodes
+    # Re[kernel exp(-i p u)]
+    return _real_wigner((kernel.real * np.cos(pu) + kernel.imag * np.sin(pu)) @ u_weights)
 
 
 def _real_wigner(w: np.ndarray) -> np.ndarray:
-    """Real part of quadrature values of W, refusing non-finite values and
-    imaginary parts above quadrature rounding (1e-9 relative)."""
+    """Quadrature values of W (real by construction, see `_half_rule`),
+    refusing non-finite ones."""
     if not np.all(np.isfinite(w)):
         raise NonFinite("Wigner quadrature produced non-finite values")
-    if np.any(np.abs(w.imag) >= 1e-9 * (1.0 + np.abs(w.real))):
-        raise NonFinite(
-            f"Wigner values not real: max |Im| = {float(np.max(np.abs(w.imag)))}"
-        )
-    return w.real
+    return w
 
 
 def _wigner_grid(
     state: QuantumState, qs: np.ndarray, ps: np.ndarray, t: float, params: DampingParams
 ) -> np.ndarray:
     """W over the product grid qs x ps (1-D axes), shape (Q, P), as one
-    separable product W = Re[K E^T] with
+    separable product over the nonnegative half of the u-rule (`_half_rule`):
 
-        K(q, u) = psi(q + u/2) psi*(q - u/2) w_u,    E(p, u) = exp(-i p u),
+        W(q, p) = sum_u Re K(q, u) cos(p u) + Im K(q, u) sin(p u),
+        K(q, u) = psi(q + u/2) psi*(q - u/2) w_u,
 
-    so psi is evaluated once per (q, u) node instead of once per (q, p, u).
-    The u-rule is the one `wigner` would pick for the same grid.  The
-    contraction is a plain einsum (no BLAS), whose summation order does not
-    depend on the BLAS thread count, so the bytes do not either.
+    so psi is evaluated once per (q, u >= 0) node instead of once per
+    (q, p, u), and the phase table once per (p, u >= 0).  The u-rule is the
+    one `wigner` would pick for the same grid.  The contraction is one real
+    einsum (no BLAS), whose summation order does not depend on the BLAS
+    thread count, so the bytes do not either.
     """
-    u_nodes, u_weights = _wigner_u_rule(state, qs, ps, t, params)
-    left = psi(state, qs[:, None] + 0.5 * u_nodes, t, params)
-    right = psi(state, qs[:, None] - 0.5 * u_nodes, t, params)
-    kernel = left * np.conj(right) * u_weights
-    phase = np.exp(-1j * ps[:, None] * u_nodes)
-    return _real_wigner(np.einsum("qu,pu->qp", kernel, phase))
+    u_nodes, u_weights = _half_rule(*_wigner_u_rule(state, qs, ps, t, params))
+    kernel = (
+        psi(state, qs[:, None] + 0.5 * u_nodes, t, params)
+        * np.conj(psi(state, qs[:, None] - 0.5 * u_nodes, t, params))
+        * u_weights
+    )
+    pu = ps[:, None] * u_nodes
+    return _real_wigner(
+        np.einsum(
+            "qu,pu->qp",
+            np.hstack((kernel.real, kernel.imag)),
+            np.hstack((np.cos(pu), np.sin(pu))),
+        )
+    )
 
 
 def wigner(q, p, t: float, state: QuantumState, params: DampingParams):
@@ -247,8 +277,9 @@ def wigner(q, p, t: float, state: QuantumState, params: DampingParams):
 
     Evaluated by Gauss-Legendre quadrature of psi(q+u/2) psi*(q-u/2)
     exp(-i p u) over the Gaussian support in u; accepts scalar or ndarray
-    q, p (broadcast together).  The result is real up to quadrature
-    rounding, asserted at 1e-9 relative.
+    q, p (broadcast together).  The integrand at -u is the conjugate of the
+    one at u, so only the nonnegative half of the (exactly symmetric) rule
+    is summed, as 2 Re, and the result is real by construction.
     """
     qa, pa = np.broadcast_arrays(np.asarray(q, dtype=float), np.asarray(p, dtype=float))
     if not (np.all(np.isfinite(qa)) and np.all(np.isfinite(pa))):

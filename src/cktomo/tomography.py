@@ -23,6 +23,7 @@ helper :func:`_x_window`.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -99,10 +100,25 @@ def optical_frame(phi):
 
 def frame_scale_sq(mu, nu, t: float, params: DampingParams):
     """Tomogram Gaussian scale s2 = eps eps* (a**2 + b**2); the variance of
-    the ground-like quadrature distribution is s2 / 2."""
+    the ground-like quadrature distribution is s2 / 2.  An s2 outside the
+    normal double range raises DomainError."""
     if np.any((np.asarray(mu) == 0.0) & (np.asarray(nu) == 0.0)):
         raise DegenerateFrame("frame direction (mu, nu) = (0, 0) is degenerate")
-    return frame_quantities(mu, nu, epsilon(t, params))[2]
+    return _frame_quantities_in_range(mu, nu, epsilon(t, params))[2]
+
+
+def _frame_quantities_in_range(mu, nu, es):
+    """`frame_quantities`, refusing any s2 that is not a finite, normal,
+    positive double: an overflowed s2 would turn every tomogram into 0 and
+    an underflowed one into 0/0, though the true values are finite."""
+    with np.errstate(all="ignore"):
+        a, b, s2 = frame_quantities(mu, nu, es)
+    if not np.all((s2 >= sys.float_info.min) & (s2 <= sys.float_info.max)):
+        raise DomainError(
+            "frame scale s2 leaves the normal double range "
+            f"(min {float(np.min(s2))!r}, max {float(np.max(s2))!r})"
+        )
+    return a, b, s2
 
 
 def ground_tomogram(frame: TomographyFrame, t: float, params: DampingParams):
@@ -142,7 +158,7 @@ def coherent_tomogram(frame: TomographyFrame, t: float, alpha: complex, params: 
     """
     alpha = complex(Coherent(alpha).alpha)
     es = epsilon(t, params)
-    a, b, s2 = frame_quantities(frame.mu, frame.nu, es)
+    a, b, s2 = _frame_quantities_in_range(frame.mu, frame.nu, es)
     x = np.asarray(frame.x, dtype=float)
     eps, eps_c = es.eps, es.eps.conjugate()
     a_m_ib = a - 1j * b

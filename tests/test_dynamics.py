@@ -111,6 +111,14 @@ class TestEpsilon:
         for g, t_end in ((0.0, 10.0), (0.05, 5.0), (0.05, 10.0), (0.5, 10.0)):
             assert abs(rk4_epsilon(g, t_end, dt=1e-4) - _rk4_stagewise(g, t_end, 1e-4)) <= 1e-13
 
+    @pytest.mark.parametrize("steps", [1, 2, 3, 7, 8, 9, 1024, 1025, 50_000, 100_000])
+    def test_rk4_powering_matches_stagewise(self, steps):
+        # binary powering of the increment against N explicit RK4 steps
+        for g in (0.0, 0.05, 0.5):
+            t_end = steps * 1e-4
+            assert round(t_end / 1e-4) == steps
+            assert abs(rk4_epsilon(g, t_end, dt=1e-4) - _rk4_stagewise(g, t_end, 1e-4)) <= 1e-13
+
     @pytest.mark.parametrize(
         "t,g", [(0.0, 0.0), (5.0, 0.05), (20.0, 0.5)]
     )

@@ -144,6 +144,32 @@ class TestEigenResidual:
         assert fine < coarse / 8.0  # O(h**2) until the quadrature floor
 
 
+    @pytest.mark.parametrize("n, gamma", [(0, 0.0), (1, 0.05), (2, 0.3)])
+    def test_one_stencil_bit_identical_to_per_variant_calls(self, n, gamma):
+        p = make_params(gamma)
+        sample = _sample(np.random.default_rng(n), 4, [0.0, 1.0, 5.0])
+        assert eigen_residual(n, sample, 1e-3, p) == _eigen_residual_per_variant(n, sample, 1e-3, p)
+
+    def test_k_floor(self):
+        point = DualPoint(k=0.01, mu=1.0, nu=0.0, t=0.0)
+        with pytest.raises(KTooSmall):
+            eigen_residual(1, [point], 1e-3, make_params(0.0))
+
+
+def _eigen_residual_per_variant(n, sample, h, params):
+    """`eigen_residual` as it was: one `number_apply` call, and so one
+    stencil, per variant."""
+    state = Fock(n)
+    worst = 0.0
+    for point in sample:
+        w00 = tomogram_characteristic(state, point.k, point.mu, point.nu, point.t, params)
+        denom = max(abs(w00), 1e-3)
+        for variant in ("direct", "conjugate"):
+            value = number_apply(variant, state, point, h, params)
+            worst = max(worst, abs(value - n * w00) / denom)
+    return worst
+
+
 class TestPrintedForms:
     """The verbatim transcription of the published operator pair fails the
     eigenvalue property by construction; these tests pin the defect sizes

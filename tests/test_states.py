@@ -18,6 +18,8 @@ from cktomo import (
     psi,
     wigner,
 )
+from cktomo.checks import _check_wigner_marginal
+from cktomo.numerics import _gauss_legendre
 
 SQRT2 = math.sqrt(2.0)
 
@@ -179,7 +181,8 @@ class TestWigner:
         assert got == pytest.approx(-2.0, abs=1e-5)
 
     def test_realness_random_points(self):
-        # wigner itself asserts |Im| < 1e-9 (1 + |Re|); it must not raise
+        # wigner sums 2 Re over half the u-rule; the full complex sum it
+        # stands for is real to 1e-9 (TestHalfRule); values must be finite
         p = make_params(0.3)
         rng = np.random.default_rng(4)
         for state in (Fock(2), Coherent(1.0 - 0.7j)):
@@ -220,3 +223,123 @@ class TestWignerGrid:
             states._wigner_grid(Fock(1), qs, qs, 1.0, make_params(0.1))
         with pytest.raises(NonFinite):
             wigner(qs, qs, 1.0, Fock(1), make_params(0.1))
+
+
+def _full_rule_pointwise(state, q, p, t, params, u_nodes, u_weights):
+    """The complex sum over the whole u-rule that `wigner` evaluated
+    before it summed 2 Re over the nonnegative half."""
+    left = psi(state, q[..., None] + 0.5 * u_nodes, t, params)
+    right = psi(state, q[..., None] - 0.5 * u_nodes, t, params)
+    phase = np.exp(-1j * p[..., None] * u_nodes)
+    return (left * np.conj(right) * phase) @ u_weights
+
+
+def _full_rule_grid(state, qs, ps, t, params):
+    """The complex full-rule separable product `_wigner_grid` evaluated
+    before the half rule."""
+    u_nodes, u_weights = states._wigner_u_rule(state, qs, ps, t, params)
+    left = psi(state, qs[:, None] + 0.5 * u_nodes, t, params)
+    right = psi(state, qs[:, None] - 0.5 * u_nodes, t, params)
+    kernel = left * np.conj(right) * u_weights
+    phase = np.exp(-1j * ps[:, None] * u_nodes)
+    return np.einsum("qu,pu->qp", kernel, phase)
+
+
+def _assert_real(full):
+    # the bound wigner enforced on the full sum before the half rule
+    assert np.all(np.abs(full.imag) < 1e-9 * (1.0 + np.abs(full.real)))
+
+
+class TestHalfRule:
+    CASES = [
+        (Fock(0), 0.1, 3.0),
+        (Fock(1), 0.05, 5.0),
+        (Fock(12), 0.2, 3.0),
+        (Fock(16), 0.1, 1.0),
+        (Coherent(1.2 - 0.7j), 0.05, 2.0),
+    ]
+
+    @pytest.mark.parametrize("state, gamma, t", CASES)
+    def test_grid_matches_full_rule(self, state, gamma, t):
+        p = make_params(gamma)
+        qs = np.linspace(-5.0, 5.0, 41)
+        ps = np.linspace(-4.5, 4.0, 37)
+        full = _full_rule_grid(state, qs, ps, t, p)
+        _assert_real(full)
+        grid = states._wigner_grid(state, qs, ps, t, p)
+        assert np.max(np.abs(grid - full.real)) <= 1e-13 * np.max(np.abs(full.real))
+
+    @pytest.mark.parametrize("state, gamma, t", CASES)
+    def test_pointwise_matches_full_rule(self, state, gamma, t):
+        p = make_params(gamma)
+        rng = np.random.default_rng(5)
+        q = rng.uniform(-4.0, 4.0, size=150)
+        pp = rng.uniform(-4.0, 4.0, size=150)
+        u_nodes, _ = states._wigner_u_rule(state, q, pp, t, p)
+        half_width = float(u_nodes[-1] / _gauss_legendre(u_nodes.size)[0][-1])
+        for n in (u_nodes.size, u_nodes.size + 1):  # an even and an odd rule
+            nodes, weights = _gauss_legendre(n)
+            rule = (half_width * nodes, half_width * weights)
+            full = _full_rule_pointwise(state, q, pp, t, p, *rule)
+            _assert_real(full)
+            half = states._wigner_with_rule(state, q, pp, t, p, *rule)
+            assert np.max(np.abs(half - full.real)) <= 1e-13 * np.max(np.abs(full.real))
+        point = wigner(q, pp, t, state, p)
+        full = _full_rule_pointwise(state, q, pp, t, p, *states._wigner_u_rule(state, q, pp, t, p))
+        assert np.max(np.abs(point - full.real)) <= 1e-13 * np.max(np.abs(full.real))
+
+    def test_asymmetric_rule_refused(self, monkeypatch):
+        p = make_params(0.1)
+        q = np.array([0.3, -0.2])
+        u_nodes, u_weights = states._wigner_u_rule(Fock(1), q, q, 1.0, p)
+        states._wigner_with_rule(Fock(1), q, q, 1.0, p, u_nodes, u_weights)
+        bad_nodes = u_nodes.copy()
+        bad_nodes[0] = np.nextafter(bad_nodes[0], -np.inf)
+        bad_weights = u_weights.copy()
+        bad_weights[-1] = np.nextafter(bad_weights[-1], np.inf)
+        odd_nodes, odd_weights = _gauss_legendre(97)
+        shifted = odd_nodes.copy()
+        shifted[48] = 1e-300  # the middle node of an odd rule must be 0
+        for rule in ((bad_nodes, u_weights), (u_nodes, bad_weights), (shifted, odd_weights)):
+            with pytest.raises(DomainError):
+                states._wigner_with_rule(Fock(1), q, q, 1.0, p, *rule)
+        monkeypatch.setattr(states, "_wigner_u_rule", lambda *args: (bad_nodes, u_weights))
+        with pytest.raises(DomainError):
+            states._wigner_grid(Fock(1), q, q, 1.0, p)
+        with pytest.raises(DomainError):
+            wigner(q, q, 1.0, Fock(1), p)
+
+
+def _marginal_check_per_q(rng):
+    """`checks._check_wigner_marginal` as it was: one pointwise `wigner`
+    quadrature per q; returns the worst defect and the marginals."""
+    p = make_params(0.05)
+    t = 5.0
+    state = Fock(1)
+    worst = 0.0
+    es = epsilon(t, p)
+    sigma_p = math.sqrt(es.e2 / p.omega_reduced / 2.0) * math.sqrt(3.0)
+    spec = QuadratureSpec(0.0, 9.0 * sigma_p, 300)
+    margs = []
+    for q in rng.uniform(-1.0, 1.0, size=20) * math.sqrt(es.ee):
+        marg = integrate(lambda ps: wigner(q, ps, t, state, p), spec) / (2.0 * math.pi)
+        margs.append(marg)
+        worst = max(worst, abs(marg - abs(psi(state, q, t, p)) ** 2))
+    return worst, np.array(margs)
+
+
+class TestMarginalCheck:
+    @pytest.mark.parametrize("seed", [0, 1, 42])
+    def test_one_grid_matches_per_q(self, seed):
+        old, per_q = _marginal_check_per_q(np.random.default_rng([seed, 16]))
+        new = _check_wigner_marginal(np.random.default_rng([seed, 16]))
+        assert abs(new - old) <= 1e-15
+        # the same marginals from one grid, as the check now computes them
+        p = make_params(0.05)
+        es = epsilon(5.0, p)
+        qs = np.random.default_rng([seed, 16]).uniform(-1.0, 1.0, size=20) * math.sqrt(es.ee)
+        half_width = 9.0 * math.sqrt(es.e2 / p.omega_reduced / 2.0) * math.sqrt(3.0)
+        nodes, weights = _gauss_legendre(300)
+        grid = states._wigner_grid(Fock(1), qs, half_width * nodes, 5.0, p)
+        one_grid = half_width * (grid @ weights) / (2.0 * math.pi)
+        assert np.max(np.abs(one_grid - per_q)) <= 1e-15

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from cktomo import (
     Coherent,
     ConjugationBroken,
     DegenerateFrame,
+    DomainError,
     Fock,
     QuadratureSpec,
     TomographyFrame,
@@ -27,6 +29,7 @@ from cktomo import (
     tomogram,
 )
 from cktomo.checks import coherent_moments_from_psi
+from cktomo.dynamics import frame_quantities
 from cktomo.tomography import _real_from_conjugate_pair
 
 SQRT2 = math.sqrt(2.0)
@@ -48,6 +51,37 @@ class TestOpticalFrame:
         w1 = fock_tomogram(TomographyFrame(0.8, 0.3, 0.9), 1.0, 1, p)
         w2 = fock_tomogram(TomographyFrame(-0.8, -0.3, -0.9), 1.0, 1, p)
         assert w1 == pytest.approx(w2, rel=1e-12)
+
+
+class TestFrameScale:
+    # (mu, nu, t, gamma) whose s2 overflows to inf, underflows to 0, or
+    # lands on a subnormal (1e-320)
+    OUT_OF_RANGE = (
+        (1.0, 1.0, 300.0, 0.9),
+        (1e200, 1e200, 0.0, 0.0),
+        (1e-300, 1e-300, 0.0, 0.0),
+        (1e-160, 0.0, 0.0, 0.0),
+    )
+
+    def test_out_of_range_scale_is_typed(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for mu, nu, t, g in self.OUT_OF_RANGE:
+                p = make_params(g)
+                with pytest.raises(DomainError):
+                    frame_scale_sq(mu, nu, t, p)
+                with pytest.raises(DomainError):
+                    frame_scale_sq(np.array([1.0, mu]), np.array([0.0, nu]), t, p)
+                for state in (Fock(0), Fock(12), Coherent(1.0 + 1.0j)):
+                    with pytest.raises(DomainError):
+                        tomogram(state, TomographyFrame(0.5, mu, nu), t, p)
+
+    def test_in_range_scale_unchanged(self):
+        for mu, nu, t, g in ((0.3, -1.2, 2.0, 0.3), (1e-150, 0.0, 0.0, 0.0), (1e150, 1e150, 1.0, 0.1)):
+            p = make_params(g)
+            s2 = frame_scale_sq(mu, nu, t, p)
+            assert s2 == frame_quantities(mu, nu, epsilon(t, p))[2]
+            assert math.isfinite(s2) and s2 > 0.0
 
 
 class TestGroundTomogram:
