@@ -29,7 +29,8 @@ _MAX_HERMITE = 64
 # plain recurrence keeps coherent alpha = 0 bit-identical to Fock 0
 _HERMITE_GAUSS_MIN_N = 10
 # over 3x the largest rule the library's own windows ask for (~600 nodes);
-# bounds the O(n**2) build time (~40 ms at the cap) and the rule cache
+# bounds the O(n**2) build time (8-14 ms at the cap, one recurrence pass)
+# and the rule cache
 _MAX_RULE_POINTS = 2048
 # rescale before mantissas reach the overflow range when accumulating
 # H_n together with its Gaussian weight
@@ -113,21 +114,45 @@ class QuadratureSpec:
             raise DomainError(f"at least 16 quadrature points required, got {self.points}")
 
 
+# first zeros of the Bessel function J_0, to 17 digits
+_J0_ZEROS = np.array([
+    2.4048255576957728, 5.5200781102863106, 8.6537279129110122, 11.791534439014282,
+    14.930917708487786, 18.071063967910923, 21.211636629879259, 24.352471530749303,
+])
+
+
+def _bessel_j0_zeros(m: int):
+    """The first m positive zeros of J_0, ascending: the table, then
+    McMahon's expansion (within 6.4e-14 relative from the 7th zero on)."""
+    beta = (np.arange(1, m + 1) - 0.25) * np.pi
+    r = 1.0 / (8.0 * beta)
+    r2 = r * r
+    j = beta + r * (1.0 + r2 * (-124.0 / 3.0 + r2 * (120928.0 / 15.0 + r2 * (
+        -401743168.0 / 105.0 + r2 * (1071187749376.0 / 315.0)))))
+    j[: _J0_ZEROS.size] = _J0_ZEROS[:m]
+    return j
+
+
 @lru_cache(maxsize=None)
 def _gauss_legendre(n: int):
     """Gauss-Legendre nodes (ascending) and weights on [-1, 1]: Newton on
-    the Legendre recurrence from Tricomi's guess, over the nonnegative nodes
-    and mirrored, so the rule is exactly symmetric (Hale & Townsend, SIAM J.
-    Sci. Comput. 35 (2013) A652).  It stops once no node moves by 4 ulps
-    (3-4 steps): O(n**2) time, O(n) memory, weights within 1e-12 relative
-    of a 40-digit reference up to 595 nodes (3e-12 at 2048).  Every rule is
-    built here, so one cap bounds the build time and the cache: all 2048
-    rules together hold about 33 MB, so no rule is ever evicted and rebuilt
-    in a long-lived process."""
+    the Legendre recurrence over the nonnegative nodes, mirrored, so the
+    rule is exactly symmetric (Hale & Townsend, SIAM J. Sci. Comput. 35
+    (2013) A652).  The guess is Olver's Bessel-zero form
+    theta_k = alpha + (alpha cot alpha - 1)/(8 alpha v**2), alpha = j_0,k/v,
+    v = n + 1/2, within 5.2e-11 of the roots from n = 150 on; Newton stops
+    once the second-order remainder n(n+1) dx**2/(1 - x**2) of its last
+    step, which bounds the next step of node and weight, is below eps: one
+    recurrence pass from n = 121 on, two below.  O(n**2) time, O(n) memory,
+    weights within 1.5e-12 relative of a 40-digit reference up to 595 nodes.
+    Every rule is built here, so one cap bounds the build time and the
+    cache: all 2048 rules together hold about 33 MB, so no rule is ever
+    evicted and rebuilt in a long-lived process."""
     if n > _MAX_RULE_POINTS:
         raise DomainError(f"quadrature rule of {n} nodes exceeds the cap {_MAX_RULE_POINTS}")
-    i = np.arange((n + 1) // 2, 0, -1)
-    x = (1.0 - (n - 1) / (8.0 * n**3)) * np.cos(np.pi * (4 * i - 1) / (4 * n + 2))
+    v = n + 0.5
+    alpha = _bessel_j0_zeros((n + 1) // 2)[::-1] / v
+    x = np.cos(alpha + (alpha * np.cos(alpha) / np.sin(alpha) - 1.0) / (8.0 * alpha * v * v))
     x[: n % 2] = 0.0  # P_n(0) = 0 exactly for odd n, so Newton keeps it
     a = [(2 * k + 1) / (k + 1) for k in range(n)]  # P_k+1 = a_k x P_k - b_k P_k-1
     b = [k / (k + 1) for k in range(n)]
@@ -139,7 +164,7 @@ def _gauss_legendre(n: int):
         dp = n * (p_prev - x * p) / one_minus_x2
         dx = p / dp
         x = x - dx
-        if np.max(np.abs(dx)) <= 4.0 * np.finfo(float).eps:
+        if n * (n + 1) * np.max(dx * dx / one_minus_x2) <= np.finfo(float).eps:
             break
     # w = 2/((1 - x**2) P_n'**2) at the last iterate, carried to first order
     # along its unrounded step dx, so it is the weight of the exact root

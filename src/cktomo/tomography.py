@@ -150,11 +150,13 @@ def fock_tomogram(frame: TomographyFrame, t: float, n: int, params: DampingParam
 def coherent_tomogram(frame: TomographyFrame, t: float, alpha: complex, params: DampingParams):
     """Quadrature distribution of the coherent state |alpha>.
 
-    Assembled literally as the product of three exponential factors in
-    complex arithmetic; the second and third are mutual conjugates, which
-    is asserted at runtime (a failure raises ConjugationBroken and signals
-    a transcription error in the formula, not bad input).  alpha = 0
-    reproduces the ground tomogram exactly.
+    The product of three exponential factors, taken as one real exp of the
+    sum of their exponents: at large gamma*t the conjugate pair's factors
+    overflow one by one though their product is finite.  The pair's
+    exponents are mutual conjugates, which is asserted at runtime (a
+    failure raises ConjugationBroken and signals a transcription error in
+    the formula, not bad input).  alpha = 0 reproduces the ground tomogram
+    exactly.
     """
     alpha = complex(Coherent(alpha).alpha)
     es = epsilon(t, params)
@@ -163,18 +165,17 @@ def coherent_tomogram(frame: TomographyFrame, t: float, alpha: complex, params: 
     eps, eps_c = es.eps, es.eps.conjugate()
     a_m_ib = a - 1j * b
     a_p_ib = a + 1j * b
-    factor1 = (
-        np.exp(-x * x / s2) / np.sqrt(math.pi * s2) * math.exp(-abs(alpha) ** 2)
-    )
-    factor2 = np.exp(
+    exponent1 = -x * x / s2 - abs(alpha) ** 2
+    exponent2 = (
         -(alpha**2) * eps_c**2 * a_m_ib**2 / (2.0 * s2)
         + alpha * _SQRT2 * eps_c * x * a_m_ib / s2
     )
-    factor3 = np.exp(
+    exponent3 = (
         -(alpha.conjugate() ** 2) * eps**2 * a_p_ib**2 / (2.0 * s2)
         + alpha.conjugate() * _SQRT2 * eps * x * a_p_ib / s2
     )
-    out = _real_from_conjugate_pair(factor1 * factor2 * factor3)
+    pair = _real_from_conjugate_pair(exponent2 + exponent3)
+    out = np.exp(exponent1 + pair) / np.sqrt(math.pi * s2)
     return float(out) if np.ndim(out) == 0 else out
 
 

@@ -302,6 +302,15 @@ class TestExitCodes:
             assert b"Traceback" not in res.stderr
             assert b"RuntimeWarning" not in res.stderr, res.stderr
 
+    def test_coherent_large_gamma_t_finite(self):
+        # each factor of the conjugate pair overflows alone; their product is
+        # a displaced Gaussian with s2 ~ 6.9e-235, well inside the double range
+        res = run_cli(["tomogram", "--gamma", "0.9", "--t", "300", "--state", "coherent:1,1", "--mu", "1", "--nu", "0", "--x-grid=-1:1:3"])
+        assert res.returncode == 0, res.stderr
+        assert b"RuntimeWarning" not in res.stderr, res.stderr
+        values = ScalarGrid.from_csv(res.stdout.decode()).values
+        assert values.size == 3 and np.all(np.isfinite(values)) and np.all(values >= 0.0)
+
     def test_numeric_error_rule_cap(self):
         # the u-rule for this strongly squeezed state would need ~1e10 nodes
         res = run_cli(["wigner", "--gamma", "0.9", "--t", "20", "--state", "fock:16", "--q-grid=-1:1:5", "--p-grid=-1:1:5"])

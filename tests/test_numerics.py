@@ -17,7 +17,7 @@ from cktomo import (
     integrate,
 )
 from cktomo import checks
-from cktomo.numerics import _MAX_RULE_POINTS, _gauss_legendre
+from cktomo.numerics import _J0_ZEROS, _MAX_RULE_POINTS, _bessel_j0_zeros, _gauss_legendre
 
 
 class TestHermite:
@@ -148,7 +148,10 @@ def _mp_legendre_weights(n, nodes):
 
 
 class TestGaussLegendreRule:
-    @pytest.mark.parametrize("n", [16, 17, 96, 595, 2048])
+    # every n up to 200: a stopping test that bounds the node step alone
+    # leaves the weights a second-order term off (sum(w) missed 2 by 2.5e-14
+    # at n = 50), which the k = 0 monomial catches
+    @pytest.mark.parametrize("n", [*range(16, 201), 595, 2048])
     def test_integrates_monomials_exactly(self, n):
         x, w = _gauss_legendre(n)
         xk = np.ones_like(x)
@@ -178,6 +181,19 @@ class TestGaussLegendreRule:
         x, w = (a[n // 2:] for a in _gauss_legendre(n))
         ref = np.array(_mp_legendre_weights(n, x))
         assert np.max(np.abs(w - ref) / ref) <= 2e-12
+
+
+class TestBesselJ0Zeros:
+    def test_table_matches_mpmath(self):
+        mpmath = pytest.importorskip("mpmath")
+        for k, j in enumerate(_J0_ZEROS, start=1):
+            ref = float(mpmath.besseljzero(0, k))
+            assert abs(j - ref) <= 1e-16 * ref, k
+
+    def test_mcmahon_branch_matches_mpmath(self):
+        mpmath = pytest.importorskip("mpmath")
+        ref = np.array([float(mpmath.besseljzero(0, k)) for k in range(9, 1025)])
+        assert np.max(np.abs(_bessel_j0_zeros(1024)[8:] - ref) / ref) <= 1e-13
 
 
 class TestCentralDiff:
