@@ -8,8 +8,8 @@ reference two-lobe figure, and the seeded verification suites.
     ck-tomo check all --seed 42
 
 Exit codes: 0 success, 1 check failure, 2 usage/config error, 3 numeric
-domain error.  CK_TOMO_THREADS caps the worker count for `tomogram` rows
-only (0 = auto); output bytes are identical for any thread count.
+domain error.  An optical `tomogram` grid is one broadcast over (phi, X) of
+at most _MAX_TOMOGRAM_VALUES values.  CK_TOMO_THREADS is validated, unused.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ import argparse
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,6 +32,8 @@ from .tomography import TomographyFrame, optical_frame, tomogram
 __all__ = ["main", "UsageError", "parse_state", "parse_grid", "RunConfig"]
 
 _MAX_GRID_POINTS = 100_000
+# bounds the broadcast's temporaries: peak RSS at the cap is in the README
+_MAX_TOMOGRAM_VALUES = 1_000_000
 _MAX_WIGNER_AXIS = 401
 
 EXIT_OK = 0
@@ -115,6 +116,7 @@ def _parse_tol(items) -> dict[str, float]:
 
 
 def _thread_count() -> int:
+    """CK_TOMO_THREADS, validated; its value no longer changes anything."""
     raw = os.environ.get("CK_TOMO_THREADS", "0")
     try:
         n = int(raw)
@@ -122,21 +124,13 @@ def _thread_count() -> int:
         raise UsageError(f"CK_TOMO_THREADS must be an integer, got {raw!r}") from exc
     if n < 0:
         raise UsageError(f"CK_TOMO_THREADS must be >= 0, got {n}")
-    if n == 0:
-        n = min(8, os.cpu_count() or 1)
     return n
 
 
 def _map_rows(fn, row_args, threads: int):
-    """Evaluate fn over rows, preserving order regardless of worker count.
-
-    Each row is computed by an identical, self-contained numpy expression,
-    so the assembled grid is byte-identical for any thread count.
-    """
-    if threads <= 1 or len(row_args) <= 1:
-        return [fn(arg) for arg in row_args]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, row_args))
+    """fn over row_args, in order; `threads` is ignored.  perfbench counts
+    the blocks passed here (one per optical grid) as `cli.rows`."""
+    return [fn(arg) for arg in row_args]
 
 
 def _emit(grid: ScalarGrid, fmt: str, output: str | None) -> None:
@@ -156,10 +150,6 @@ def _state_descriptor(state: QuantumState) -> str:
     return f"coherent:{state.alpha.real:g},{state.alpha.imag:g}"
 
 
-def _tomogram_equation_id(state: QuantumState) -> str:
-    return "fock-tomogram" if isinstance(state, Fock) else "coherent-tomogram"
-
-
 # --------------------------------------------------------------------------
 # commands
 
@@ -174,21 +164,20 @@ def cmd_tomogram(config: RunConfig) -> ScalarGrid:
         "gamma": "%.17g" % config.gamma,
         "t": "%.17g" % config.t,
         "state": _state_descriptor(config.state),
-        "equation": _tomogram_equation_id(config.state),
+        "equation": "fock-tomogram" if isinstance(config.state, Fock) else "coherent-tomogram",
     }
     if config.frame_mode == "optical" and config.phi_axis is not None:
         meta["frame"] = "optical"
-        phis = config.phi_axis.values
+        if len(config.phi_axis) * len(xs) > _MAX_TOMOGRAM_VALUES:
+            raise UsageError(f"tomogram grids are capped at {_MAX_TOMOGRAM_VALUES} values")
 
-        def row(phi: float) -> np.ndarray:
-            mu, nu = optical_frame(phi)
-            frame = TomographyFrame(xs, mu, nu)
-            return np.asarray(tomogram(config.state, frame, config.t, params))
+        def grid(phis: np.ndarray) -> np.ndarray:
+            mu, nu = optical_frame(phis)
+            frame = TomographyFrame(xs[None, :], mu[:, None], nu[:, None])
+            return tomogram(config.state, frame, config.t, params)
 
-        rows = _map_rows(row, list(phis), _thread_count())
-        return ScalarGrid(
-            axis1=config.phi_axis, axis2=config.x_axis, values=np.vstack(rows), meta=meta
-        )
+        (values,) = _map_rows(grid, [config.phi_axis.values], _thread_count())
+        return ScalarGrid(axis1=config.phi_axis, axis2=config.x_axis, values=values, meta=meta)
     if config.frame_mode == "optical":
         mu, nu = optical_frame(config.phi)
         meta["frame"] = "optical"

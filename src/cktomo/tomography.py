@@ -46,6 +46,10 @@ __all__ = [
 ]
 
 _SQRT2 = math.sqrt(2.0)
+# every tomogram here (n <= 16, |alpha| <= 8) is exactly 0.0 from
+# |X| = 50 sqrt(s2) on; clipping X at 64 sqrt(s2) keeps x*x/s2 and
+# H_n(X/sqrt(s2)) from overflowing in the far tail
+_X_TAIL = 64.0
 
 
 @dataclass(frozen=True)
@@ -75,11 +79,7 @@ class TomographyFrame:
 
     @property
     def is_scalar(self) -> bool:
-        return (
-            np.asarray(self.x).ndim == 0
-            and np.asarray(self.mu).ndim == 0
-            and np.asarray(self.nu).ndim == 0
-        )
+        return np.ndim(self.x) == np.ndim(self.mu) == np.ndim(self.nu) == 0
 
 
 def optical_frame(phi):
@@ -121,11 +121,18 @@ def _frame_quantities_in_range(mu, nu, es):
     return a, b, s2
 
 
+def _frame_scale_and_x(frame: TomographyFrame, es):
+    """(a, b, s2) of a validated frame, and its X clipped at _X_TAIL sqrt(s2)."""
+    a, b, s2 = _frame_quantities_in_range(frame.mu, frame.nu, es)
+    x = np.asarray(frame.x, dtype=float)
+    lim = _X_TAIL * np.sqrt(s2)
+    return a, b, s2, (x if (abs(x) <= lim).all() else np.clip(x, -lim, lim))
+
+
 def ground_tomogram(frame: TomographyFrame, t: float, params: DampingParams):
     """Quadrature distribution of the ground-like state: a centered
-    Gaussian in X with variance s2/2.  Strictly positive."""
-    s2 = frame_scale_sq(frame.mu, frame.nu, t, params)
-    x = np.asarray(frame.x, dtype=float)
+    Gaussian in X with variance s2/2.  Positive up to its underflow."""
+    _, _, s2, x = _frame_scale_and_x(frame, epsilon(t, params))
     out = np.exp(-x * x / s2) / np.sqrt(math.pi * s2)
     return float(out) if np.ndim(out) == 0 else out
 
@@ -135,8 +142,7 @@ def fock_tomogram(frame: TomographyFrame, t: float, n: int, params: DampingParam
     w0 * H_n(X/sqrt(s2))**2 / (2**n n!).  Nonnegative; n = 0 reproduces the
     ground tomogram exactly."""
     n = Fock(n).n
-    s2 = frame_scale_sq(frame.mu, frame.nu, t, params)
-    x = np.asarray(frame.x, dtype=float)
+    _, _, s2, x = _frame_scale_and_x(frame, epsilon(t, params))
     y = x / np.sqrt(s2)
     norm = 1.0 / (2.0**n * math.factorial(n))
     if n < _HERMITE_GAUSS_MIN_N:
@@ -160,8 +166,7 @@ def coherent_tomogram(frame: TomographyFrame, t: float, alpha: complex, params: 
     """
     alpha = complex(Coherent(alpha).alpha)
     es = epsilon(t, params)
-    a, b, s2 = _frame_quantities_in_range(frame.mu, frame.nu, es)
-    x = np.asarray(frame.x, dtype=float)
+    a, b, s2, x = _frame_scale_and_x(frame, es)
     eps, eps_c = es.eps, es.eps.conjugate()
     a_m_ib = a - 1j * b
     a_p_ib = a + 1j * b

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import os
 import subprocess
@@ -7,8 +8,10 @@ import numpy as np
 import pytest
 
 from cktomo import ScalarGrid
-from cktomo.cli import cmd_figure1, main, parse_grid, parse_state
+from cktomo.cli import RunConfig, UsageError, cmd_figure1, cmd_tomogram, main, parse_grid, parse_state
+from cktomo.dynamics import make_params
 from cktomo.states import Coherent, Fock
+from cktomo.tomography import TomographyFrame, optical_frame, tomogram
 
 
 def run_cli(args, env_extra=None, timeout=300):
@@ -130,6 +133,54 @@ class TestTomogramCommand:
         assert grid.meta["frame"] == "symplectic"
         back = ScalarGrid.from_json(grid.to_json())
         assert np.array_equal(back.values, grid.values)
+
+
+def _optical_config(state, n_phi: int, n_x: int) -> RunConfig:
+    return RunConfig(
+        gamma=0.17,
+        t=2.3,
+        state=state,
+        frame_mode="optical",
+        phi_axis=parse_grid("phi", f"0:6.283:{n_phi}"),
+        x_axis=parse_grid("x", f"-7:7:{n_x}"),
+    )
+
+
+class TestOpticalBroadcast:
+    """An optical grid is one broadcast tomogram call; the reference here
+    evaluates it one phi row at a time."""
+
+    @staticmethod
+    def _row_loop(config: RunConfig) -> np.ndarray:
+        params = make_params(config.gamma)
+        xs = config.x_axis.values
+        rows = []
+        for phi in config.phi_axis.values:
+            frame = TomographyFrame(xs, *optical_frame(phi))
+            rows.append(tomogram(config.state, frame, config.t, params))
+        return np.vstack(rows)
+
+    @pytest.mark.parametrize("n", [0, 1, 9, 10, 16])
+    def test_fock_bit_identical_to_row_loop(self, n):
+        config = _optical_config(Fock(n), 37, 203)
+        got = cmd_tomogram(config).values
+        assert got.shape == (37, 203)
+        assert got.tobytes() == self._row_loop(config).tobytes()
+
+    @pytest.mark.parametrize("alpha", [0.0, 1.3 - 0.4j, -2.1 + 2.7j, 8.0j])
+    def test_coherent_matches_row_loop(self, alpha):
+        config = _optical_config(Coherent(alpha), 37, 203)
+        got = cmd_tomogram(config).values
+        ref = self._row_loop(config)
+        assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(ref)
+
+    def test_value_cap_boundary(self):
+        # 1000 x 1000 is exactly the cap; one more X point is refused
+        assert cmd_tomogram(_optical_config(Fock(0), 1000, 1000)).values.shape == (1000, 1000)
+        with pytest.raises(UsageError, match="capped"):
+            cmd_tomogram(_optical_config(Fock(0), 1000, 1001))
+        argv = ["tomogram", "--state", "fock:0", "--optical", "--phi-grid", "0:1:1001", "--x-grid=-1:1:1000"]
+        assert main(argv) == 2
 
 
 class TestWignerCommand:
@@ -311,6 +362,30 @@ class TestExitCodes:
         values = ScalarGrid.from_csv(res.stdout.decode()).values
         assert values.size == 3 and np.all(np.isfinite(values)) and np.all(values >= 0.0)
 
+    def test_far_tail_is_zero_without_warning(self):
+        # x*x/s2 overflows past |X| ~ 1e154; the true values are 0 to double precision
+        for state in ("fock:1", "fock:12", "fock:0", "coherent:1,0"):
+            res = run_cli(["tomogram", "--state", state, "--mu", "1", "--nu", "0", "--x-grid=1e160:1e161:2"])
+            assert res.returncode == 0, (state, res.stderr)
+            assert b"RuntimeWarning" not in res.stderr, res.stderr
+            values = ScalarGrid.from_csv(res.stdout.decode()).values
+            assert values.tolist() == [0.0, 0.0], state
+
+    def test_no_thread_pool_import(self):
+        code = "import sys, cktomo.cli; print('concurrent.futures' in sys.modules)"
+        res = subprocess.run([sys.executable, "-c", code], capture_output=True)
+        assert res.stdout.strip() == b"False", res.stderr
+
+    def test_bad_thread_env_is_usage_error(self):
+        # CK_TOMO_THREADS changes nothing but is still validated
+        args = ["tomogram", "--state", "fock:1", "--optical", "--phi-grid", "0:3:4", "--x-grid=-2:2:5"]
+        for raw in ("abc", "-1"):
+            res = run_cli(args, env_extra={"CK_TOMO_THREADS": raw})
+            assert res.returncode == 2, raw
+            assert res.stdout == b""
+            assert b"Traceback" not in res.stderr
+            assert res.stderr.startswith(b"error: CK_TOMO_THREADS"), res.stderr
+
     def test_numeric_error_rule_cap(self):
         # the u-rule for this strongly squeezed state would need ~1e10 nodes
         res = run_cli(["wigner", "--gamma", "0.9", "--t", "20", "--state", "fock:16", "--q-grid=-1:1:5", "--p-grid=-1:1:5"])
@@ -334,6 +409,12 @@ class TestDeterminism:
         assert a.returncode == 0 and b.returncode == 0
         assert a.stdout == b.stdout
         assert a.stdout.count(b"\n") >= 26  # >= 25 checks plus the summary
+
+    def test_figure1_csv_sha256(self):
+        res = run_cli(["figure1", "--format", "csv"])
+        assert res.returncode == 0
+        digest = hashlib.sha256(res.stdout).hexdigest()
+        assert digest == "89ca4f92bd9ad0af33573b7b466b03562f19b8d7b8225b90672b7b1bd2e0989b"
 
     def test_grid_identical_across_thread_counts(self):
         args = [

@@ -198,6 +198,26 @@ class TestCoherentTomogram:
             _real_from_conjugate_pair(np.array([1.0 + 0.5j]))
 
 
+class TestFarTail:
+    def test_exact_zero_without_warning(self):
+        # the closed forms reach 0.0 by |X| = 50 sqrt(s2) for every state;
+        # from 64 sqrt(s2) on they are not evaluated, since x*x/s2 and
+        # H_n(X/sqrt(s2)) overflow far out
+        p = make_params(0.2)
+        mu, nu, t = 0.6, -0.9, 1.7
+        ys = np.array([50.0, 63.9, 64.1, 1e3, 1e100, 1e160, 1e300])
+        xs = np.concatenate([ys, -ys]) * math.sqrt(frame_scale_sq(mu, nu, t, p))
+        states = [Fock(n) for n in range(17)]
+        states += [Coherent(8.0 * complex(math.cos(a), math.sin(a))) for a in np.linspace(0, 6, 7)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            values = [tomogram(s, TomographyFrame(xs, mu, nu), t, p) for s in states]
+            assert np.all(ground_tomogram(TomographyFrame(xs, mu, nu), t, p) == 0.0)
+            assert ground_tomogram(TomographyFrame(1e200, 1.0, 0.0), 0.0, p) == 0.0
+        for state, got in zip(states, values):
+            assert np.all(got == 0.0), state
+
+
 class TestNormalization:
     def test_momentum_frame_ground(self):
         got = normalization(Fock(0), 0.0, 1.0, 0.0, make_params(0.0))
