@@ -36,8 +36,9 @@ from .evolution import (
 )
 from .invariants import (
     DualPoint,
+    _apply_to_stencil,
+    _stencil,
     eigen_residual,
-    number_apply,
     number_apply_printed,
     tomogram_characteristic,
 )
@@ -178,7 +179,7 @@ def coherent_moments_from_psi(alpha: complex, t: float, params) -> tuple[float, 
         return np.abs(coherent_psi(qs, t, alpha, params)) ** 2
 
     def p_density(qs):
-        dpsi = (coherent_psi(qs + fd_h, t, alpha, params) - coherent_psi(qs - fd_h, t, alpha, params)) / (2.0 * fd_h)
+        dpsi = central_diff(lambda q: coherent_psi(q, t, alpha, params), qs, fd_h)
         return (np.conj(coherent_psi(qs, t, alpha, params)) * dpsi).imag
 
     q_mean = integrate(lambda qs: qs * density(qs), spec)
@@ -764,8 +765,7 @@ def _check_variant_agreement(rng):
     p = make_params(0.3)
     for point in _eigen_sample(rng, 5, [0.0, 2.0]):
         state = Fock(1)
-        a = number_apply("direct", state, point, 1e-3, p)
-        b = number_apply("conjugate", state, point, 1e-3, p)
+        a, b = _apply_to_stencil(point, p, _stencil(state, point, 1e-3, p))
         w00 = tomogram_characteristic(state, point.k, point.mu, point.nu, point.t, p)
         worst = max(worst, abs(a - b) / max(abs(w00), 1e-3))
     return worst

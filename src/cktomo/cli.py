@@ -9,14 +9,14 @@ reference two-lobe figure, and the seeded verification suites.
 
 Exit codes: 0 success, 1 check failure, 2 usage/config error, 3 numeric
 domain error.  An optical `tomogram` grid is one broadcast over (phi, X) of
-at most _MAX_TOMOGRAM_VALUES values.  CK_TOMO_THREADS is validated, unused.
+at most _MAX_TOMOGRAM_VALUES values.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import math
-import os
 import sys
 from dataclasses import dataclass
 
@@ -35,6 +35,7 @@ _MAX_GRID_POINTS = 100_000
 # bounds the broadcast's temporaries: peak RSS at the cap is in the README
 _MAX_TOMOGRAM_VALUES = 1_000_000
 _MAX_WIGNER_AXIS = 401
+_WRITE_SLICE = 1 << 16  # characters
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -115,21 +116,9 @@ def _parse_tol(items) -> dict[str, float]:
     return overrides
 
 
-def _thread_count() -> int:
-    """CK_TOMO_THREADS, validated; its value no longer changes anything."""
-    raw = os.environ.get("CK_TOMO_THREADS", "0")
-    try:
-        n = int(raw)
-    except ValueError as exc:
-        raise UsageError(f"CK_TOMO_THREADS must be an integer, got {raw!r}") from exc
-    if n < 0:
-        raise UsageError(f"CK_TOMO_THREADS must be >= 0, got {n}")
-    return n
-
-
 def _map_rows(fn, row_args, threads: int):
-    """fn over row_args, in order; `threads` is ignored.  perfbench counts
-    the blocks passed here (one per optical grid) as `cli.rows`."""
+    """fn over row_args, in order.  perfbench's `cli.rows` hook counts the
+    blocks (one per optical grid) and passes `threads`, which is unused."""
     return [fn(arg) for arg in row_args]
 
 
@@ -137,11 +126,13 @@ def _emit(grid: ScalarGrid, fmt: str, output: str | None) -> None:
     if not np.all(np.isfinite(grid.values)):
         raise NonFinite("grid contains non-finite values; nothing was written")
     text = grid.to_csv() if fmt == "csv" else grid.to_json()
-    if output is None:
-        sys.stdout.write(text)
-    else:
-        with open(output, "w", encoding="utf-8") as fh:
-            fh.write(text)
+    sink = (
+        contextlib.nullcontext(sys.stdout) if output is None else open(output, "w", encoding="utf-8")
+    )
+    with sink as fh:
+        # one slice at a time, so encoding never holds a second copy of the text
+        for start in range(0, len(text), _WRITE_SLICE):
+            fh.write(text[start : start + _WRITE_SLICE])
 
 
 def _state_descriptor(state: QuantumState) -> str:
@@ -176,7 +167,7 @@ def cmd_tomogram(config: RunConfig) -> ScalarGrid:
             frame = TomographyFrame(xs[None, :], mu[:, None], nu[:, None])
             return tomogram(config.state, frame, config.t, params)
 
-        (values,) = _map_rows(grid, [config.phi_axis.values], _thread_count())
+        (values,) = _map_rows(grid, [config.phi_axis.values], 0)
         return ScalarGrid(axis1=config.phi_axis, axis2=config.x_axis, values=values, meta=meta)
     if config.frame_mode == "optical":
         mu, nu = optical_frame(config.phi)

@@ -23,6 +23,7 @@ import numpy as np
 
 from .dynamics import DampingParams, epsilon, time_backward, time_forward
 from .errors import DomainError, StepTooLarge
+from .numerics import central_diff
 from .states import QuantumState
 from .tomography import TomographyFrame, frame_scale_sq, tomogram
 
@@ -64,8 +65,8 @@ def _frame_terms(state: QuantumState, x, mu, nu, t, h, params: DampingParams):
     def w(x_, mu_, nu_, t_):
         return float(tomogram(state, TomographyFrame(x_, mu_, nu_), t_, params))
 
-    dw_dnu = (w(x, mu, nu + h, t) - w(x, mu, nu - h, t)) / (2.0 * h)
-    dw_dmu = (w(x, mu + h, nu, t) - w(x, mu - h, nu, t)) / (2.0 * h)
+    dw_dnu = central_diff(lambda nu_: w(x, mu, nu_, t), nu, h)
+    dw_dmu = central_diff(lambda mu_: w(x, mu_, nu, t), mu, h)
     return w, e2, -mu * dw_dnu, e2 * e2 * nu * dw_dmu
 
 
@@ -81,7 +82,7 @@ def evolution_terms(
     """The three residual terms (e^{2gt} dw/dt, -mu dw/dnu, e^{4gt} nu dw/dmu),
     each from an order-1 central difference with step h."""
     w, e2, mu_term, nu_term = _frame_terms(state, x, mu, nu, t, h, params)
-    dw_dt = (w(x, mu, nu, t + h) - w(x, mu, nu, t - h)) / (2.0 * h)
+    dw_dt = central_diff(lambda t_: w(x, mu, nu, t_), t, h)
     return e2 * dw_dt, mu_term, nu_term
 
 
@@ -137,10 +138,7 @@ def evolution_residual_tprime(
     """
     w, _, mu_term, nu_term = _frame_terms(state, x, mu, nu, t, h, params)
     g = params.gamma
-    tp0 = time_forward(t, g)
-    w_plus = w(x, mu, nu, time_backward(tp0 + h, g))
-    w_minus = w(x, mu, nu, time_backward(tp0 - h, g))
-    dw_dtp = (w_plus - w_minus) / (2.0 * h)
+    dw_dtp = central_diff(lambda tp: w(x, mu, nu, time_backward(tp, g)), time_forward(t, g), h)
     return dw_dtp + mu_term + nu_term
 
 

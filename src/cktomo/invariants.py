@@ -174,11 +174,13 @@ def number_apply(
     it equals n * w~ up to finite-difference and quadrature noise.
     """
     _validate_apply(variant, state, point, h, k_min)
-    return _apply_to_stencil(variant, point, params, _stencil(state, point, h, params))
+    direct, conjugate = _apply_to_stencil(point, params, _stencil(state, point, h, params))
+    return direct if variant == "direct" else conjugate
 
 
-def _apply_to_stencil(variant: str, point: DualPoint, params: DampingParams, stencil) -> complex:
-    """(N w~)(k, mu, nu, t) of either variant from the `_stencil` values."""
+def _apply_to_stencil(point: DualPoint, params: DampingParams, stencil) -> tuple[complex, complex]:
+    """(N w~) of the direct and the conjugate variant from the `_stencil`
+    values; the two differ only in the sign of the first-order bracket."""
     k, mu, nu = point.k, point.mu, point.nu
     es = epsilon(point.t, params)
     ee, dd, ce, e2 = es.ee, es.dd, es.ce, es.e2
@@ -194,8 +196,8 @@ def _apply_to_stencil(variant: str, point: DualPoint, params: DampingParams, ste
     )
     # ordering constant (i E2 / 2)(eps* eps' - eps eps'*) = -1 exactly
     const = (0.5j * e2) * (ce - ce.conjugate()) * w00
-    sign = 1.0 if variant == "direct" else -1.0
-    return 0.5 * (second + mult + sign * first + const)
+    even = second + mult
+    return 0.5 * (even + first + const), 0.5 * (even - first + const)
 
 
 def number_apply_printed(
@@ -268,9 +270,6 @@ def eigen_residual(
         w00 = tomogram_characteristic(state, point.k, point.mu, point.nu, point.t, params)
         denom = max(abs(w00), 1e-3)
         _validate_apply("direct", state, point, h, k_min)
-        # one stencil serves both variants
-        stencil = _stencil(state, point, h, params)
-        for variant in ("direct", "conjugate"):
-            value = _apply_to_stencil(variant, point, params, stencil)
+        for value in _apply_to_stencil(point, params, _stencil(state, point, h, params)):
             worst = max(worst, abs(value - n * w00) / denom)
     return worst

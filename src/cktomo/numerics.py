@@ -286,7 +286,8 @@ class ScalarGrid:
             for a, row in zip(self.axis1.values.tolist(), self.values.tolist()):
                 head = _FMT % a
                 lines.append((head + ("\n" + head).join(tails)) % tuple(row))
-        return "\n".join(lines) + "\n"
+        lines.append("")  # trailing newline without copying the joined text
+        return "\n".join(lines)
 
     @classmethod
     def from_csv(cls, text: str) -> "ScalarGrid":

@@ -214,22 +214,11 @@ def _half_rule(u_nodes: np.ndarray, u_weights: np.ndarray) -> tuple[np.ndarray, 
     return u_nodes[h:], weights
 
 
-def _wigner_with_rule(
-    state: QuantumState,
-    q: np.ndarray,
-    p: np.ndarray,
-    t: float,
-    params: DampingParams,
-    u_nodes: np.ndarray,
-    u_weights: np.ndarray,
-) -> np.ndarray:
-    u_nodes, u_weights = _half_rule(u_nodes, u_weights)
-    kernel = psi(state, q[..., None] + 0.5 * u_nodes, t, params) * np.conj(
-        psi(state, q[..., None] - 0.5 * u_nodes, t, params)
+def _wigner_kernel(state: QuantumState, q, u_nodes, t: float, params: DampingParams) -> np.ndarray:
+    """psi(q + u/2) psi*(q - u/2) over 1-D q and the half-rule u nodes, shape (Q, U)."""
+    return psi(state, q[:, None] + 0.5 * u_nodes, t, params) * np.conj(
+        psi(state, q[:, None] - 0.5 * u_nodes, t, params)
     )
-    pu = p[..., None] * u_nodes
-    # Re[kernel exp(-i p u)]
-    return _real_wigner((kernel.real * np.cos(pu) + kernel.imag * np.sin(pu)) @ u_weights)
 
 
 def _real_wigner(w: np.ndarray) -> np.ndarray:
@@ -256,11 +245,7 @@ def _wigner_grid(
     thread count, so the bytes do not either.
     """
     u_nodes, u_weights = _half_rule(*_wigner_u_rule(state, qs, ps, t, params))
-    kernel = (
-        psi(state, qs[:, None] + 0.5 * u_nodes, t, params)
-        * np.conj(psi(state, qs[:, None] - 0.5 * u_nodes, t, params))
-        * u_weights
-    )
+    kernel = _wigner_kernel(state, qs, u_nodes, t, params) * u_weights
     pu = ps[:, None] * u_nodes
     return _real_wigner(
         np.einsum(
@@ -288,15 +273,16 @@ def wigner(q, p, t: float, state: QuantumState, params: DampingParams):
     qa = np.atleast_1d(qa)
     pa = np.atleast_1d(pa)
     u_nodes, u_weights = _wigner_u_rule(state, qa, pa, t, params)
-    flat_q = qa.reshape(-1)
-    flat_p = pa.reshape(-1)
-    out = np.empty(flat_q.shape, dtype=float)
     # chunk the point set so the (points x nodes) work matrix stays small
     chunk = max(1, int(2_000_000 // max(1, u_nodes.size)))
+    u_nodes, u_weights = _half_rule(u_nodes, u_weights)
+    flat_q, flat_p = qa.reshape(-1), pa.reshape(-1)
+    out = np.empty(flat_q.shape, dtype=float)
     for start in range(0, flat_q.size, chunk):
         sl = slice(start, start + chunk)
-        out[sl] = _wigner_with_rule(
-            state, flat_q[sl], flat_p[sl], t, params, u_nodes, u_weights
-        )
-    out = out.reshape(qa.shape)
+        kernel = _wigner_kernel(state, flat_q[sl], u_nodes, t, params)
+        pu = flat_p[sl, None] * u_nodes
+        # Re[kernel exp(-i p u)]
+        out[sl] = (kernel.real * np.cos(pu) + kernel.imag * np.sin(pu)) @ u_weights
+    out = _real_wigner(out.reshape(qa.shape))
     return float(out[0]) if scalar else out

@@ -30,7 +30,7 @@ import numpy as np
 
 from .dynamics import DampingParams, epsilon, frame_quantities
 from .errors import ConjugationBroken, DegenerateFrame, DomainError
-from .numerics import _HERMITE_GAUSS_MIN_N, QuadratureSpec, _gauss_legendre, hermite, hermite_gauss, integrate
+from .numerics import _HERMITE_GAUSS_MIN_N, QuadratureSpec, hermite, hermite_gauss, integrate
 from .states import Coherent, Fock, QuantumState, _fock_widening, wigner
 
 __all__ = [
@@ -50,6 +50,8 @@ _SQRT2 = math.sqrt(2.0)
 # |X| = 50 sqrt(s2) on; clipping X at 64 sqrt(s2) keeps x*x/s2 and
 # H_n(X/sqrt(s2)) from overflowing in the far tail
 _X_TAIL = 64.0
+# the largest s2 accepted: pi * s2, in every tomogram's normalization, stays finite
+_MAX_S2 = sys.float_info.max / 4.0
 
 
 @dataclass(frozen=True)
@@ -100,22 +102,22 @@ def optical_frame(phi):
 
 def frame_scale_sq(mu, nu, t: float, params: DampingParams):
     """Tomogram Gaussian scale s2 = eps eps* (a**2 + b**2); the variance of
-    the ground-like quadrature distribution is s2 / 2.  An s2 outside the
-    normal double range raises DomainError."""
+    the ground-like quadrature distribution is s2 / 2.  An s2 outside
+    [smallest normal double, largest double / 4] raises DomainError."""
     if np.any((np.asarray(mu) == 0.0) & (np.asarray(nu) == 0.0)):
         raise DegenerateFrame("frame direction (mu, nu) = (0, 0) is degenerate")
     return _frame_quantities_in_range(mu, nu, epsilon(t, params))[2]
 
 
 def _frame_quantities_in_range(mu, nu, es):
-    """`frame_quantities`, refusing any s2 that is not a finite, normal,
-    positive double: an overflowed s2 would turn every tomogram into 0 and
-    an underflowed one into 0/0, though the true values are finite."""
+    """`frame_quantities`, refusing an s2 outside [smallest normal double,
+    _MAX_S2]: an overflowed s2 or pi * s2 would turn every tomogram into 0
+    and an underflowed s2 into 0/0, though the true values are finite."""
     with np.errstate(all="ignore"):
         a, b, s2 = frame_quantities(mu, nu, es)
-    if not np.all((s2 >= sys.float_info.min) & (s2 <= sys.float_info.max)):
+    if not np.all((s2 >= sys.float_info.min) & (s2 <= _MAX_S2)):
         raise DomainError(
-            "frame scale s2 leaves the normal double range "
+            "frame scale s2 leaves the supported double range "
             f"(min {float(np.min(s2))!r}, max {float(np.max(s2))!r})"
         )
     return a, b, s2
@@ -132,9 +134,7 @@ def _frame_scale_and_x(frame: TomographyFrame, es):
 def ground_tomogram(frame: TomographyFrame, t: float, params: DampingParams):
     """Quadrature distribution of the ground-like state: a centered
     Gaussian in X with variance s2/2.  Positive up to its underflow."""
-    _, _, s2, x = _frame_scale_and_x(frame, epsilon(t, params))
-    out = np.exp(-x * x / s2) / np.sqrt(math.pi * s2)
-    return float(out) if np.ndim(out) == 0 else out
+    return fock_tomogram(frame, t, 0, params)
 
 
 def fock_tomogram(frame: TomographyFrame, t: float, n: int, params: DampingParams):
@@ -291,10 +291,9 @@ def radon_tomogram(state: QuantumState, frame: TomographyFrame, t: float, params
     sigma_slice = 1.0 / math.sqrt(curvature)
     n_fock = state.n if isinstance(state, Fock) else 0
     half_width = 9.0 * _fock_widening(n_fock) * sigma_slice
-    n_tau = 220 + 60 * n_fock
-    nodes, weights = _gauss_legendre(n_tau)
-    taus = tau_center + half_width * nodes
-    qs = base[0] + taus * d[0]
-    ps = base[1] + taus * d[1]
-    line_values = wigner(qs, ps, t, state, params)
-    return half_width * float(np.dot(weights, line_values)) / (2.0 * math.pi * s)
+    spec = QuadratureSpec(center=tau_center, half_width=half_width, points=220 + 60 * n_fock)
+
+    def line(taus):
+        return wigner(base[0] + taus * d[0], base[1] + taus * d[1], t, state, params)
+
+    return integrate(line, spec) / (2.0 * math.pi * s)

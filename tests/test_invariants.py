@@ -15,6 +15,8 @@ from cktomo import (
     number_apply_printed,
     tomogram_characteristic,
 )
+from cktomo.checks import _check_variant_agreement, _eigen_sample
+from cktomo.invariants import _apply_to_stencil, _stencil
 
 
 def _sample(rng, n_points, ts):
@@ -115,6 +117,26 @@ class TestNumberApply:
         b = number_apply("conjugate", Fock(1), point, 1e-3, p)
         w = tomogram_characteristic(Fock(1), 1.1, 0.9, 0.7, 2.0, p)
         assert abs(a - b) <= 1e-5 * max(abs(w), 1e-3)
+
+    @pytest.mark.parametrize("n, gamma", [(0, 0.0), (1, 0.3), (3, 0.05)])
+    def test_variants_are_the_stencil_pair(self, n, gamma):
+        p = make_params(gamma)
+        for point in _sample(np.random.default_rng(40 + n), 3, [0.0, 2.0]):
+            pair = _apply_to_stencil(point, p, _stencil(Fock(n), point, 1e-3, p))
+            direct = number_apply("direct", Fock(n), point, 1e-3, p)
+            conjugate = number_apply("conjugate", Fock(n), point, 1e-3, p)
+            assert (direct, conjugate) == pair
+
+    @pytest.mark.parametrize("seed", [0, 42])
+    def test_variant_agreement_check_bit_identical_to_per_variant_calls(self, seed):
+        p = make_params(0.3)
+        worst = 0.0
+        for point in _eigen_sample(np.random.default_rng(seed), 5, [0.0, 2.0]):
+            a = number_apply("direct", Fock(1), point, 1e-3, p)
+            b = number_apply("conjugate", Fock(1), point, 1e-3, p)
+            w00 = tomogram_characteristic(Fock(1), point.k, point.mu, point.nu, point.t, p)
+            worst = max(worst, abs(a - b) / max(abs(w00), 1e-3))
+        assert _check_variant_agreement(np.random.default_rng(seed)) == worst
 
 
 class TestEigenResidual:

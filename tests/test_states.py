@@ -270,29 +270,30 @@ class TestHalfRule:
         assert np.max(np.abs(grid - full.real)) <= 1e-13 * np.max(np.abs(full.real))
 
     @pytest.mark.parametrize("state, gamma, t", CASES)
-    def test_pointwise_matches_full_rule(self, state, gamma, t):
+    def test_pointwise_matches_full_rule(self, state, gamma, t, monkeypatch):
         p = make_params(gamma)
         rng = np.random.default_rng(5)
         q = rng.uniform(-4.0, 4.0, size=150)
         pp = rng.uniform(-4.0, 4.0, size=150)
-        u_nodes, _ = states._wigner_u_rule(state, q, pp, t, p)
+        u_nodes, u_weights = states._wigner_u_rule(state, q, pp, t, p)
         half_width = float(u_nodes[-1] / _gauss_legendre(u_nodes.size)[0][-1])
+        point = wigner(q, pp, t, state, p)
+        full = _full_rule_pointwise(state, q, pp, t, p, u_nodes, u_weights)
+        assert np.max(np.abs(point - full.real)) <= 1e-13 * np.max(np.abs(full.real))
         for n in (u_nodes.size, u_nodes.size + 1):  # an even and an odd rule
             nodes, weights = _gauss_legendre(n)
             rule = (half_width * nodes, half_width * weights)
             full = _full_rule_pointwise(state, q, pp, t, p, *rule)
             _assert_real(full)
-            half = states._wigner_with_rule(state, q, pp, t, p, *rule)
+            monkeypatch.setattr(states, "_wigner_u_rule", lambda *args, rule=rule: rule)
+            half = wigner(q, pp, t, state, p)
             assert np.max(np.abs(half - full.real)) <= 1e-13 * np.max(np.abs(full.real))
-        point = wigner(q, pp, t, state, p)
-        full = _full_rule_pointwise(state, q, pp, t, p, *states._wigner_u_rule(state, q, pp, t, p))
-        assert np.max(np.abs(point - full.real)) <= 1e-13 * np.max(np.abs(full.real))
 
     def test_asymmetric_rule_refused(self, monkeypatch):
         p = make_params(0.1)
         q = np.array([0.3, -0.2])
         u_nodes, u_weights = states._wigner_u_rule(Fock(1), q, q, 1.0, p)
-        states._wigner_with_rule(Fock(1), q, q, 1.0, p, u_nodes, u_weights)
+        wigner(q, q, 1.0, Fock(1), p)  # its own rule is accepted
         bad_nodes = u_nodes.copy()
         bad_nodes[0] = np.nextafter(bad_nodes[0], -np.inf)
         bad_weights = u_weights.copy()
@@ -301,13 +302,12 @@ class TestHalfRule:
         shifted = odd_nodes.copy()
         shifted[48] = 1e-300  # the middle node of an odd rule must be 0
         for rule in ((bad_nodes, u_weights), (u_nodes, bad_weights), (shifted, odd_weights)):
+            monkeypatch.setattr(states, "_wigner_u_rule", lambda *args, rule=rule: rule)
             with pytest.raises(DomainError):
-                states._wigner_with_rule(Fock(1), q, q, 1.0, p, *rule)
+                wigner(q, q, 1.0, Fock(1), p)
         monkeypatch.setattr(states, "_wigner_u_rule", lambda *args: (bad_nodes, u_weights))
         with pytest.raises(DomainError):
             states._wigner_grid(Fock(1), q, q, 1.0, p)
-        with pytest.raises(DomainError):
-            wigner(q, q, 1.0, Fock(1), p)
 
 
 def _marginal_check_per_q(rng):

@@ -1,4 +1,5 @@
 import math
+import sys
 import warnings
 
 import numpy as np
@@ -54,11 +55,12 @@ class TestOpticalFrame:
 
 
 class TestFrameScale:
-    # (mu, nu, t, gamma) whose s2 overflows to inf, underflows to 0, or
-    # lands on a subnormal (1e-320)
+    # (mu, nu, t, gamma) whose s2 overflows to inf, is finite but overflows
+    # pi * s2 (1e308), underflows to 0, or lands on a subnormal (1e-320)
     OUT_OF_RANGE = (
         (1.0, 1.0, 300.0, 0.9),
         (1e200, 1e200, 0.0, 0.0),
+        (1e154, 0.0, 0.0, 0.0),
         (1e-300, 1e-300, 0.0, 0.0),
         (1e-160, 0.0, 0.0, 0.0),
     )
@@ -82,6 +84,18 @@ class TestFrameScale:
             s2 = frame_scale_sq(mu, nu, t, p)
             assert s2 == frame_quantities(mu, nu, epsilon(t, p))[2]
             assert math.isfinite(s2) and s2 > 0.0
+
+    def test_upper_bound_is_a_quarter_of_the_largest_double(self):
+        # up to float_max / 4, pi * s2 is finite and the tomogram is too
+        p = make_params(0.0)
+        mu = math.sqrt(sys.float_info.max / 4.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert frame_scale_sq(0.999 * mu, 0.0, 0.0, p) <= sys.float_info.max / 4.0
+            w = ground_tomogram(TomographyFrame(0.0, 0.999 * mu, 0.0), 0.0, p)
+            assert math.isfinite(w) and w > 0.0
+            with pytest.raises(DomainError):
+                frame_scale_sq(1.001 * mu, 0.0, 0.0, p)
 
 
 class TestGroundTomogram:
