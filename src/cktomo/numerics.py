@@ -1,5 +1,6 @@
-"""Shared numerical kernels: Hermite polynomials, quadrature, finite
-differences, and the rectangular grid container used for all file output.
+"""Shared numerical kernels: Hermite polynomials and the orthonormal
+Hermite functions, quadrature, finite differences, and the rectangular grid
+container used for all file output.
 """
 
 from __future__ import annotations
@@ -25,16 +26,15 @@ __all__ = [
 ]
 
 _MAX_HERMITE = 64
-# Fock psi and tomograms use hermite_gauss from this order on; below it the
-# plain recurrence keeps coherent alpha = 0 bit-identical to Fock 0
-_HERMITE_GAUSS_MIN_N = 10
+# phi_{k+1} = _PHI_A[k] x phi_k - _PHI_B[k] phi_{k-1}, the orthonormal
+# Hermite-function recurrence; _PHI_B[0] = 0 starts it from phi_0 alone
+_PHI_A = [math.sqrt(2.0 / (k + 1)) for k in range(_MAX_HERMITE)]
+_PHI_B = [math.sqrt(k / (k + 1)) for k in range(_MAX_HERMITE)]
+_PI_QUARTER = math.pi ** (-0.25)
 # over 3x the largest rule the library's own windows ask for (~600 nodes);
 # bounds the O(n**2) build time (8-14 ms at the cap, one recurrence pass)
 # and the rule cache
 _MAX_RULE_POINTS = 2048
-# rescale before mantissas reach the overflow range when accumulating
-# H_n together with its Gaussian weight
-_RESCALE_LIMIT = 1e120
 
 
 def hermite(n: int, x):
@@ -42,8 +42,9 @@ def hermite(n: int, x):
 
     H_0 = 1, H_1 = 2x, H_{k+1} = 2x H_k - 2k H_{k-1}.  Accepts a scalar or
     ndarray argument.  n > 64 is rejected: bare H_n values overflow the
-    double range too easily beyond that; use :func:`hermite_gauss` for
-    Gaussian-weighted evaluation.
+    double range too easily beyond that.  The library evaluates Fock states
+    through :func:`hermite_gauss`; this is the reference it is checked
+    against.
     """
     n = _check_hermite_order(n)
     xa = np.asarray(x, dtype=float)
@@ -58,32 +59,22 @@ def hermite(n: int, x):
 
 
 def hermite_gauss(n: int, x):
-    """Gaussian-weighted Hermite function H_n(x) * exp(-x**2 / 2).
+    """Orthonormal Hermite function
+    phi_n(x) = H_n(x) exp(-x**2 / 2) / sqrt(2**n n! sqrt(pi)).
 
-    The recurrence is accumulated with periodic rescaling (mantissa plus a
-    log-offset) so the polynomial can never overflow before the Gaussian
-    factor is applied; the weighted product itself is bounded.
+    phi_0 = pi**(-1/4) exp(-x**2/2), phi_1 = sqrt(2) x phi_0 and
+    phi_{k+1} = sqrt(2/(k+1)) x phi_k - sqrt(k/(k+1)) phi_{k-1}, from the
+    H_n recurrence (Abramowitz & Stegun 22.7).  Every |phi_k| stays below
+    pi**(-1/4) (Indritz, Proc. AMS 12 (1961) 981), so the recurrence needs
+    no norm and no rescaling (Bunck, BIT 49 (2009) 281).
+    Accepts a scalar or ndarray argument.
     """
     n = _check_hermite_order(n)
     xa = np.asarray(x, dtype=float)
-    scalar = xa.ndim == 0
-    xa = np.atleast_1d(xa)
-    m_prev = np.ones_like(xa)
-    log_offset = np.zeros_like(xa)
-    if n == 0:
-        out = np.exp(-0.5 * xa * xa)
-    else:
-        m = 2.0 * xa
-        for k in range(1, n):
-            m, m_prev = 2.0 * xa * m - 2.0 * k * m_prev, m
-            big = np.abs(m) > _RESCALE_LIMIT
-            if np.any(big):
-                f = np.where(big, np.abs(m), 1.0)
-                m = m / f
-                m_prev = m_prev / f
-                log_offset = log_offset + np.log(f)
-        out = m * np.exp(log_offset - 0.5 * xa * xa)
-    return float(out[0]) if scalar else out
+    phi_prev, phi = 0.0, _PI_QUARTER * np.exp(-0.5 * xa * xa)
+    for k in range(n):
+        phi_prev, phi = phi, _PHI_A[k] * xa * phi - _PHI_B[k] * phi_prev
+    return float(phi) if xa.ndim == 0 else phi
 
 
 def _check_hermite_order(n) -> int:

@@ -29,7 +29,7 @@ import numpy as np
 
 from .dynamics import DampingParams, epsilon
 from .errors import DomainError, NonFinite
-from .numerics import _HERMITE_GAUSS_MIN_N, _gauss_legendre, hermite, hermite_gauss
+from .numerics import _PI_QUARTER, _gauss_legendre, hermite_gauss
 
 __all__ = [
     "Coherent",
@@ -41,7 +41,6 @@ __all__ = [
     "wigner",
 ]
 
-_PI_QUARTER = math.pi ** (-0.25)
 _SQRT2 = math.sqrt(2.0)
 _MAX_FOCK = 16
 _MAX_ALPHA = 8.0
@@ -131,27 +130,21 @@ def fock_psi(q, t: float, n: int, params: DampingParams) -> complex | np.ndarray
 
         psi = pi**(-1/4) eps**(-1/2) (eps*/(2 eps))**(n/2) / sqrt(n!)
               * exp( i eps' e^{2 gamma t} q**2 / (2 eps) ) H_n(q / |eps|)
+            = eps**(-1/2) exp(-i n Omega t)
+              * exp( i eps' e^{2 gamma t} q**2 / (2 eps) + y**2/2 ) phi_n(y)
 
-    (eps*/(2 eps))**(n/2) is evaluated on the tracked branch, i.e. as
-    2**(-n/2) exp(-i n Omega t).  For n >= 10 the Hermite factor is
-    accumulated together with the Gaussian half of the quadratic exponent
-    to keep intermediates bounded.
+    with y = q/|eps| and phi_n the orthonormal Hermite function
+    (:func:`cktomo.numerics.hermite_gauss`); (eps*/eps)**(n/2) is taken on
+    the tracked branch as exp(-i n Omega t).  The real part of the quadratic
+    exponent is -y**2/2 exactly, so the second exponential is a pure phase.
     """
     n = Fock(n).n
     es = epsilon(t, params)
     c2 = 0.5j * es.eps_dot * es.e2 / es.eps
-    ratio_pow = 2.0 ** (-0.5 * n) * cmath.exp(-1j * n * params.omega_reduced * t)
-    prefactor = _PI_QUARTER * _inv_sqrt_eps(t, params) * ratio_pow / math.sqrt(
-        math.factorial(n)
-    )
+    prefactor = _inv_sqrt_eps(t, params) * cmath.exp(-1j * n * params.omega_reduced * t)
     qa = np.asarray(q, dtype=float)
     y = qa / math.sqrt(es.ee)
-    if n < _HERMITE_GAUSS_MIN_N:
-        out = prefactor * np.exp(c2 * qa * qa) * hermite(n, y)
-    else:
-        # Re(c2) q**2 = -y**2/2 exactly, so adding y**2/2 back leaves a
-        # bounded pure-phase exponential next to the weighted Hermite pair.
-        out = prefactor * np.exp(c2 * qa * qa + 0.5 * y * y) * hermite_gauss(n, y)
+    out = prefactor * np.exp(c2 * qa * qa + 0.5 * y * y) * hermite_gauss(n, y)
     return complex(out) if qa.ndim == 0 else out
 
 

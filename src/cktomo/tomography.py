@@ -6,14 +6,16 @@ All tomograms share the scale
 
     s2(mu, nu, t) = eps eps* (a**2 + b**2)
 
-with (a, b, s2) from :func:`cktomo.dynamics.frame_quantities`; the
-ground-like state is the centered Gaussian
+with (a, b, s2) from :func:`cktomo.dynamics.frame_quantities`, and the
+scaled variable y = X / sqrt(s2); the ground-like state is the centered
+Gaussian
 
-    w0 = exp(-X**2 / s2) / sqrt(pi * s2),
+    w0 = exp(-y**2) / sqrt(pi * s2),
 
-Fock states multiply it by H_n(X/sqrt(s2))**2 / (2**n n!), and the
-coherent tomogram is a displaced Gaussian assembled from three exponential
-factors whose last two are mutual complex conjugates.
+Fock states are phi_n(y)**2 / sqrt(s2) = w0 H_n(y)**2 / (2**n n!) with
+phi_n the orthonormal Hermite function, and the coherent tomogram is a
+displaced Gaussian assembled from three exponential factors whose last two
+are mutual complex conjugates.
 
 Every X-integral of a tomogram (the normalization here, the characteristic
 function in :mod:`cktomo.invariants`) sizes its window with the single
@@ -30,7 +32,7 @@ import numpy as np
 
 from .dynamics import DampingParams, epsilon, frame_quantities
 from .errors import ConjugationBroken, DegenerateFrame, DomainError
-from .numerics import _HERMITE_GAUSS_MIN_N, QuadratureSpec, hermite, hermite_gauss, integrate
+from .numerics import QuadratureSpec, hermite_gauss, integrate
 from .states import Coherent, Fock, QuantumState, _fock_widening, wigner
 
 __all__ = [
@@ -47,8 +49,8 @@ __all__ = [
 
 _SQRT2 = math.sqrt(2.0)
 # every tomogram here (n <= 16, |alpha| <= 8) is exactly 0.0 from
-# |X| = 50 sqrt(s2) on; clipping X at 64 sqrt(s2) keeps x*x/s2 and
-# H_n(X/sqrt(s2)) from overflowing in the far tail
+# |X| = 50 sqrt(s2) on; clipping X at 64 sqrt(s2) keeps y = X/sqrt(s2)
+# and y*y from overflowing in the far tail
 _X_TAIL = 64.0
 # the largest s2 accepted: pi * s2, in every tomogram's normalization, stays finite
 _MAX_S2 = sys.float_info.max / 4.0
@@ -123,12 +125,17 @@ def _frame_quantities_in_range(mu, nu, es):
     return a, b, s2
 
 
-def _frame_scale_and_x(frame: TomographyFrame, es):
-    """(a, b, s2) of a validated frame, and its X clipped at _X_TAIL sqrt(s2)."""
+def _scaled_frame(frame: TomographyFrame, es):
+    """(a, b, s2) of a validated frame and y = X / sqrt(s2), with X clipped
+    at _X_TAIL sqrt(s2).  Every tomogram's exponent is written in y, so no
+    intermediate grows with the frame: X*X alone overflows once |X| passes
+    1.3e154, which a frame with s2 near _MAX_S2 reaches at |y| ~ 2."""
     a, b, s2 = _frame_quantities_in_range(frame.mu, frame.nu, es)
     x = np.asarray(frame.x, dtype=float)
-    lim = _X_TAIL * np.sqrt(s2)
-    return a, b, s2, (x if (abs(x) <= lim).all() else np.clip(x, -lim, lim))
+    root = np.sqrt(s2)
+    lim = _X_TAIL * root
+    x = x if (abs(x) <= lim).all() else np.clip(x, -lim, lim)
+    return a, b, s2, x / root
 
 
 def ground_tomogram(frame: TomographyFrame, t: float, params: DampingParams):
@@ -138,18 +145,16 @@ def ground_tomogram(frame: TomographyFrame, t: float, params: DampingParams):
 
 
 def fock_tomogram(frame: TomographyFrame, t: float, n: int, params: DampingParams):
-    """Quadrature distribution of the Fock state |n>:
-    w0 * H_n(X/sqrt(s2))**2 / (2**n n!).  Nonnegative; n = 0 reproduces the
-    ground tomogram exactly."""
+    """Quadrature distribution of the Fock state |n>: phi_n(y)**2 / sqrt(s2)
+    with y = X/sqrt(s2), i.e. w0 * H_n(y)**2 / (2**n n!).  Nonnegative; n = 0
+    is the ground closed form exp(-y**2) / sqrt(pi * s2) itself, which
+    coherent alpha = 0 reproduces bit for bit."""
     n = Fock(n).n
-    _, _, s2, x = _frame_scale_and_x(frame, epsilon(t, params))
-    y = x / np.sqrt(s2)
-    norm = 1.0 / (2.0**n * math.factorial(n))
-    if n < _HERMITE_GAUSS_MIN_N:
-        w0 = np.exp(-x * x / s2) / np.sqrt(math.pi * s2)
-        out = w0 * hermite(n, y) ** 2 * norm
+    _, _, s2, y = _scaled_frame(frame, epsilon(t, params))
+    if n == 0:
+        out = np.exp(-y * y) / np.sqrt(math.pi * s2)
     else:
-        out = hermite_gauss(n, y) ** 2 * norm / np.sqrt(math.pi * s2)
+        out = hermite_gauss(n, y) ** 2 / np.sqrt(s2)
     return float(out) if np.ndim(out) == 0 else out
 
 
@@ -166,18 +171,17 @@ def coherent_tomogram(frame: TomographyFrame, t: float, alpha: complex, params: 
     """
     alpha = complex(Coherent(alpha).alpha)
     es = epsilon(t, params)
-    a, b, s2, x = _frame_scale_and_x(frame, es)
+    a, b, s2, y = _scaled_frame(frame, es)
     eps, eps_c = es.eps, es.eps.conjugate()
-    a_m_ib = a - 1j * b
-    a_p_ib = a + 1j * b
-    exponent1 = -x * x / s2 - abs(alpha) ** 2
-    exponent2 = (
-        -(alpha**2) * eps_c**2 * a_m_ib**2 / (2.0 * s2)
-        + alpha * _SQRT2 * eps_c * x * a_m_ib / s2
-    )
+    # (a -+ i b) / sqrt(s2) have modulus 1/|eps|, whatever the frame's size
+    root = np.sqrt(s2)
+    a_m_ib = a / root - 1j * (b / root)
+    a_p_ib = np.conj(a_m_ib)
+    exponent1 = -y * y - abs(alpha) ** 2
+    exponent2 = -(alpha**2) * eps_c**2 * a_m_ib**2 / 2.0 + alpha * _SQRT2 * eps_c * y * a_m_ib
     exponent3 = (
-        -(alpha.conjugate() ** 2) * eps**2 * a_p_ib**2 / (2.0 * s2)
-        + alpha.conjugate() * _SQRT2 * eps * x * a_p_ib / s2
+        -(alpha.conjugate() ** 2) * eps**2 * a_p_ib**2 / 2.0
+        + alpha.conjugate() * _SQRT2 * eps * y * a_p_ib
     )
     pair = _real_from_conjugate_pair(exponent2 + exponent3)
     out = np.exp(exponent1 + pair) / np.sqrt(math.pi * s2)

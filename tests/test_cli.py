@@ -384,6 +384,20 @@ class TestExitCodes:
         assert b"RuntimeWarning" not in res.stderr, res.stderr
         assert res.stderr.startswith(b"numeric error:"), res.stderr
 
+    def test_top_of_scale_range_matches_closed_form(self):
+        # s2 = mu**2 = 4.0e307 is inside the cap and X*X overflows at these
+        # X; at gamma = t = 0 the Fock 0 tomogram is exp(-(X/mu)**2) / (sqrt(pi) mu)
+        mu = 6.32e153
+        res = run_cli(
+            ["tomogram", "--state", "fock:0", "--mu", "6.32e153", "--nu", "0", "--x-grid=1.4e154:1.5e154:2"],
+            env_extra={"PYTHONWARNINGS": "error"},
+        )
+        assert res.returncode == 0, res.stderr
+        assert res.stderr == b""
+        grid = ScalarGrid.from_csv(res.stdout.decode())
+        exact = [math.exp(-((x / mu) ** 2)) / (math.sqrt(math.pi) * mu) for x in grid.axis1.values.tolist()]
+        assert grid.values.tolist() == pytest.approx(exact, rel=1e-13)
+
     def test_numeric_error_rule_cap(self):
         # the u-rule for this strongly squeezed state would need ~1e10 nodes
         res = run_cli(["wigner", "--gamma", "0.9", "--t", "20", "--state", "fock:16", "--q-grid=-1:1:5", "--p-grid=-1:1:5"])
@@ -409,13 +423,13 @@ class TestDeterminism:
         assert a.stdout.count(b"\n") >= 26  # >= 25 checks plus the summary
         # pinned, so a refactor meant to be behaviour-neutral is proven so
         digest = hashlib.sha256(a.stdout).hexdigest()
-        assert digest == "96b660cc964f7aa463b3677af38ce3f06937635dece640c8c56f937c3eafde73"
+        assert digest == "95dc1f157057eaa55adbe1205d1b22cff6329b677e0f0e620aa55651097c4264"
 
     def test_figure1_csv_sha256(self):
         res = run_cli(["figure1", "--format", "csv"])
         assert res.returncode == 0
         digest = hashlib.sha256(res.stdout).hexdigest()
-        assert digest == "89ca4f92bd9ad0af33573b7b466b03562f19b8d7b8225b90672b7b1bd2e0989b"
+        assert digest == "d915e66d036edfdb146ac83f8e637644c3c32ca483406dcc7c5ce54b60874250"
 
     def test_grid_identical_across_thread_counts(self):
         args = [

@@ -58,11 +58,25 @@ class TestHermite:
             hermite(-1, 1.0)
 
     def test_gauss_weighted_matches_plain(self):
+        # hermite_gauss is the orthonormal Hermite function phi_n
         xs = np.linspace(-6.0, 6.0, 41)
         for n in (0, 1, 5, 12, 16):
-            plain = hermite(n, xs) * np.exp(-0.5 * xs * xs)
+            norm = math.sqrt(2.0**n * math.factorial(n) * math.sqrt(math.pi))
+            plain = hermite(n, xs) * np.exp(-0.5 * xs * xs) / norm
             weighted = hermite_gauss(n, xs)
             assert np.max(np.abs(plain - weighted)) < 1e-9 * np.max(np.abs(plain) + 1.0)
+
+    def test_gauss_weighted_matches_mpmath(self):
+        mpmath = pytest.importorskip("mpmath")
+        xs = np.linspace(-17.0, 17.0, 87)  # past the turning point sqrt(129) of n = 64
+        with mpmath.workdps(40):
+            for n in (0, 1, 9, 10, 16, 64):
+                norm = mpmath.sqrt(2**n * mpmath.factorial(n) * mpmath.sqrt(mpmath.pi))
+                ref = np.array(
+                    [float(mpmath.hermite(n, x) * mpmath.exp(-x * x / 2) / norm) for x in xs.tolist()]
+                )
+                got = hermite_gauss(n, xs)
+                assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref)), n
 
     def test_gauss_weighted_large_order_finite(self):
         # bare H_64(30) would be astronomically large; the weighted pair is tame

@@ -163,6 +163,21 @@ class TestFockTomogram:
         got = normalization(Fock(3), 1.0, 0.0, 0.0, make_params(0.3))
         assert got == pytest.approx(1.0, abs=1e-9)
 
+    def test_matches_mpmath(self):
+        mpmath = pytest.importorskip("mpmath")
+        p = make_params(0.2)
+        mu, nu, t = 0.6, -0.9, 1.7
+        s2 = frame_scale_sq(mu, nu, t, p)
+        xs = np.linspace(-9.0, 9.0, 61) * math.sqrt(s2)  # past sqrt(2n+1) for n = 16
+        with mpmath.workdps(40):
+            s2_mp = mpmath.mpf(s2)
+            ys = [mpmath.mpf(x) / mpmath.sqrt(s2_mp) for x in xs.tolist()]
+            for n in range(17):
+                norm = 2**n * mpmath.factorial(n) * mpmath.sqrt(mpmath.pi * s2_mp)
+                ref = np.array([float(mpmath.hermite(n, y) ** 2 * mpmath.exp(-y * y) / norm) for y in ys])
+                got = fock_tomogram(TomographyFrame(xs, mu, nu), t, n, p)
+                assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(ref), n
+
 
 class TestCoherentTomogram:
     def test_alpha0_equals_ground_exactly(self):
@@ -230,6 +245,24 @@ class TestFarTail:
             assert ground_tomogram(TomographyFrame(1e200, 1.0, 0.0), 0.0, p) == 0.0
         for state, got in zip(states, values):
             assert np.all(got == 0.0), state
+
+    def test_top_of_scale_range_without_warning(self):
+        # an s2 near the float_max/4 cap puts |X| past 1.3e154, where X*X
+        # overflows, at |y| ~ 2; homogeneity gives w(lam X, lam mu, lam nu) = w / lam
+        p = make_params(0.2)
+        mu, nu, t = 0.6, -0.9, 1.7
+        s2 = frame_scale_sq(mu, nu, t, p)
+        lam = math.sqrt(4e307 / s2)
+        assert 4.4e304 < frame_scale_sq(lam * mu, lam * nu, t, p) <= 4.5e307
+        xs = np.linspace(-20.0, 20.0, 81) * math.sqrt(s2)
+        states = [Fock(n) for n in range(17)]
+        states += [Coherent(8.0 * complex(math.cos(a), math.sin(a))) for a in np.linspace(0, 6, 7)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for state in states:
+                big = tomogram(state, TomographyFrame(lam * xs, lam * mu, lam * nu), t, p)
+                ref = tomogram(state, TomographyFrame(xs, mu, nu), t, p)
+                assert np.max(np.abs(lam * big - ref)) <= 1e-12 * np.max(ref), state
 
 
 class TestNormalization:
