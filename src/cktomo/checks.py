@@ -42,7 +42,7 @@ from .invariants import (
     number_apply_printed,
     tomogram_characteristic,
 )
-from .numerics import QuadratureSpec, _gauss_legendre, central_diff, hermite, integrate
+from .numerics import QuadratureSpec, central_diff, hermite, integrate
 from .states import (
     Coherent,
     Fock,
@@ -448,10 +448,8 @@ def _check_wigner_marginal(rng):
     sigma_p = math.sqrt(es.e2 / p.omega_reduced / 2.0) * math.sqrt(3.0)
     spec = QuadratureSpec(0.0, 9.0 * sigma_p, 300)
     qs = rng.uniform(-1.0, 1.0, size=20) * math.sqrt(es.ee)
-    # the p-integral of every q at once: W on the grid qs x (p nodes)
-    nodes, weights = _gauss_legendre(spec.points)
-    grid = _wigner_grid(state, qs, spec.center + spec.half_width * nodes, t, p)
-    marg = spec.half_width * np.einsum("qp,p->q", grid, weights) / (2.0 * math.pi)
+    # the p-integral of every q at once: one row of W per q on the p nodes
+    marg = integrate(lambda ps: _wigner_grid(state, qs, ps, t, p), spec) / (2.0 * math.pi)
     return float(np.max(np.abs(marg - np.abs(psi(state, qs, t, p)) ** 2)))
 
 

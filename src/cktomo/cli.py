@@ -8,8 +8,11 @@ reference two-lobe figure, and the seeded verification suites.
     ck-tomo check all --seed 42
 
 Exit codes: 0 success, 1 check failure, 2 usage/config error, 3 numeric
-domain error.  An optical `tomogram` grid is one broadcast over (phi, X) of
-at most _MAX_TOMOGRAM_VALUES values.
+domain error, 141 the reader of stdout went away (`ck-tomo figure1 | head
+-1`): the command stops there without a traceback, and 141 = 128 + SIGPIPE
+is the status a shell shows for a writer that a closed pipe stopped.  An
+optical `tomogram` grid is one broadcast over (phi, X) of at most
+_MAX_TOMOGRAM_VALUES values.
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import math
+import os
 import sys
 from dataclasses import dataclass
 
@@ -41,6 +45,7 @@ EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
 EXIT_NUMERIC = 3
+EXIT_BROKEN_PIPE = 141
 
 
 class UsageError(CkTomoError):
@@ -339,21 +344,17 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.command == "check":
-            return cmd_check(args.suite, args.seed, _parse_tol(args.tol))
-        if args.command == "figure1":
-            grid = cmd_figure1(fmt=args.fmt, output=args.output)
-            _emit(grid, args.fmt, args.output)
-            return EXIT_OK
-        config = _config_from_args(args)
-        if args.command == "tomogram":
-            grid = cmd_tomogram(config)
-        elif args.command == "wigner":
-            grid = cmd_wigner(config)
-        else:  # pragma: no cover - argparse restricts the choices
-            raise UsageError(f"unknown command {args.command!r}")
-        _emit(grid, config.fmt, config.output)
-        return EXIT_OK
+        status = _run(args)
+        # inside the try, so a closed pipe shows here, not in the exit flush
+        sys.stdout.flush()
+        return status
+    except BrokenPipeError:
+        # stdout now points at devnull, so the flush at exit cannot fail
+        # again and print "Exception ignored"
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_BROKEN_PIPE
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -361,6 +362,24 @@ def main(argv=None) -> int:
         # a residual overflow or floating-point error the library did not type
         print(f"numeric error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
+
+
+def _run(args) -> int:
+    if args.command == "check":
+        return cmd_check(args.suite, args.seed, _parse_tol(args.tol))
+    if args.command == "figure1":
+        grid = cmd_figure1(fmt=args.fmt, output=args.output)
+        _emit(grid, args.fmt, args.output)
+        return EXIT_OK
+    config = _config_from_args(args)
+    if args.command == "tomogram":
+        grid = cmd_tomogram(config)
+    elif args.command == "wigner":
+        grid = cmd_wigner(config)
+    else:  # pragma: no cover - argparse restricts the choices
+        raise UsageError(f"unknown command {args.command!r}")
+    _emit(grid, config.fmt, config.output)
+    return EXIT_OK
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -124,21 +124,24 @@ def tomogram_characteristic(
 
 def _stencil(state, point: DualPoint, h: float, params):
     """Nine characteristic-function evaluations sharing one quadrature rule
-    (frozen at the stencil center so finite differences see a smooth map)."""
+    (frozen at the stencil center so finite differences see a smooth map),
+    as one tomogram broadcast over the (mu, nu) stencil x the X nodes and
+    one batched `integrate`; each value is bit for bit the one
+    `_characteristic_with_spec` gives for its point alone."""
     k, mu, nu, t = point.k, point.mu, point.nu, point.t
     base = _characteristic_spec(state, k, mu, nu, t, params)
     spec = QuadratureSpec(
         center=base.center, half_width=1.05 * base.half_width, points=base.points
     )
+    # 00, mu+, mu-, nu+, nu-, ++, +-, -+, --
+    mus = np.array([mu, mu + h, mu - h, mu, mu, mu + h, mu + h, mu - h, mu - h])
+    nus = np.array([nu, nu, nu, nu + h, nu - h, nu + h, nu - h, nu + h, nu - h])
 
-    def f(m, n):
-        return _characteristic_with_spec(state, k, m, n, t, params, spec)
+    def f(xs):
+        frame = TomographyFrame(xs[None, :], mus[:, None], nus[:, None])
+        return tomogram(state, frame, t, params) * np.exp(1j * k * xs)
 
-    w00 = f(mu, nu)
-    w_mu_p, w_mu_m = f(mu + h, nu), f(mu - h, nu)
-    w_nu_p, w_nu_m = f(mu, nu + h), f(mu, nu - h)
-    w_pp, w_pm = f(mu + h, nu + h), f(mu + h, nu - h)
-    w_mp, w_mm = f(mu - h, nu + h), f(mu - h, nu - h)
+    w00, w_mu_p, w_mu_m, w_nu_p, w_nu_m, w_pp, w_pm, w_mp, w_mm = integrate(f, spec).tolist()
     d_mu = (w_mu_p - w_mu_m) / (2.0 * h)
     d_nu = (w_nu_p - w_nu_m) / (2.0 * h)
     d_mumu = (w_mu_p - 2.0 * w00 + w_mu_m) / (h * h)

@@ -33,8 +33,10 @@ _PHI_B = [math.sqrt(k / (k + 1)) for k in range(_MAX_HERMITE)]
 _PI_QUARTER = math.pi ** (-0.25)
 # over 3x the largest rule the library's own windows ask for (~600 nodes);
 # bounds the O(n**2) build time (8-14 ms at the cap, one recurrence pass)
-# and the rule cache
+# and the rule cache.  A multiple of _RUNG, so the ladder below ends on it:
+# the library's own quadratures use at most 2048/16 = 128 rules (~2 MB)
 _MAX_RULE_POINTS = 2048
+_RUNG = 16
 
 
 def hermite(n: int, x):
@@ -138,7 +140,9 @@ def _gauss_legendre(n: int):
     weights within 1.5e-12 relative of a 40-digit reference up to 595 nodes.
     Every rule is built here, so one cap bounds the build time and the
     cache: all 2048 rules together hold about 33 MB, so no rule is ever
-    evicted and rebuilt in a long-lived process."""
+    evicted and rebuilt in a long-lived process.  The library's own
+    quadratures ask through `_rung`, so they use at most the 128 rules of
+    16, 32, ..., 2048 nodes (about 2 MB)."""
     if n > _MAX_RULE_POINTS:
         raise DomainError(f"quadrature rule of {n} nodes exceeds the cap {_MAX_RULE_POINTS}")
     v = n + 0.5
@@ -164,20 +168,37 @@ def _gauss_legendre(n: int):
     return np.concatenate((-x[::-1][:h], x)), np.concatenate((w[::-1][:h], w))
 
 
+def _rung(points: int) -> int:
+    """Node count of the rule a quadrature asking for `points` nodes gets:
+    `points` rounded up to the next multiple of _RUNG, so the many node
+    counts the windows ask for share a few cached rules.  Never fewer nodes
+    than asked; a request above _MAX_RULE_POINTS is passed on unchanged,
+    for `_gauss_legendre` to refuse."""
+    if points > _MAX_RULE_POINTS:
+        return points
+    return -(-points // _RUNG) * _RUNG
+
+
 def integrate(f: Callable, spec: QuadratureSpec):
     """Gauss-Legendre estimate of the integral of f over the window.
 
-    f must be vectorized (called once with the full node array) and may
-    return real or complex values.  For Gaussian-tailed integrands with
-    half_width >= 8 sigma, doubling `points` moves the result by < 1e-10.
+    The rule has `spec.points` nodes rounded up to the next multiple of 16
+    (`_rung`).  f must be vectorized (called once with the full node array)
+    and may return real or complex values: one per node, or an (m, nodes)
+    array of m integrands on the same rule, which gives an array of m
+    integrals, each row summed exactly as a 1-D integrand would be.  For
+    Gaussian-tailed integrands with half_width >= 8 sigma, doubling
+    `points` moves the result by < 1e-10.
     """
-    nodes, weights = _gauss_legendre(spec.points)
+    nodes, weights = _gauss_legendre(_rung(spec.points))
     xs = spec.center + spec.half_width * nodes
     ys = np.asarray(f(xs))
-    if ys.shape != xs.shape:
-        raise DomainError("integrand must return one value per node")
+    if ys.shape[-1:] != xs.shape or ys.ndim > 2:
+        raise DomainError("integrand must return one value per node (per row)")
     if not np.all(np.isfinite(ys)):
         raise NonFinite("integrand returned non-finite values inside the window")
+    if ys.ndim == 2:
+        return spec.half_width * np.array([np.dot(weights, row) for row in ys])
     total = spec.half_width * np.dot(weights, ys)
     return complex(total) if np.iscomplexobj(ys) else float(total)
 

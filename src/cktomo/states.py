@@ -29,7 +29,7 @@ import numpy as np
 
 from .dynamics import DampingParams, epsilon
 from .errors import DomainError, NonFinite
-from .numerics import _PI_QUARTER, _gauss_legendre, hermite_gauss
+from .numerics import _PI_QUARTER, _gauss_legendre, _rung, hermite_gauss
 
 __all__ = [
     "Coherent",
@@ -44,6 +44,12 @@ __all__ = [
 _SQRT2 = math.sqrt(2.0)
 _MAX_FOCK = 16
 _MAX_ALPHA = 8.0
+# (point x half-rule node) elements per chunk of the pointwise `wigner`: its
+# complex work matrices stay at 128 kB, in cache and below numpy's 256 kB
+# threshold for reusing temporaries in place, whose in-place complex
+# product rounds differently; so every chunk size up to this one gives the
+# same bits
+_WIGNER_CHUNK = 1 << 13
 
 
 @dataclass(frozen=True)
@@ -166,7 +172,9 @@ def _wigner_u_rule(
     for every state here (a displacement alpha does not move it in u), so
     the window is 8 sigma_u with sigma_u = sqrt(2 eps eps*), widened by
     sqrt(2n+1) for Fock n whose Hermite factors push the turning points out.
-    The node count tracks the fastest phase exp(-i p u) seen on the grid.
+    The node count tracks the fastest phase exp(-i p u) seen on the grid,
+    rounded up to the next multiple of 16 (`numerics._rung`), so grids of
+    nearby frequencies share one cached rule.
     """
     es = epsilon(t, params)
     widen, n_extra, freq_extra = 1.0, 0, 0.0
@@ -182,7 +190,7 @@ def _wigner_u_rule(
         + freq_extra
     )
     n_u = 96 + n_extra + int(0.85 * half_width * freq)
-    nodes, weights = _gauss_legendre(n_u)
+    nodes, weights = _gauss_legendre(_rung(n_u))
     return half_width * nodes, half_width * weights
 
 
@@ -265,17 +273,17 @@ def wigner(q, p, t: float, state: QuantumState, params: DampingParams):
     scalar = qa.ndim == 0
     qa = np.atleast_1d(qa)
     pa = np.atleast_1d(pa)
-    u_nodes, u_weights = _wigner_u_rule(state, qa, pa, t, params)
-    # chunk the point set so the (points x nodes) work matrix stays small
-    chunk = max(1, int(2_000_000 // max(1, u_nodes.size)))
-    u_nodes, u_weights = _half_rule(u_nodes, u_weights)
+    u_nodes, u_weights = _half_rule(*_wigner_u_rule(state, qa, pa, t, params))
+    # each point is summed on its own by einsum (BLAS gemv rounds a row by
+    # its place in the call and the thread count)
+    chunk = max(1, _WIGNER_CHUNK // u_nodes.size)
     flat_q, flat_p = qa.reshape(-1), pa.reshape(-1)
     out = np.empty(flat_q.shape, dtype=float)
     for start in range(0, flat_q.size, chunk):
         sl = slice(start, start + chunk)
         kernel = _wigner_kernel(state, flat_q[sl], u_nodes, t, params)
         pu = flat_p[sl, None] * u_nodes
-        # Re[kernel exp(-i p u)]
-        out[sl] = (kernel.real * np.cos(pu) + kernel.imag * np.sin(pu)) @ u_weights
+        re_phased = kernel.real * np.cos(pu) + kernel.imag * np.sin(pu)  # Re[kernel exp(-i p u)]
+        out[sl] = np.einsum("qu,u->q", re_phased, u_weights)
     out = _real_wigner(out.reshape(qa.shape))
     return float(out[0]) if scalar else out

@@ -213,7 +213,8 @@ def _x_window(state: QuantumState, mu: float, nu: float, t: float, params: Dampi
     """Half-width and node count for X-integrals of a tomogram: 8 sigma
     with sigma**2 = s2/2, widened by sqrt(2n+1) for Fock n and (1+|alpha|)
     for coherent states (their Gaussian is displaced by at most
-    2 |alpha| sigma)."""
+    2 |alpha| sigma).  The count is a floor: `integrate` rounds it up to
+    the next multiple of 16."""
     s2 = frame_scale_sq(mu, nu, t, params)
     sigma = math.sqrt(s2 / 2.0)
     if isinstance(state, Fock):
@@ -277,7 +278,9 @@ def radon_tomogram(state: QuantumState, frame: TomographyFrame, t: float, params
     The tau window is centered on the restriction of the state's Gaussian
     envelope to the line (its conditional mean) with width from the
     inverse-covariance slice, which stays correct for the strongly
-    squeezed blobs that damping produces.
+    squeezed blobs that damping produces.  The line takes 220 + 60 n tau
+    nodes, rounded up to a multiple of 16 by `integrate`, and each W on it
+    is the pointwise `wigner` over chunks of the tau nodes.
     """
     if not frame.is_scalar:
         raise DomainError("radon_tomogram expects a scalar frame point")

@@ -16,7 +16,8 @@ from cktomo import (
     tomogram_characteristic,
 )
 from cktomo.checks import _check_variant_agreement, _eigen_sample
-from cktomo.invariants import _apply_to_stencil, _stencil
+from cktomo.invariants import _apply_to_stencil, _characteristic_spec, _characteristic_with_spec, _stencil
+from cktomo.numerics import QuadratureSpec
 
 
 def _sample(rng, n_points, ts):
@@ -137,6 +138,32 @@ class TestNumberApply:
             w00 = tomogram_characteristic(Fock(1), point.k, point.mu, point.nu, point.t, p)
             worst = max(worst, abs(a - b) / max(abs(w00), 1e-3))
         assert _check_variant_agreement(np.random.default_rng(seed)) == worst
+
+
+class TestStencil:
+    @pytest.mark.parametrize("n, gamma", [(0, 0.0), (1, 0.3), (2, 0.05), (6, 0.3)])
+    def test_one_broadcast_matches_nine_quadratures(self, n, gamma):
+        p = make_params(gamma)
+        h = 1e-3
+        for point in _sample(np.random.default_rng(n), 4, [0.0, 1.0, 5.0]):
+            k, mu, nu, t = point.k, point.mu, point.nu, point.t
+            base = _characteristic_spec(Fock(n), k, mu, nu, t, p)
+            spec = QuadratureSpec(base.center, 1.05 * base.half_width, base.points)
+
+            def w(m, v):
+                return _characteristic_with_spec(Fock(n), k, m, v, t, p, spec)
+
+            w00, wp0, wm0, w0p, w0m = w(mu, nu), w(mu + h, nu), w(mu - h, nu), w(mu, nu + h), w(mu, nu - h)
+            wpp, wpm, wmp, wmm = w(mu + h, nu + h), w(mu + h, nu - h), w(mu - h, nu + h), w(mu - h, nu - h)
+            expected = (
+                w00,
+                (wp0 - wm0) / (2.0 * h),
+                (w0p - w0m) / (2.0 * h),
+                (wp0 - 2.0 * w00 + wm0) / (h * h),
+                (w0p - 2.0 * w00 + w0m) / (h * h),
+                (wpp - wpm - wmp + wmm) / (4.0 * h * h),
+            )
+            assert _stencil(Fock(n), point, h, p) == expected
 
 
 class TestEigenResidual:

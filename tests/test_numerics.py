@@ -17,7 +17,7 @@ from cktomo import (
     integrate,
 )
 from cktomo import checks
-from cktomo.numerics import _J0_ZEROS, _MAX_RULE_POINTS, _bessel_j0_zeros, _gauss_legendre
+from cktomo.numerics import _J0_ZEROS, _MAX_RULE_POINTS, _bessel_j0_zeros, _gauss_legendre, _rung
 
 
 class TestHermite:
@@ -128,6 +128,43 @@ class TestIntegrate:
     def test_rule_size_cap(self):
         with pytest.raises(DomainError):
             _gauss_legendre(_MAX_RULE_POINTS + 1)
+        with pytest.raises(DomainError):
+            integrate(np.exp, QuadratureSpec(0.0, 1.0, _MAX_RULE_POINTS + 1))
+
+    def test_rungs_of_sixteen(self):
+        requests = range(16, _MAX_RULE_POINTS + 1)
+        rungs = [_rung(n) for n in requests]
+        assert all(r % 16 == 0 and n <= r < n + 16 for n, r in zip(requests, rungs))
+        assert len(set(rungs)) == _MAX_RULE_POINTS // 16 == 128
+        # above the cap the request is passed on, for the rule to refuse
+        assert _rung(_MAX_RULE_POINTS + 1) == _MAX_RULE_POINTS + 1
+
+    def test_integrate_uses_the_rung(self):
+        seen = []
+        integrate(lambda x: seen.append(x.size) or np.ones_like(x), QuadratureSpec(0.0, 1.0, 300))
+        assert seen == [304]
+
+    def test_batched_rows_match_one_dimensional_calls(self):
+        spec = QuadratureSpec(0.3, 7.0, 221)
+        shifts = np.array([-0.4, 0.0, 1e-3, 2.5])
+
+        def f(x, c):
+            return np.exp(-(x - c) ** 2) * np.exp(1.7j * x)
+
+        rows = integrate(lambda x: f(x[None, :], shifts[:, None]), spec)
+        assert rows.shape == (4,)
+        assert rows.tolist() == [integrate(lambda x, c=c: f(x, c), spec) for c in shifts]
+        real = integrate(lambda x: f(x[None, :], shifts[:, None]).real, spec)
+        assert real.tolist() == [integrate(lambda x, c=c: f(x, c).real, spec) for c in shifts]
+
+    def test_batched_rows_checked(self):
+        spec = QuadratureSpec(0.0, 1.0, 16)
+        with pytest.raises(DomainError):
+            integrate(lambda x: np.ones((2, x.size + 1)), spec)
+        with pytest.raises(DomainError):
+            integrate(lambda x: np.ones((2, 2, x.size)), spec)
+        with pytest.raises(NonFinite):
+            integrate(lambda x: np.stack((x, np.full_like(x, np.inf))), spec)
 
     def test_rule_cache_never_evicts(self):
         checks.run_checks("all", 1)

@@ -310,6 +310,19 @@ class TestHalfRule:
             states._wigner_grid(Fock(1), q, q, 1.0, p)
 
 
+class TestWignerChunks:
+    @pytest.mark.parametrize("state", [Fock(0), Fock(3), Coherent(1.0 + 1.0j)])
+    def test_chunk_size_moves_no_bit(self, state, monkeypatch):
+        rng = np.random.default_rng(11)
+        q = rng.uniform(-4.0, 4.0, size=3000)
+        pp = rng.uniform(-4.0, 4.0, size=3000)
+        p = make_params(0.1)
+        default = wigner(q, pp, 1.0, state, p).tobytes()  # 27 to 42 chunks
+        for chunk in (37 * 97, 1):
+            monkeypatch.setattr(states, "_WIGNER_CHUNK", chunk)
+            assert wigner(q, pp, 1.0, state, p).tobytes() == default
+
+
 def _marginal_check_per_q(rng):
     """`checks._check_wigner_marginal` as it was: one pointwise `wigner`
     quadrature per q; returns the worst defect and the marginals."""
