@@ -20,7 +20,6 @@ from .dynamics import (
 )
 from .errors import (
     CkTomoError,
-    ConjugationBroken,
     DegenerateFrame,
     DomainError,
     KTooSmall,
@@ -36,7 +35,6 @@ from .evolution import (
     relative_residual,
 )
 from .invariants import (
-    DEFAULT_K_MIN,
     DualPoint,
     eigen_residual,
     number_apply,
@@ -75,7 +73,6 @@ __all__ = [
     "DomainError",
     "DegenerateFrame",
     "NonFinite",
-    "ConjugationBroken",
     "KTooSmall",
     "StepTooLarge",
     # dynamics
@@ -124,7 +121,6 @@ __all__ = [
     "convergence_study",
     # invariants
     "DualPoint",
-    "DEFAULT_K_MIN",
     "tomogram_characteristic",
     "number_apply",
     "number_apply_printed",

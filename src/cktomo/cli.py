@@ -67,8 +67,6 @@ class RunConfig:
     x_axis: Axis | None = None
     q_axis: Axis | None = None
     p_axis: Axis | None = None
-    fmt: str = "csv"
-    output: str | None = None
 
 
 def parse_state(text: str) -> QuantumState:
@@ -207,7 +205,7 @@ def cmd_wigner(config: RunConfig) -> ScalarGrid:
     return ScalarGrid(axis1=config.q_axis, axis2=config.p_axis, values=values, meta=meta)
 
 
-def cmd_figure1(fmt: str = "csv", output: str | None = None) -> ScalarGrid:
+def cmd_figure1() -> ScalarGrid:
     """Reference map: first-excited-state tomogram over the optical frame.
 
     Fixed parameters t = 5, gamma = 0.05; phi in [0, 2 pi] with 64 points
@@ -222,17 +220,14 @@ def cmd_figure1(fmt: str = "csv", output: str | None = None) -> ScalarGrid:
         frame_mode="optical",
         phi_axis=Axis("phi", np.linspace(0.0, 2.0 * math.pi, 64)),
         x_axis=Axis("x", np.linspace(-6.0, 6.0, 241)),
-        fmt=fmt,
-        output=output,
     )
     grid = cmd_tomogram(config)
     grid.meta["window"] = "phi:0:6.2831853071795865:64;x:-6:6:241"
     return grid
 
 
-def cmd_check(suite: str, seed: int, tol_overrides: dict[str, float], stream=None) -> int:
+def cmd_check(suite: str, seed: int, tol_overrides: dict[str, float]) -> int:
     """Run the named check suites and print one line per check."""
-    stream = stream or sys.stdout
     results = checks.run_checks(suite, seed, tol_overrides)
     n_pass = 0
     n_scored = 0
@@ -245,8 +240,8 @@ def cmd_check(suite: str, seed: int, tol_overrides: dict[str, float], stream=Non
             n_pass += int(res.passed)
             status = "PASS" if res.passed else "FAIL"
             tol_text = "%.1e" % res.tol
-        stream.write(f"{status} {res.name:<28s} value={res.value:.6e} tol={tol_text}\n")
-    stream.write(f"{n_pass}/{n_scored} checks passed (suite={suite}, seed={seed})\n")
+        sys.stdout.write(f"{status} {res.name:<28s} value={res.value:.6e} tol={tol_text}\n")
+    sys.stdout.write(f"{n_pass}/{n_scored} checks passed (suite={suite}, seed={seed})\n")
     return EXIT_OK if n_pass == n_scored else EXIT_CHECK_FAILED
 
 
@@ -313,6 +308,10 @@ def _config_from_args(args) -> RunConfig:
     mu = getattr(args, "mu", None)
     nu = getattr(args, "nu", None)
     phi = getattr(args, "phi", None)
+    if phi is not None and frame_mode != "optical":
+        raise UsageError("--phi requires --optical")
+    if phi is not None and phi_axis is not None:
+        raise UsageError("--phi and --phi-grid conflict: give one")
     if frame_mode == "optical":
         if phi is None and phi_axis is None:
             raise UsageError("--optical requires --phi or --phi-grid")
@@ -335,8 +334,6 @@ def _config_from_args(args) -> RunConfig:
         x_axis=x_axis,
         q_axis=q_axis,
         p_axis=p_axis,
-        fmt=args.fmt,
-        output=args.output,
     )
 
 
@@ -368,17 +365,14 @@ def _run(args) -> int:
     if args.command == "check":
         return cmd_check(args.suite, args.seed, _parse_tol(args.tol))
     if args.command == "figure1":
-        grid = cmd_figure1(fmt=args.fmt, output=args.output)
-        _emit(grid, args.fmt, args.output)
-        return EXIT_OK
-    config = _config_from_args(args)
-    if args.command == "tomogram":
-        grid = cmd_tomogram(config)
+        grid = cmd_figure1()
+    elif args.command == "tomogram":
+        grid = cmd_tomogram(_config_from_args(args))
     elif args.command == "wigner":
-        grid = cmd_wigner(config)
+        grid = cmd_wigner(_config_from_args(args))
     else:  # pragma: no cover - argparse restricts the choices
         raise UsageError(f"unknown command {args.command!r}")
-    _emit(grid, config.fmt, config.output)
+    _emit(grid, args.fmt, args.output)
     return EXIT_OK
 
 

@@ -161,9 +161,7 @@ def time_forward(t: float, gamma: float) -> float:
     not by thresholded division.
     """
     t = _require_finite("t", t)
-    gamma = _require_finite("gamma", gamma)
-    if gamma < 0.0 or gamma >= 1.0:
-        raise DomainError(f"underdamped regime requires 0 <= gamma < 1, got {gamma}")
+    gamma = make_params(gamma).gamma
     if gamma == 0.0:
         return t
     return -math.expm1(-2.0 * gamma * t) / (2.0 * gamma)
@@ -176,9 +174,7 @@ def time_backward(t_prime: float, gamma: float) -> float:
     logarithm has no real branch and a DomainError is raised.
     """
     t_prime = _require_finite("t_prime", t_prime)
-    gamma = _require_finite("gamma", gamma)
-    if gamma < 0.0 or gamma >= 1.0:
-        raise DomainError(f"underdamped regime requires 0 <= gamma < 1, got {gamma}")
+    gamma = make_params(gamma).gamma
     if gamma == 0.0:
         return t_prime
     x = 2.0 * gamma * t_prime

@@ -5,7 +5,6 @@ __all__ = [
     "DomainError",
     "DegenerateFrame",
     "NonFinite",
-    "ConjugationBroken",
     "KTooSmall",
     "StepTooLarge",
 ]
@@ -25,16 +24,6 @@ class DegenerateFrame(CkTomoError, ValueError):
 
 class NonFinite(CkTomoError, ArithmeticError):
     """A numerical kernel produced or received non-finite values."""
-
-
-class ConjugationBroken(CkTomoError, ArithmeticError):
-    """Two factors that must be complex conjugates are not.
-
-    This signals an internal transcription error in a formula, not bad
-    input: the coherent-state tomogram assembles its last two exponential
-    factors independently and checks at runtime that they really are a
-    conjugate pair.
-    """
 
 
 class KTooSmall(CkTomoError, ValueError):

@@ -11,8 +11,8 @@ generic functions; on the X-Fourier transform
 
 every X-derivative becomes multiplication: d/dX -> -i k, so
 (d/dX)**(-2) -> -1/k**2, a bounded factor for k != 0.  The eigenvalue
-identity is then checked pointwise at dual points with |k| above a
-configurable floor (the 1/k**2 terms amplify quadrature noise as k -> 0).
+identity is then checked pointwise at dual points with |k| at or above
+the floor _K_MIN (the 1/k**2 terms amplify quadrature noise as k -> 0).
 mu- and nu-derivatives of w~ are taken by central differences.
 
 Operator form
@@ -56,14 +56,13 @@ from .tomography import TomographyFrame, _x_window, tomogram
 
 __all__ = [
     "DualPoint",
-    "DEFAULT_K_MIN",
     "tomogram_characteristic",
     "number_apply",
     "number_apply_printed",
     "eigen_residual",
 ]
 
-DEFAULT_K_MIN = 0.05
+_K_MIN = 0.05
 _MAX_APPLY_N = 6
 
 
@@ -150,33 +149,28 @@ def _stencil(state, point: DualPoint, h: float, params):
     return w00, d_mu, d_nu, d_mumu, d_nunu, d_munu
 
 
-def _validate_apply(variant: str, state: Fock, point: DualPoint, h: float, k_min: float):
+def _validate_apply(variant: str, state: Fock, point: DualPoint, h: float):
     if variant not in ("direct", "conjugate"):
         raise DomainError(f"variant must be 'direct' or 'conjugate', got {variant!r}")
     if not isinstance(state, Fock):
         raise DomainError("number invariants act on Fock tomograms")
     if state.n > _MAX_APPLY_N:
         raise DomainError(f"number_apply supports n <= {_MAX_APPLY_N}, got {state.n}")
-    if abs(point.k) < k_min:
-        raise KTooSmall(f"|k| = {abs(point.k)} below floor {k_min}")
+    if abs(point.k) < _K_MIN:
+        raise KTooSmall(f"|k| = {abs(point.k)} below floor {_K_MIN}")
     if not (math.isfinite(h) and h > 0.0):
         raise DomainError(f"step h must be positive and finite, got {h}")
 
 
 def number_apply(
-    variant: str,
-    state: Fock,
-    point: DualPoint,
-    h: float,
-    params: DampingParams,
-    k_min: float = DEFAULT_K_MIN,
+    variant: str, state: Fock, point: DualPoint, h: float, params: DampingParams
 ) -> complex:
     """Apply the number invariant (or its conjugate) to w~ at a dual point.
 
     Returns the complex value of (N w~)(k, mu, nu, t); on a Fock tomogram
     it equals n * w~ up to finite-difference and quadrature noise.
     """
-    _validate_apply(variant, state, point, h, k_min)
+    _validate_apply(variant, state, point, h)
     direct, conjugate = _apply_to_stencil(point, params, _stencil(state, point, h, params))
     return direct if variant == "direct" else conjugate
 
@@ -204,12 +198,7 @@ def _apply_to_stencil(point: DualPoint, params: DampingParams, stencil) -> tuple
 
 
 def number_apply_printed(
-    variant: str,
-    state: Fock,
-    point: DualPoint,
-    h: float,
-    params: DampingParams,
-    k_min: float = DEFAULT_K_MIN,
+    variant: str, state: Fock, point: DualPoint, h: float, params: DampingParams
 ) -> complex:
     """Verbatim evaluation of the *printed* operator forms (diagnostic).
 
@@ -219,7 +208,7 @@ def number_apply_printed(
     first-order products are expanded literally, e.g.
     nu d/dnu + d/dnu nu = 2 nu d/dnu + 1.
     """
-    _validate_apply(variant, state, point, h, k_min)
+    _validate_apply(variant, state, point, h)
     k, mu, nu = point.k, point.mu, point.nu
     es = epsilon(point.t, params)
     ee, dd, ce, e2 = es.ee, es.dd, es.ce, es.e2
@@ -252,13 +241,7 @@ def number_apply_printed(
     return 0.5 * (second + mult + b3 + b4)
 
 
-def eigen_residual(
-    n: int,
-    sample,
-    h: float,
-    params: DampingParams,
-    k_min: float = DEFAULT_K_MIN,
-) -> float:
+def eigen_residual(n: int, sample, h: float, params: DampingParams) -> float:
     """Worst relative eigenvalue defect of both operator variants over a
     sample of dual points:
 
@@ -272,7 +255,7 @@ def eigen_residual(
     for point in points:
         w00 = tomogram_characteristic(state, point.k, point.mu, point.nu, point.t, params)
         denom = max(abs(w00), 1e-3)
-        _validate_apply("direct", state, point, h, k_min)
+        _validate_apply("direct", state, point, h)
         for value in _apply_to_stencil(point, params, _stencil(state, point, h, params)):
             worst = max(worst, abs(value - n * w00) / denom)
     return worst

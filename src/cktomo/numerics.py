@@ -203,19 +203,12 @@ def integrate(f: Callable, spec: QuadratureSpec):
     return complex(total) if np.iscomplexobj(ys) else float(total)
 
 
-def central_diff(f: Callable, x: float, h: float, order: int = 1) -> float:
-    """Central finite difference of f at x with step h (O(h**2) truncation).
-
-    order=1: (f(x+h) - f(x-h)) / (2h)
-    order=2: (f(x+h) - 2 f(x) + f(x-h)) / h**2
-    """
+def central_diff(f: Callable, x: float, h: float) -> float:
+    """First derivative of f at x by the central difference
+    (f(x+h) - f(x-h)) / (2h), with O(h**2) truncation."""
     if not (math.isfinite(h) and h > 0.0):
         raise DomainError(f"step h must be positive and finite, got {h}")
-    if order == 1:
-        return (f(x + h) - f(x - h)) / (2.0 * h)
-    if order == 2:
-        return (f(x + h) - 2.0 * f(x) + f(x - h)) / (h * h)
-    raise DomainError(f"derivative order must be 1 or 2, got {order}")
+    return (f(x + h) - f(x - h)) / (2.0 * h)
 
 
 _FMT = "%.17g"  # 17 significant digits round-trip binary doubles exactly

@@ -27,7 +27,7 @@ from typing import Union
 
 import numpy as np
 
-from .dynamics import DampingParams, epsilon
+from .dynamics import DampingParams, EpsilonState, epsilon
 from .errors import DomainError, NonFinite
 from .numerics import _PI_QUARTER, _gauss_legendre, _rung, hermite_gauss
 
@@ -98,14 +98,13 @@ def _inv_sqrt_eps(t: float, params: DampingParams) -> complex:
     return mod * cmath.exp(-0.5j * om * t)
 
 
-def coherent_psi(
-    q,
-    t: float,
-    alpha: complex,
-    params: DampingParams,
-    *,
-    dotted_alpha_term: bool = False,
-) -> complex | np.ndarray:
+def _quadratic_phase(es: EpsilonState) -> complex:
+    """Coefficient i eps' e^{2 gamma t} / (2 eps) of q**2 in the exponent
+    of every wave function here."""
+    return 0.5j * es.eps_dot * es.e2 / es.eps
+
+
+def coherent_psi(q, t: float, alpha: complex, params: DampingParams) -> complex | np.ndarray:
     """Coherent-state wave function at position(s) q and time t.
 
         psi = pi**(-1/4) eps**(-1/2) exp( i eps' e^{2 gamma t} q**2 / (2 eps)
@@ -114,14 +113,12 @@ def coherent_psi(
     The alpha**2 coefficient uses eps*, not the time derivative eps'*: with
     the dotted coefficient the state is not normalized for alpha != 0 and
     every downstream oracle (normalization, Radon agreement, moments)
-    fails.  Pass dotted_alpha_term=True to evaluate that defective variant
-    for diagnostic purposes.
+    fails.
     """
     alpha = complex(Coherent(alpha).alpha)
     es = epsilon(t, params)
-    c2 = 0.5j * es.eps_dot * es.e2 / es.eps
-    coeff = es.eps_dot.conjugate() if dotted_alpha_term else es.eps.conjugate()
-    const = -coeff * alpha * alpha / (2.0 * es.eps) - abs(alpha) ** 2 / 2.0
+    c2 = _quadratic_phase(es)
+    const = -es.eps.conjugate() * alpha * alpha / (2.0 * es.eps) - abs(alpha) ** 2 / 2.0
     qa = np.asarray(q, dtype=float)
     out = (
         _PI_QUARTER
@@ -146,7 +143,7 @@ def fock_psi(q, t: float, n: int, params: DampingParams) -> complex | np.ndarray
     """
     n = Fock(n).n
     es = epsilon(t, params)
-    c2 = 0.5j * es.eps_dot * es.e2 / es.eps
+    c2 = _quadratic_phase(es)
     prefactor = _inv_sqrt_eps(t, params) * cmath.exp(-1j * n * params.omega_reduced * t)
     qa = np.asarray(q, dtype=float)
     y = qa / math.sqrt(es.ee)

@@ -62,7 +62,7 @@ def test_criterion_1_epsilon_dynamics():
         worst_wr = max(worst_wr, abs(wr - 1.0))
     worst_ode = 0.0
     for g, t_end in ((0.0, 10.0), (0.05, 10.0), (0.5, 10.0)):
-        numeric = rk4_epsilon(g, t_end, dt=1e-4)
+        numeric = rk4_epsilon(g, t_end)
         worst_ode = max(worst_ode, abs(epsilon(t_end, make_params(g)).eps - numeric))
     ok = worst_res < 1e-10 and worst_wr < 1e-10 and worst_ode < 1e-7
     _report(

@@ -299,6 +299,21 @@ class TestExitCodes:
         res = run_cli(["tomogram", "--state", "fock:0", "--x-grid=-1:1:5"])
         assert res.returncode == 2
 
+    @pytest.mark.parametrize(
+        "frame",
+        [
+            ["--phi", "1", "--mu", "1", "--nu", "0"],
+            ["--optical", "--phi", "1", "--phi-grid", "0:1:3"],
+        ],
+    )
+    def test_usage_error_phi_not_used(self, frame):
+        # --phi selects the frame only as the single angle of --optical
+        res = run_cli(["tomogram", *frame, "--x-grid=-1:1:3"])
+        assert res.returncode == 2
+        assert res.stdout == b""
+        lines = res.stderr.decode().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: --phi")
+
     def test_usage_error_unknown_tol(self):
         res = run_cli(["check", "dynamics", "--tol", "nonsense=1"])
         assert res.returncode == 2
@@ -441,6 +456,19 @@ class TestDeterminism:
         assert res.returncode == 0
         digest = hashlib.sha256(res.stdout).hexdigest()
         assert digest == "d915e66d036edfdb146ac83f8e637644c3c32ca483406dcc7c5ce54b60874250"
+
+    def test_coherent_grid_csv_sha256(self):
+        # figure1 is Fock 1 and the check report prints 7 digits, so neither
+        # pin sees a change in the coherent closed form
+        res = run_cli(
+            [
+                "tomogram", "--gamma", "0.05", "--t", "5", "--state", "coherent:1.3,-0.4",
+                "--optical", "--phi-grid", "0:6.2832:64", "--x-grid=-6:6:241",
+            ]
+        )
+        assert res.returncode == 0
+        digest = hashlib.sha256(res.stdout).hexdigest()
+        assert digest == "201c6d10accf239b6230255ea963fd397e80b0657ca109250338d8479974fe10"
 
     def test_grid_identical_across_thread_counts(self):
         args = [

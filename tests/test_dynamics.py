@@ -103,13 +103,13 @@ class TestEpsilon:
     def test_closed_form_vs_rk4(self):
         # independent oracle: fixed-step RK4 from the initial data
         for g, t_end in ((0.0, 10.0), (0.05, 5.0), (0.5, 10.0)):
-            numeric = rk4_epsilon(g, t_end, dt=1e-4)
+            numeric = rk4_epsilon(g, t_end)
             assert abs(epsilon(t_end, make_params(g)).eps - numeric) < 1e-7
 
     def test_rk4_increment_matches_stagewise(self):
         # the four cases of checks._check_closed_vs_ode
         for g, t_end in ((0.0, 10.0), (0.05, 5.0), (0.05, 10.0), (0.5, 10.0)):
-            assert abs(rk4_epsilon(g, t_end, dt=1e-4) - _rk4_stagewise(g, t_end, 1e-4)) <= 1e-13
+            assert abs(rk4_epsilon(g, t_end) - _rk4_stagewise(g, t_end, 1e-4)) <= 1e-13
 
     @pytest.mark.parametrize("steps", [1, 2, 3, 7, 8, 9, 1024, 1025, 50_000, 100_000])
     def test_rk4_powering_matches_stagewise(self, steps):
@@ -117,7 +117,7 @@ class TestEpsilon:
         for g in (0.0, 0.05, 0.5):
             t_end = steps * 1e-4
             assert round(t_end / 1e-4) == steps
-            assert abs(rk4_epsilon(g, t_end, dt=1e-4) - _rk4_stagewise(g, t_end, 1e-4)) <= 1e-13
+            assert abs(rk4_epsilon(g, t_end) - _rk4_stagewise(g, t_end, 1e-4)) <= 1e-13
 
     @pytest.mark.parametrize(
         "t,g", [(0.0, 0.0), (5.0, 0.05), (20.0, 0.5)]
@@ -185,6 +185,12 @@ class TestTimeMaps:
     @settings(max_examples=60, deadline=None, derandomize=True)
     def test_roundtrip_property(self, t, g):
         assert abs(time_backward(time_forward(t, g), g) - t) < 1e-12
+
+    @pytest.mark.parametrize("bad", [-0.1, 1.0, math.inf, math.nan])
+    def test_gamma_domain_error(self, bad):
+        for fn in (time_forward, time_backward):
+            with pytest.raises(DomainError):
+                fn(1.0, bad)
 
     def test_backward_domain_error(self):
         with pytest.raises(DomainError):

@@ -250,16 +250,12 @@ class TestBesselJ0Zeros:
 class TestCentralDiff:
     def test_quadratic_exact(self):
         for h in (1e-1, 1e-3):
-            got = central_diff(lambda x: x * x, 3.0, h, order=1)
+            got = central_diff(lambda x: x * x, 3.0, h)
             assert abs(got - 6.0) < 1e-10
 
     def test_sine_first_derivative(self):
-        got = central_diff(math.sin, 0.0, 1e-3, order=1)
+        got = central_diff(math.sin, 0.0, 1e-3)
         assert abs(got - 1.0) < 2e-7  # h**2/6 Taylor bound
-
-    def test_exp_second_derivative(self):
-        got = central_diff(math.exp, 0.0, 1e-3, order=2)
-        assert abs(got - 1.0) < 1e-6
 
     def test_truncation_order_two(self):
         hs = np.logspace(-4, -1, 12)
@@ -270,8 +266,6 @@ class TestCentralDiff:
     def test_validation(self):
         with pytest.raises(DomainError):
             central_diff(math.sin, 0.0, -1e-3)
-        with pytest.raises(DomainError):
-            central_diff(math.sin, 0.0, 1e-3, order=3)
 
 
 class TestScalarGrid:

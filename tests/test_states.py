@@ -80,17 +80,6 @@ class TestCoherentPsi:
         assert mean == pytest.approx(mean_exact, abs=1e-8)
         assert var == pytest.approx(var_exact, abs=1e-8)
 
-    def test_dotted_alpha_term_breaks_normalization(self):
-        """The defective (time-derivative) alpha**2 coefficient destroys
-        normalization; kept as a diagnostic of the transcription error."""
-        p = make_params(0.05)
-        spec = QuadratureSpec(0.0, 8.0 * _sigma_q(0.0, p) * 2.0, 400)
-        nrm = integrate(
-            lambda q: np.abs(coherent_psi(q, 0.0, 1.0, p, dotted_alpha_term=True)) ** 2,
-            spec,
-        )
-        assert abs(nrm - 1.0) > 0.5
-
 
 class TestFockPsi:
     def test_first_excited_node_at_origin(self):
@@ -351,8 +340,10 @@ class TestMarginalCheck:
         p = make_params(0.05)
         es = epsilon(5.0, p)
         qs = np.random.default_rng([seed, 16]).uniform(-1.0, 1.0, size=20) * math.sqrt(es.ee)
-        half_width = 9.0 * math.sqrt(es.e2 / p.omega_reduced / 2.0) * math.sqrt(3.0)
-        nodes, weights = _gauss_legendre(300)
-        grid = states._wigner_grid(Fock(1), qs, half_width * nodes, 5.0, p)
-        one_grid = half_width * (grid @ weights) / (2.0 * math.pi)
+        sigma_p = math.sqrt(es.e2 / p.omega_reduced / 2.0) * math.sqrt(3.0)
+        spec = QuadratureSpec(0.0, 9.0 * sigma_p, 300)
+        one_grid = integrate(
+            lambda ps: states._wigner_grid(Fock(1), qs, ps, 5.0, p), spec
+        ) / (2.0 * math.pi)
         assert np.max(np.abs(one_grid - per_q)) <= 1e-15
+        assert float(np.max(np.abs(one_grid - np.abs(psi(Fock(1), qs, 5.0, p)) ** 2))) == new

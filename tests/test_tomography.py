@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from cktomo import (
     Coherent,
-    ConjugationBroken,
     DegenerateFrame,
     DomainError,
     Fock,
@@ -31,7 +30,6 @@ from cktomo import (
 )
 from cktomo.checks import coherent_moments_from_psi
 from cktomo.dynamics import frame_quantities
-from cktomo.tomography import _real_from_conjugate_pair
 
 SQRT2 = math.sqrt(2.0)
 
@@ -221,10 +219,6 @@ class TestCoherentTomogram:
         mu, nu = optical_frame(1.2)
         got = normalization(Coherent(2.0 - 1.0j), mu, nu, 5.0, make_params(0.05))
         assert got == pytest.approx(1.0, abs=1e-9)
-
-    def test_conjugation_guard(self):
-        with pytest.raises(ConjugationBroken):
-            _real_from_conjugate_pair(np.array([1.0 + 0.5j]))
 
 
 class TestFarTail:
