@@ -50,7 +50,7 @@ from .numerics import (
     hermite_gauss,
     integrate,
 )
-from .states import Coherent, Fock, QuantumState, coherent_psi, fock_psi, psi, wigner
+from .states import Coherent, Fock, QuantumState, coherent_psi, fock_psi, psi, wigner, wigner_moments
 from .tomography import (
     TomographyFrame,
     coherent_tomogram,
@@ -61,7 +61,6 @@ from .tomography import (
     optical_frame,
     radon_tomogram,
     tomogram,
-    wigner_moments,
 )
 
 __version__ = "0.1.0"
@@ -101,6 +100,7 @@ __all__ = [
     "fock_psi",
     "psi",
     "wigner",
+    "wigner_moments",
     # tomography
     "TomographyFrame",
     "optical_frame",
@@ -111,7 +111,6 @@ __all__ = [
     "normalization",
     "radon_tomogram",
     "frame_scale_sq",
-    "wigner_moments",
     # evolution
     "ResidualReport",
     "evolution_terms",

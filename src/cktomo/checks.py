@@ -1,9 +1,11 @@
 """Seeded property-check suites behind the `check` CLI command.
 
-Every check draws its sample from a generator seeded by (seed, check
-index), computes one scalar residual, and passes iff the residual is at or
-below its named tolerance.  The tolerance names in :data:`TOLERANCES` can
-be overridden from the command line (`--tol name=value`).
+Every check draws its sample from a generator seeded by (seed, its
+position in the full SUITES order), so a suite run alone draws the samples
+of `check all`; it computes one scalar residual and passes iff the residual
+is at or below its named tolerance.  The tolerance names in
+:data:`TOLERANCES` can be overridden from the command line
+(`--tol name=value`).
 
 Tolerances follow the error-budget tiering of the library: 1e-10 for
 identities among closed forms, 1e-9 for single quadratures, 1e-5 for
@@ -14,6 +16,7 @@ integral), and 1e-3 / 5e-3 for the dual-space eigenvalue checks whose
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -29,6 +32,7 @@ from .dynamics import (
 )
 from .errors import DomainError
 from .evolution import (
+    _max_step,
     convergence_study,
     evolution_residual_tprime,
     evolution_terms,
@@ -42,19 +46,11 @@ from .invariants import (
     number_apply_printed,
     tomogram_characteristic,
 )
-from .numerics import QuadratureSpec, central_diff, hermite, integrate
-from .states import (
-    Coherent,
-    Fock,
-    _fock_widening,
-    _wigner_grid,
-    coherent_psi,
-    fock_psi,
-    psi,
-    wigner,
-)
+from .numerics import QuadratureSpec, central_diff, hermite, hermite_gauss, integrate
+from .states import Coherent, Fock, _wigner_grid, coherent_psi, psi, wigner
 from .tomography import (
     TomographyFrame,
+    _x_window,
     coherent_tomogram,
     fock_tomogram,
     frame_scale_sq,
@@ -62,7 +58,6 @@ from .tomography import (
     normalization,
     radon_tomogram,
     tomogram,
-    wigner_moments,
 )
 
 __all__ = ["CheckResult", "TOLERANCES", "SUITES", "run_checks", "rk4_epsilon"]
@@ -173,9 +168,7 @@ def coherent_moments_from_psi(alpha: complex, t: float, params) -> tuple[float, 
     the oracle shares nothing with the tomogram formulas but the mode
     function itself.
     """
-    sigma = math.sqrt(epsilon(t, params).ee / 2.0)
-    q_center = wigner_moments(Coherent(alpha), t, params)[0][0]
-    spec = QuadratureSpec(center=q_center, half_width=8.0 * sigma * (1.0 + abs(alpha)), points=400)
+    spec = _x_window(Coherent(alpha), 1.0, 0.0, t, params)
     fd_h = 1e-6
 
     def density(qs):
@@ -240,9 +233,9 @@ def _evolution_config(rng, gammas, h):
         mu, nu = _random_frame(rng)
         if _fd_direction_scales(mu, nu, t, params) < 0.5:
             continue
-        s2 = frame_scale_sq(mu, nu, t, params)
-        if h > 0.1 * min(1.0, math.sqrt(s2)):
+        if h > _max_step(mu, nu, t, params):
             continue
+        s2 = frame_scale_sq(mu, nu, t, params)
         x = rng.uniform(-2.0, 2.0) * math.sqrt(s2 / 2.0)
         state = states[int(rng.integers(0, len(states)))]
         return state, x, mu, nu, t, params
@@ -357,13 +350,13 @@ _EXPLICIT_HERMITE = (
 
 
 def _check_hermite_match(rng):
+    """`hermite_gauss` against the explicit H_n exp(-x**2/2) / sqrt(2**n n! sqrt(pi))."""
     xs = rng.uniform(-5.0, 5.0, size=100)
     worst = 0.0
     for n, explicit in enumerate(_EXPLICIT_HERMITE):
-        expected = explicit(xs)
-        got = hermite(n, xs)
-        scale = np.maximum(1.0, np.abs(expected))
-        worst = max(worst, float(np.max(np.abs(got - expected) / scale)))
+        norm = math.sqrt(2.0**n * math.factorial(n) * math.sqrt(math.pi))
+        expected = explicit(xs) * np.exp(-0.5 * xs * xs) / norm
+        worst = max(worst, float(np.max(np.abs(hermite_gauss(n, xs) - expected))))
     return worst
 
 
@@ -371,10 +364,9 @@ def _check_hermite_parity(rng):
     xs = rng.uniform(-5.0, 5.0, size=50)
     worst = 0.0
     for n in range(0, 9):
-        lhs = hermite(n, -xs)
-        rhs = (-1.0) ** n * hermite(n, xs)
-        scale = np.maximum(1.0, np.abs(rhs))
-        worst = max(worst, float(np.max(np.abs(lhs - rhs) / scale)))
+        lhs = hermite_gauss(n, -xs)
+        rhs = (-1.0) ** n * hermite_gauss(n, xs)
+        worst = max(worst, float(np.max(np.abs(lhs - rhs))))
     return worst
 
 
@@ -394,7 +386,7 @@ def _check_quad_doubling(rng):
 
 
 def _check_hermite_orthonormal(rng):
-    f = lambda xs: hermite(2, xs) ** 2 * np.exp(-xs * xs) / (4.0 * 2.0 * math.sqrt(math.pi))
+    f = lambda xs: hermite_gauss(2, xs) ** 2
     return abs(integrate(f, QuadratureSpec(0.0, 12.0, 260)) - 1.0)
 
 
@@ -402,16 +394,11 @@ def _check_psi_norm(rng):
     worst = 0.0
     p = make_params(0.05)
     t = 5.0
-    sigma = math.sqrt(epsilon(t, p).ee / 2.0)
-    for n in range(4):
-        spec = QuadratureSpec(0.0, 8.0 * sigma * _fock_widening(n), 300)
-        nrm = integrate(lambda qs: np.abs(fock_psi(qs, t, n, p)) ** 2, spec)
+    for state in (Fock(0), Fock(1), Fock(2), Fock(3), Coherent(1.0 + 0.5j)):
+        spec = _x_window(state, 1.0, 0.0, t, p)
+        nrm = integrate(lambda qs: np.abs(psi(state, qs, t, p)) ** 2, spec)
         worst = max(worst, abs(nrm - 1.0))
-    alpha = 1.0 + 0.5j
-    center = wigner_moments(Coherent(alpha), t, p)[0][0]
-    spec = QuadratureSpec(center, 8.0 * sigma * (1.0 + abs(alpha)), 400)
-    nrm = integrate(lambda qs: np.abs(coherent_psi(qs, t, alpha, p)) ** 2, spec)
-    return max(worst, abs(nrm - 1.0))
+    return worst
 
 
 def _check_psi_moments(rng):
@@ -422,10 +409,9 @@ def _check_psi_moments(rng):
         t = rng.uniform(0.0, 5.0)
         alpha = complex(rng.uniform(-1.5, 1.5), rng.uniform(-1.5, 1.5))
         p = make_params(g)
-        mean_exact = wigner_moments(Coherent(alpha), t, p)[0][0]
+        spec = _x_window(Coherent(alpha), 1.0, 0.0, t, p)
+        mean_exact = spec.center  # the window's center is the closed-form <q>
         var_exact = epsilon(t, p).ee / 2.0
-        sigma = math.sqrt(var_exact)
-        spec = QuadratureSpec(mean_exact, 9.0 * sigma * (1.0 + abs(alpha)), 400)
         dens = lambda qs: np.abs(coherent_psi(qs, t, alpha, p)) ** 2
         mean = integrate(lambda qs: qs * dens(qs), spec)
         var = integrate(lambda qs: (qs - mean_exact) ** 2 * dens(qs), spec)
@@ -447,10 +433,8 @@ def _check_wigner_marginal(rng):
     p = make_params(0.05)
     t = 5.0
     state = Fock(1)
-    es = epsilon(t, p)
-    sigma_p = math.sqrt(es.e2 / p.omega_reduced / 2.0) * math.sqrt(3.0)
-    spec = QuadratureSpec(0.0, 9.0 * sigma_p, 300)
-    qs = rng.uniform(-1.0, 1.0, size=20) * math.sqrt(es.ee)
+    spec = _x_window(state, 0.0, 1.0, t, p)
+    qs = rng.uniform(-1.0, 1.0, size=20) * math.sqrt(epsilon(t, p).ee)
     # the p-integral of every q at once: one row of W per q on the p nodes
     marg = integrate(lambda ps: _wigner_grid(state, qs, ps, t, p), spec) / (2.0 * math.pi)
     return float(np.max(np.abs(marg - np.abs(psi(state, qs, t, p)) ** 2)))
@@ -575,10 +559,9 @@ def _check_second_moment(rng):
         p = make_params(g)
         mu, nu = _random_frame(rng)
         s2 = frame_scale_sq(mu, nu, t, p)
-        spec = QuadratureSpec(0.0, 9.0 * math.sqrt(s2 / 2.0), 260)
         m2 = integrate(
             lambda xs: xs * xs * ground_tomogram(TomographyFrame(xs, mu, nu), t, p),
-            spec,
+            _x_window(Fock(0), mu, nu, t, p),
         )
         worst = max(worst, abs(m2 - s2 / 2.0) / max(1.0, s2 / 2.0))
     return worst
@@ -623,11 +606,9 @@ def _check_alpha0_equals_fock0(rng):
 def _check_first_moment(rng):
     p = make_params(0.05)
     t, alpha, mu, nu = 2.0, 1.0 + 1.0j, 0.6, -1.1
-    s2 = frame_scale_sq(mu, nu, t, p)
-    spec = QuadratureSpec(0.0, 9.0 * math.sqrt(s2 / 2.0) * (1.0 + abs(alpha)), 400)
     m1 = integrate(
         lambda xs: xs * coherent_tomogram(TomographyFrame(xs, mu, nu), t, alpha, p),
-        spec,
+        _x_window(Coherent(alpha), mu, nu, t, p),
     )
     q_mean, p_mean = coherent_moments_from_psi(alpha, t, p)
     return abs(m1 - (mu * q_mean + nu * p_mean))
@@ -848,6 +829,8 @@ SUITES: dict[str, list] = {
     "evolution": _EVOLUTION,
     "invariants": _INVARIANTS,
 }
+# position of each suite's first check in the full SUITES order
+_FIRST_INDEX = dict(zip(SUITES, itertools.accumulate(map(len, SUITES.values()), initial=0)))
 
 
 def run_checks(
@@ -862,11 +845,10 @@ def run_checks(
         if name not in TOLERANCES:
             raise DomainError(f"unknown tolerance name {name!r}")
     results: list[CheckResult] = []
-    index = 0
     for suite in suites:
         if suite not in SUITES:
             raise DomainError(f"unknown suite {suite!r}")
-        for name, fn, tol_name, info in SUITES[suite]:
+        for index, (name, fn, tol_name, info) in enumerate(SUITES[suite], _FIRST_INDEX[suite]):
             rng = np.random.default_rng([int(seed), index])
             value = float(fn(rng))
             if info:
@@ -878,5 +860,4 @@ def run_checks(
                 results.append(
                     CheckResult(name=name, value=value, tol=tol, passed=value <= tol)
                 )
-            index += 1
     return results

@@ -47,6 +47,12 @@ class ResidualReport:
     converged_order: float
 
 
+def _max_step(mu, nu, t, params: DampingParams) -> float:
+    """Largest step h the residuals accept, 0.1 min(1, sqrt(s2)): the
+    stencil has to stay well inside the tomogram's width sqrt(s2)."""
+    return 0.1 * min(1.0, math.sqrt(frame_scale_sq(mu, nu, t, params)))
+
+
 def _frame_terms(state: QuantumState, x, mu, nu, t, h, params: DampingParams):
     """Step guard and the stencil shared by both residual forms: returns the
     tomogram evaluator w(x, mu, nu, t), exp(2 gamma t) and the frame terms
@@ -55,11 +61,9 @@ def _frame_terms(state: QuantumState, x, mu, nu, t, h, params: DampingParams):
         raise DomainError(f"step h must be positive and finite, got {h}")
     if t - h < 0.0:
         raise DomainError(f"t - h = {t - h} < 0: backward time node leaves the domain")
-    scale = math.sqrt(frame_scale_sq(mu, nu, t, params))
-    if h > 0.1 * min(1.0, scale):
-        raise StepTooLarge(
-            f"h = {h} exceeds 0.1 * min(1, sqrt(s2)) = {0.1 * min(1.0, scale)}"
-        )
+    limit = _max_step(mu, nu, t, params)
+    if h > limit:
+        raise StepTooLarge(f"h = {h} exceeds 0.1 * min(1, sqrt(s2)) = {limit}")
     e2 = epsilon(t, params).e2
 
     def w(x_, mu_, nu_, t_):

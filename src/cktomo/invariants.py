@@ -88,9 +88,9 @@ def _characteristic_spec(
 ) -> QuadratureSpec:
     # the tomogram's X-window, plus nodes for the fastest oscillation
     # k * half_width of the kernel on it
-    half_width, points = _x_window(state, mu, nu, t, params)
-    points += int(0.8 * abs(k) * half_width)
-    return QuadratureSpec(center=0.0, half_width=half_width, points=points)
+    spec = _x_window(state, mu, nu, t, params)
+    points = spec.points + int(0.8 * abs(k) * spec.half_width)
+    return QuadratureSpec(center=spec.center, half_width=spec.half_width, points=points)
 
 
 def _characteristic_with_spec(

@@ -338,15 +338,21 @@ class ScalarGrid:
     # ----------------------------------------------------------------- JSON
 
     def to_json(self) -> str:
-        payload = {
+        """One compact JSON object (meta, axis1, axis2, the values flattened
+        row-major), with a trailing newline.  The values are encoded one row
+        at a time, so no Python list of the whole grid is ever built."""
+        head = {
             "meta": self.meta,
             "axis1": {"name": self.axis1.name, "values": self.axis1.values.tolist()},
             "axis2": None
             if self.axis2 is None
             else {"name": self.axis2.name, "values": self.axis2.values.tolist()},
-            "values": self.values.reshape(-1).tolist(),
         }
-        return json.dumps(payload, indent=None, separators=(",", ":")) + "\n"
+        rows = (
+            json.dumps(row.tolist(), separators=(",", ":"))[1:-1]
+            for row in np.atleast_2d(self.values)
+        )
+        return f'{json.dumps(head, separators=(",", ":"))[:-1]},"values":[{",".join(rows)}]}}\n'
 
     @classmethod
     def from_json(cls, text: str) -> "ScalarGrid":

@@ -39,6 +39,7 @@ __all__ = [
     "fock_psi",
     "psi",
     "wigner",
+    "wigner_moments",
 ]
 
 _SQRT2 = math.sqrt(2.0)
@@ -82,12 +83,6 @@ class Fock:
 
 
 QuantumState = Union[Coherent, Fock]
-
-
-def _fock_widening(n: int) -> float:
-    """Widening sqrt(2n+1) of every quadrature window for Fock n: its
-    Hermite factor pushes the turning points out to sqrt(2n+1) sigma."""
-    return math.sqrt(2.0 * n + 1.0)
 
 
 def _inv_sqrt_eps(t: float, params: DampingParams) -> complex:
@@ -160,27 +155,53 @@ def psi(state: QuantumState, q, t: float, params: DampingParams):
     raise DomainError(f"unknown state {state!r}")
 
 
+def wigner_moments(state: QuantumState, t: float, params: DampingParams):
+    """Phase-space mean (q, p) and symmetrized covariance of the state's
+    Wigner function, in closed form.
+
+    Every state here shares the ground-like covariance
+        [[e^{-2 gamma t}, -gamma], [-gamma, e^{2 gamma t}]] / (2 Omega)
+    (times 2n+1 for Fock n); coherent states displace the mean to
+    (sqrt(2) Re(alpha eps*), sqrt(2) e^{2 gamma t} Re(alpha eps'*)).
+    Every quadrature window of the library is sized from these moments.
+    """
+    es = epsilon(t, params)
+    g, om, e2 = params.gamma, params.omega_reduced, es.e2
+    cov = np.array([[1.0 / (e2 * om), -g / om], [-g / om, e2 / om]]) / 2.0
+    mean = np.zeros(2)
+    if isinstance(state, Coherent):
+        # Re(alpha z*) = Re(alpha) Re(z) + Im(alpha) Im(z), for z = eps, eps'
+        ar, ai = state.alpha.real, state.alpha.imag
+        mean = np.array(
+            [
+                _SQRT2 * (ar * es.eps.real + ai * es.eps.imag),
+                _SQRT2 * e2 * (ar * es.eps_dot.real + ai * es.eps_dot.imag),
+            ]
+        )
+    elif isinstance(state, Fock):
+        cov = cov * (2.0 * state.n + 1.0)
+    return mean, cov
+
+
 def _wigner_u_rule(
     state: QuantumState, q, p, t: float, params: DampingParams
 ) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Legendre rule for the relative-coordinate integral of W.
 
-    The |psi(q+u/2) psi*(q-u/2)| envelope decays like exp(-u**2/(4 eps eps*))
-    for every state here (a displacement alpha does not move it in u), so
-    the window is 8 sigma_u with sigma_u = sqrt(2 eps eps*), widened by
-    sqrt(2n+1) for Fock n whose Hermite factors push the turning points out.
-    The node count tracks the fastest phase exp(-i p u) seen on the grid,
+    The |psi(q+u/2) psi*(q-u/2)| envelope is the q-envelope stretched by 2
+    in u (a displacement alpha does not move it), so the window is 8 sigma_u
+    with sigma_u = 2 sqrt(Sigma_qq), Sigma_qq from `wigner_moments` (which
+    carries the 2n+1 of Fock n).  The node count tracks the fastest phase
+    exp(-i p u) seen on the grid and the Hermite oscillations of Fock n,
     rounded up to the next multiple of 16 (`numerics._rung`), so grids of
     nearby frequencies share one cached rule.
     """
     es = epsilon(t, params)
-    widen, n_extra, freq_extra = 1.0, 0, 0.0
-    if isinstance(state, Fock):
-        widen = _fock_widening(state.n)
-        n_extra = 8 * state.n
-    elif isinstance(state, Coherent):
-        freq_extra = _SQRT2 * abs(state.alpha) / math.sqrt(es.ee)
-    half_width = 8.0 * math.sqrt(2.0 * es.ee) * widen
+    _, cov = wigner_moments(state, t, params)
+    half_width = 16.0 * math.sqrt(cov[0, 0])
+    fock = isinstance(state, Fock)
+    n_extra = 8 * state.n if fock else 0
+    freq_extra = 0.0 if fock else _SQRT2 * abs(state.alpha) / math.sqrt(es.ee)
     freq = (
         float(np.max(np.abs(p)))
         + params.gamma * es.e2 * float(np.max(np.abs(q)))

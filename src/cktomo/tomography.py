@@ -18,9 +18,10 @@ displaced Gaussian assembled from three exponential factors whose last two
 are mutual complex conjugates: the pair's exponent is written once, in
 (a - i b)/sqrt(s2), and taken as 2 Re.
 
-Every X-integral of a tomogram (the normalization here, the characteristic
-function in :mod:`cktomo.invariants`) sizes its window with the single
-helper :func:`_x_window`.
+Every integral over a quadrature X = mu q + nu p (the normalization here,
+the characteristic function in :mod:`cktomo.invariants`, the q- and
+p-integrals of the checks) takes its window from the single helper
+:func:`_x_window`, which reads the state's closed-form Wigner moments.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ import numpy as np
 from .dynamics import DampingParams, epsilon, frame_quantities
 from .errors import DegenerateFrame, DomainError
 from .numerics import QuadratureSpec, hermite_gauss, integrate
-from .states import Coherent, Fock, QuantumState, _fock_widening, wigner
+from .states import Coherent, Fock, QuantumState, wigner, wigner_moments
 
 __all__ = [
     "TomographyFrame",
@@ -45,7 +46,6 @@ __all__ = [
     "tomogram",
     "normalization",
     "radon_tomogram",
-    "wigner_moments",
 ]
 
 _SQRT2 = math.sqrt(2.0)
@@ -189,61 +189,32 @@ def tomogram(state: QuantumState, frame: TomographyFrame, t: float, params: Damp
     raise DomainError(f"unknown state {state!r}")
 
 
-def _x_window(state: QuantumState, mu: float, nu: float, t: float, params: DampingParams):
-    """Half-width and node count for X-integrals of a tomogram: 8 sigma
-    with sigma**2 = s2/2, widened by sqrt(2n+1) for Fock n and (1+|alpha|)
-    for coherent states (their Gaussian is displaced by at most
-    2 |alpha| sigma).  The count is a floor: `integrate` rounds it up to
+def _x_window(
+    state: QuantumState, mu: float, nu: float, t: float, params: DampingParams
+) -> QuadratureSpec:
+    """Window for integrals over X = mu q + nu p of the state's distribution:
+    centered on its mean mu <q> + nu <p> from `wigner_moments`, half-width
+    8 sigma with sigma**2 = (2n+1) s2/2 for Fock n and s2/2 for coherent
+    states, the variance of X under the Wigner covariance (s2 is its
+    cancellation-free form).  The node floor 220 + 16 n + 110 (sqrt(2n+1) - 1)
+    follows the Hermite oscillations of Fock n; `integrate` rounds it up to
     the next multiple of 16."""
-    s2 = frame_scale_sq(mu, nu, t, params)
-    sigma = math.sqrt(s2 / 2.0)
-    if isinstance(state, Fock):
-        widen = _fock_widening(state.n)
-        extra = 16 * state.n
-    else:
-        widen = 1.0 + abs(state.alpha)
-        extra = 0
-    # node density must follow the widening or the Gaussian core is
-    # undersampled inside the enlarged window
-    points = 220 + extra + int(110.0 * (widen - 1.0))
-    return 8.0 * sigma * widen, points
+    mean, _ = wigner_moments(state, t, params)
+    n = state.n if isinstance(state, Fock) else 0
+    root = math.sqrt(2.0 * n + 1.0)
+    sigma = math.sqrt(frame_scale_sq(mu, nu, t, params) / 2.0) * root
+    return QuadratureSpec(
+        center=float(mu * mean[0] + nu * mean[1]),
+        half_width=8.0 * sigma,
+        points=220 + 16 * n + int(110.0 * (root - 1.0)),
+    )
 
 
 def normalization(state: QuantumState, mu: float, nu: float, t: float, params: DampingParams) -> float:
     """Quadrature estimate of Integral w dX for the given frame direction;
     equals 1 for every state, frame, and time."""
-    half_width, points = _x_window(state, mu, nu, t, params)
-    spec = QuadratureSpec(center=0.0, half_width=half_width, points=points)
-    return integrate(
-        lambda xs: tomogram(state, TomographyFrame(xs, mu, nu), t, params), spec
-    )
-
-
-def wigner_moments(state: QuantumState, t: float, params: DampingParams):
-    """Phase-space mean (q, p) and symmetrized covariance of the state's
-    Wigner function, in closed form.
-
-    Every state here shares the ground-like covariance
-        [[e^{-2 gamma t}, -gamma], [-gamma, e^{2 gamma t}]] / (2 Omega)
-    (times 2n+1 for Fock n); coherent states displace the mean to
-    (sqrt(2) Re(alpha eps*), sqrt(2) e^{2 gamma t} Re(alpha eps'*)).
-    """
-    es = epsilon(t, params)
-    g, om, e2 = params.gamma, params.omega_reduced, es.e2
-    cov = np.array([[1.0 / (e2 * om), -g / om], [-g / om, e2 / om]]) / 2.0
-    mean = np.zeros(2)
-    if isinstance(state, Coherent):
-        # Re(alpha z*) = Re(alpha) Re(z) + Im(alpha) Im(z), for z = eps, eps'
-        ar, ai = state.alpha.real, state.alpha.imag
-        mean = np.array(
-            [
-                _SQRT2 * (ar * es.eps.real + ai * es.eps.imag),
-                _SQRT2 * e2 * (ar * es.eps_dot.real + ai * es.eps_dot.imag),
-            ]
-        )
-    elif isinstance(state, Fock):
-        cov = cov * (2.0 * state.n + 1.0)
-    return mean, cov
+    spec = _x_window(state, mu, nu, t, params)
+    return integrate(lambda xs: tomogram(state, TomographyFrame(xs, mu, nu), t, params), spec)
 
 
 def radon_tomogram(state: QuantumState, frame: TomographyFrame, t: float, params: DampingParams) -> float:
@@ -255,12 +226,13 @@ def radon_tomogram(state: QuantumState, frame: TomographyFrame, t: float, params
 
         w(X, mu, nu, t) = (1 / (2 pi s)) Integral W(line(tau)) dtau.
 
-    The tau window is centered on the restriction of the state's Gaussian
-    envelope to the line (its conditional mean) with width from the
-    inverse-covariance slice, which stays correct for the strongly
-    squeezed blobs that damping produces.  The line takes 220 + 60 n tau
-    nodes, rounded up to a multiple of 16 by `integrate`, and each W on it
-    is the pointwise `wigner` over chunks of the tau nodes.
+    The tau window is 9 sigma of the state's Wigner Gaussian restricted to
+    the line: centered on its conditional mean, with sigma**2 = 1/(d Sigma^-1 d)
+    from the covariance Sigma of `wigner_moments` (which carries the 2n+1 of
+    Fock n), which stays correct for the strongly squeezed blobs that damping
+    produces.  The line takes 220 + 60 n tau nodes, rounded up to a multiple
+    of 16 by `integrate`, and each W on it is the pointwise `wigner` over
+    chunks of the tau nodes.
     """
     if not frame.is_scalar:
         raise DomainError("radon_tomogram expects a scalar frame point")
@@ -268,17 +240,12 @@ def radon_tomogram(state: QuantumState, frame: TomographyFrame, t: float, params
     s = math.hypot(mu, nu)
     d = np.array([-nu / s, mu / s])
     base = np.array([x * mu / s**2, x * nu / s**2])
-    mean, _ = wigner_moments(state, t, params)
-    # the Gaussian *envelope* of W is the ground-like covariance for every
-    # state; Fock structure on top is handled by the sqrt(2n+1) widening
-    _, cov = wigner_moments(Fock(0), t, params)
+    mean, cov = wigner_moments(state, t, params)
     cov_inv = np.linalg.inv(cov)
     curvature = float(d @ cov_inv @ d)
     tau_center = -float(d @ cov_inv @ (base - mean)) / curvature
-    sigma_slice = 1.0 / math.sqrt(curvature)
     n_fock = state.n if isinstance(state, Fock) else 0
-    half_width = 9.0 * _fock_widening(n_fock) * sigma_slice
-    spec = QuadratureSpec(center=tau_center, half_width=half_width, points=220 + 60 * n_fock)
+    spec = QuadratureSpec(tau_center, 9.0 / math.sqrt(curvature), 220 + 60 * n_fock)
 
     def line(taus):
         return wigner(base[0] + taus * d[0], base[1] + taus * d[1], t, state, params)

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from cktomo import ScalarGrid
+from cktomo.checks import SUITES
 from cktomo.cli import RunConfig, UsageError, cmd_figure1, cmd_tomogram, main, parse_grid, parse_state
 from cktomo.dynamics import make_params
 from cktomo.states import Coherent, Fock
@@ -449,7 +450,19 @@ class TestDeterminism:
         assert a.stdout.count(b"\n") >= 26  # >= 25 checks plus the summary
         # pinned, so a refactor meant to be behaviour-neutral is proven so
         digest = hashlib.sha256(a.stdout).hexdigest()
-        assert digest == "6e8faf054bb6198f48a739702cc5a35fc22ac8dcec3042072eeb73d1fee98cb1"
+        assert digest == "0c5b40cc55c7a8c7b3b70db86338d1f078be1f7c065e2b36d327c6b8d8e95762"
+
+    @pytest.mark.parametrize("seed", ["0", "17", "42"])
+    def test_suite_lines_match_check_all(self, seed, capsys):
+        # a suite run draws the same samples as `check all`, so a FAIL in
+        # the full report reproduces in its own suite
+        main(["check", "all", "--seed", seed])
+        all_lines = capsys.readouterr().out.splitlines()[:-1]
+        suite_lines = []
+        for suite in SUITES:
+            main(["check", suite, "--seed", seed])
+            suite_lines += capsys.readouterr().out.splitlines()[:-1]
+        assert suite_lines == all_lines
 
     def test_figure1_csv_sha256(self):
         res = run_cli(["figure1", "--format", "csv"])

@@ -17,6 +17,7 @@ from cktomo import (
     relative_residual,
 )
 from cktomo.checks import _evolution_config
+from cktomo.evolution import _max_step
 
 
 class TestResidual:
@@ -50,6 +51,19 @@ class TestResidual:
     def test_step_guard(self):
         with pytest.raises(StepTooLarge):
             evolution_residual(Fock(1), 0.5, 1.0, 0.0, 1.0, 0.5, make_params(0.0))
+
+    def test_step_guard_is_the_sampler_bound(self):
+        # StepTooLarge and the check sampler read the same bound
+        p = make_params(0.3)
+        mu, nu, t = 0.8, -0.6, 2.0
+        limit = _max_step(mu, nu, t, p)
+        evolution_residual(Fock(1), 0.1, mu, nu, t, limit, p)
+        with pytest.raises(StepTooLarge):
+            evolution_residual(Fock(1), 0.1, mu, nu, t, math.nextafter(limit, math.inf), p)
+        rng = np.random.default_rng(5)
+        for _ in range(20):
+            _, _, mu, nu, t, p = _evolution_config(rng, [0.0, 0.3, 0.7], 0.05)
+            assert 0.05 <= _max_step(mu, nu, t, p)
 
     def test_backward_time_guard(self):
         with pytest.raises(DomainError):

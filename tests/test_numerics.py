@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -82,6 +83,21 @@ class TestHermite:
         # bare H_64(30) would be astronomically large; the weighted pair is tame
         val = hermite_gauss(64, 30.0)
         assert math.isfinite(val)
+
+    def test_checks_measure_the_library_path(self, monkeypatch):
+        # the three Hermite checks evaluate hermite_gauss, the function every
+        # Fock state goes through: a defect in it shows in each of them
+        hermite_checks = (
+            checks._check_hermite_match,
+            checks._check_hermite_parity,
+            checks._check_hermite_orthonormal,
+        )
+        for check in hermite_checks:
+            assert check(np.random.default_rng(0)) <= 1e-12
+        defect = lambda n, x: hermite_gauss(n, x) * (1.0 + 1e-6 * (x + x * x))
+        monkeypatch.setattr(checks, "hermite_gauss", defect)
+        for check in hermite_checks:
+            assert check(np.random.default_rng(0)) > 1e-8
 
 
 class TestIntegrate:
@@ -326,6 +342,39 @@ class TestScalarGrid:
         back = ScalarGrid.from_json(grid.to_json())
         assert np.array_equal(back.values, grid.values)
         assert back.meta == grid.meta
+
+    def test_json_rows_equal_whole_payload(self):
+        # to_json encodes the values row by row; the bytes are those of one
+        # json.dumps of the whole payload
+        rng = np.random.default_rng(3)
+        grids = [
+            self._grid2d(),
+            ScalarGrid(
+                axis1=Axis("x", np.linspace(-1.0, 1.0, 7)),
+                values=np.exp(np.linspace(-1.0, 1.0, 7)),
+                meta={"t": "0"},
+            ),
+            ScalarGrid(
+                axis1=Axis("q", np.array([0.5])),
+                axis2=Axis("p", np.linspace(-3.0, 3.0, 9)),
+                values=rng.standard_normal((1, 9)) * 1e-300,
+            ),
+            ScalarGrid(
+                axis1=Axis("phi", np.linspace(0.0, 6.0, 13)),
+                axis2=Axis("x", np.array([-2.0])),
+                values=-rng.exponential(size=(13, 1)),
+            ),
+        ]
+        for grid in grids:
+            payload = {
+                "meta": grid.meta,
+                "axis1": {"name": grid.axis1.name, "values": grid.axis1.values.tolist()},
+                "axis2": None
+                if grid.axis2 is None
+                else {"name": grid.axis2.name, "values": grid.axis2.values.tolist()},
+                "values": grid.values.reshape(-1).tolist(),
+            }
+            assert grid.to_json() == json.dumps(payload, indent=None, separators=(",", ":")) + "\n"
 
     def test_csv_seventeen_digits(self):
         grid = ScalarGrid(

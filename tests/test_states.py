@@ -20,6 +20,7 @@ from cktomo import (
 )
 from cktomo.checks import _check_wigner_marginal
 from cktomo.numerics import _gauss_legendre
+from cktomo.tomography import _x_window
 
 SQRT2 = math.sqrt(2.0)
 
@@ -320,8 +321,7 @@ def _marginal_check_per_q(rng):
     state = Fock(1)
     worst = 0.0
     es = epsilon(t, p)
-    sigma_p = math.sqrt(es.e2 / p.omega_reduced / 2.0) * math.sqrt(3.0)
-    spec = QuadratureSpec(0.0, 9.0 * sigma_p, 300)
+    spec = _x_window(state, 0.0, 1.0, t, p)
     margs = []
     for q in rng.uniform(-1.0, 1.0, size=20) * math.sqrt(es.ee):
         marg = integrate(lambda ps: wigner(q, ps, t, state, p), spec) / (2.0 * math.pi)
@@ -340,8 +340,7 @@ class TestMarginalCheck:
         p = make_params(0.05)
         es = epsilon(5.0, p)
         qs = np.random.default_rng([seed, 16]).uniform(-1.0, 1.0, size=20) * math.sqrt(es.ee)
-        sigma_p = math.sqrt(es.e2 / p.omega_reduced / 2.0) * math.sqrt(3.0)
-        spec = QuadratureSpec(0.0, 9.0 * sigma_p, 300)
+        spec = _x_window(Fock(1), 0.0, 1.0, 5.0, p)
         one_grid = integrate(
             lambda ps: states._wigner_grid(Fock(1), qs, ps, 5.0, p), spec
         ) / (2.0 * math.pi)

@@ -30,6 +30,7 @@ from cktomo import (
 )
 from cktomo.checks import coherent_moments_from_psi
 from cktomo.dynamics import frame_quantities
+from cktomo.tomography import _x_window
 
 SQRT2 = math.sqrt(2.0)
 
@@ -277,6 +278,35 @@ class TestNormalization:
             )
             got = normalization(state, mu, nu, t, make_params(g))
             assert got == pytest.approx(1.0, abs=1e-9)
+
+
+class TestXWindow:
+    # the widest states supported: Fock 16, and |alpha| = 8 at eight phases
+    EDGE_STATES = [Fock(16)] + [
+        Coherent(complex(8.0 * math.cos(k * math.pi / 4), 8.0 * math.sin(k * math.pi / 4)))
+        for k in range(8)
+    ]
+
+    @pytest.mark.parametrize("state", EDGE_STATES, ids=repr)
+    def test_edge_states_normalize(self, state):
+        for g in (0.0, 0.3, 0.9):
+            p = make_params(g)
+            for t in (0.0, 2.5, 8.0):
+                for mu, nu in ((1.0, 0.0), (0.0, 1.0), (0.6, -1.1), (1.4, 0.3)):
+                    assert abs(normalization(state, mu, nu, t, p) - 1.0) <= 1e-12
+
+    @pytest.mark.parametrize(
+        "state", [Fock(0), Fock(3), Coherent(1.2 - 0.7j), Coherent(-5.0 + 6.0j)], ids=repr
+    )
+    def test_center_is_first_moment(self, state):
+        for g, t in ((0.0, 0.0), (0.05, 5.0), (0.6, 3.0)):
+            p = make_params(g)
+            for mu, nu in ((1.0, 0.0), (0.0, 1.0), (0.6, -1.1)):
+                spec = _x_window(state, mu, nu, t, p)
+                m1 = integrate(
+                    lambda xs: xs * tomogram(state, TomographyFrame(xs, mu, nu), t, p), spec
+                )
+                assert abs(m1 - spec.center) <= 1e-12 * max(spec.half_width, abs(spec.center))
 
 
 class TestRadonOracle:
