@@ -616,7 +616,7 @@ def _check_first_moment(rng):
 
 def _check_central_diff_order(rng):
     hs = np.logspace(-4, -1, 10)
-    errs = [abs(central_diff(math.sin, 0.3, h) - math.cos(0.3)) for h in hs]
+    errs = [abs(central_diff(np.sin, 0.3, h) - math.cos(0.3)) for h in hs]
     slope = float(np.polyfit(np.log(hs), np.log(errs), 1)[0])
     return abs(slope - 2.0)
 

@@ -9,9 +9,12 @@ and since dt/dt' = exp(2 gamma t) its exact physical-time form is
 
     R = exp(2 gamma t) dw/dt - mu dw/dnu + exp(4 gamma t) nu dw/dmu = 0.
 
-The residual R is evaluated with order-1 central differences of the
-closed-form tomograms (step h in each variable) and must vanish as
-O(h**2); this module checks the identity rather than time-stepping it.
+The residual R is evaluated with first differences of the closed-form
+tomograms (step h in each variable, `numerics.central_diff`'s rule): the
+relative residual extrapolates them by Richardson's rule and vanishes as
+O(h**4); the step ladder of `convergence_study` and the raw terms keep the
+plain central difference, O(h**2).  This module checks the identity rather
+than time-stepping it.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ import numpy as np
 
 from .dynamics import DampingParams, epsilon, time_backward, time_forward
 from .errors import DomainError, StepTooLarge
-from .numerics import central_diff
+from .numerics import central_diff, cross_points, diff_from_values, diff_offsets
 from .states import QuantumState
 from .tomography import TomographyFrame, frame_scale_sq, tomogram
 
@@ -53,25 +56,33 @@ def _max_step(mu, nu, t, params: DampingParams) -> float:
     return 0.1 * min(1.0, math.sqrt(frame_scale_sq(mu, nu, t, params)))
 
 
-def _frame_terms(state: QuantumState, x, mu, nu, t, h, params: DampingParams):
-    """Step guard and the stencil shared by both residual forms: returns the
-    tomogram evaluator w(x, mu, nu, t), exp(2 gamma t) and the frame terms
-    (-mu dw/dnu, e^{4gt} nu dw/dmu), each from a central difference."""
-    if not (math.isfinite(h) and h > 0.0):
-        raise DomainError(f"step h must be positive and finite, got {h}")
+def _frame_terms(state: QuantumState, x, mu, nu, t, h, params: DampingParams, richardson=False):
+    """Step guards and the (mu, nu) stencil shared by both residual forms,
+    as one tomogram broadcast: returns w, exp(2 gamma t) and the frame terms
+    (-mu dw/dnu, e^{4gt} nu dw/dmu), each from the first-difference rule."""
+    offsets = diff_offsets(h, richardson)
     if t - h < 0.0:
         raise DomainError(f"t - h = {t - h} < 0: backward time node leaves the domain")
     limit = _max_step(mu, nu, t, params)
     if h > limit:
         raise StepTooLarge(f"h = {h} exceeds 0.1 * min(1, sqrt(s2)) = {limit}")
     e2 = epsilon(t, params).e2
+    ws = tomogram(state, TomographyFrame(x, *cross_points(mu, nu, offsets)), t, params)
+    m = offsets.size
+    dw_dmu = diff_from_values(ws[1 : m + 1], h, richardson)
+    dw_dnu = diff_from_values(ws[m + 1 :], h, richardson)
+    return ws[0], e2, -mu * dw_dnu, e2 * e2 * nu * dw_dmu
 
-    def w(x_, mu_, nu_, t_):
-        return float(tomogram(state, TomographyFrame(x_, mu_, nu_), t_, params))
 
-    dw_dnu = central_diff(lambda nu_: w(x, mu, nu_, t), nu, h)
-    dw_dmu = central_diff(lambda mu_: w(x, mu_, nu, t), mu, h)
-    return w, e2, -mu * dw_dnu, e2 * e2 * nu * dw_dmu
+def _terms(state: QuantumState, x, mu, nu, t, h, params: DampingParams, richardson):
+    """w and the three residual terms (e^{2gt} dw/dt, -mu dw/dnu,
+    e^{4gt} nu dw/dmu), from one first-difference rule."""
+    w, e2, mu_term, nu_term = _frame_terms(state, x, mu, nu, t, h, params, richardson)
+    frame = TomographyFrame(x, mu, nu)  # one call per time node: epsilon is per t
+    dw_dt = central_diff(
+        lambda ts: [tomogram(state, frame, s, params) for s in ts], t, h, richardson
+    )
+    return w, (e2 * dw_dt, mu_term, nu_term)
 
 
 def evolution_terms(
@@ -84,10 +95,8 @@ def evolution_terms(
     params: DampingParams,
 ) -> tuple[float, float, float]:
     """The three residual terms (e^{2gt} dw/dt, -mu dw/dnu, e^{4gt} nu dw/dmu),
-    each from an order-1 central difference with step h."""
-    w, e2, mu_term, nu_term = _frame_terms(state, x, mu, nu, t, h, params)
-    dw_dt = central_diff(lambda t_: w(x, mu, nu, t_), t, h)
-    return e2 * dw_dt, mu_term, nu_term
+    each from the plain central difference with step h, O(h**2)."""
+    return _terms(state, x, mu, nu, t, h, params, richardson=False)[1]
 
 
 def evolution_residual(
@@ -112,16 +121,16 @@ def relative_residual(
     h: float,
     params: DampingParams,
 ) -> float:
-    """|R| normalized by the natural scale of the identity.
+    """|R| normalized by the natural scale of the identity, with every term
+    from Richardson's extrapolated difference, so R is O(h**4).
 
     The scale is max(1, w, |each term|): at strong damping the individual
     terms carry exp(2 gamma t) and exp(4 gamma t) factors that cancel in
     the sum, so measuring |R| against the terms (not only against w) is
     what makes the check meaningful uniformly in gamma and t.
     """
-    terms = evolution_terms(state, x, mu, nu, t, h, params)
-    w0 = float(tomogram(state, TomographyFrame(x, mu, nu), t, params))
-    scale = max(1.0, abs(w0), *[abs(term) for term in terms])
+    w, terms = _terms(state, x, mu, nu, t, h, params, richardson=True)
+    scale = max(1.0, abs(w), *[abs(term) for term in terms])
     return abs(sum(terms)) / scale
 
 
@@ -140,9 +149,13 @@ def evolution_residual_tprime(
     this must agree with :func:`evolution_residual` up to finite-difference
     noise, cross-checking the time reparameterization maps.
     """
-    w, _, mu_term, nu_term = _frame_terms(state, x, mu, nu, t, h, params)
-    g = params.gamma
-    dw_dtp = central_diff(lambda tp: w(x, mu, nu, time_backward(tp, g)), time_forward(t, g), h)
+    _, _, mu_term, nu_term = _frame_terms(state, x, mu, nu, t, h, params)
+    g, frame = params.gamma, TomographyFrame(x, mu, nu)
+    dw_dtp = central_diff(
+        lambda tps: [tomogram(state, frame, time_backward(tp, g), params) for tp in tps],
+        time_forward(t, g),
+        h,
+    )
     return dw_dtp + mu_term + nu_term
 
 

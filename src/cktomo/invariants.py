@@ -50,7 +50,7 @@ import numpy as np
 
 from .dynamics import DampingParams, epsilon
 from .errors import DomainError, KTooSmall
-from .numerics import QuadratureSpec, integrate
+from .numerics import QuadratureSpec, cross_points, diff_from_values, diff_offsets, integrate
 from .states import Fock, QuantumState
 from .tomography import TomographyFrame, _x_window, tomogram
 
@@ -122,34 +122,40 @@ def tomogram_characteristic(
 
 
 def _stencil(state, point: DualPoint, h: float, params):
-    """Nine characteristic-function evaluations sharing one quadrature rule
-    (frozen at the stencil center so finite differences see a smooth map),
-    as one tomogram broadcast over the (mu, nu) stencil x the X nodes and
-    one batched `integrate`; each value is bit for bit the one
-    `_characteristic_with_spec` gives for its point alone."""
+    """Characteristic-function values on a 13-point (mu, nu) stencil sharing
+    one quadrature rule (frozen at the stencil center so finite differences
+    see a smooth map), as one tomogram broadcast over the stencil x the X
+    nodes and one batched `integrate`; each value is bit for bit the one
+    `_characteristic_with_spec` gives for its point alone.  d_mu and d_nu
+    take Richardson's rule from `numerics`, the second differences its
+    central pair and the four corners (mu +- h, nu +- h)."""
     k, mu, nu, t = point.k, point.mu, point.nu, point.t
     base = _characteristic_spec(state, k, mu, nu, t, params)
     spec = QuadratureSpec(
         center=base.center, half_width=1.05 * base.half_width, points=base.points
     )
-    # 00, mu+, mu-, nu+, nu-, ++, +-, -+, --
-    mus = np.array([mu, mu + h, mu - h, mu, mu, mu + h, mu + h, mu - h, mu - h])
-    nus = np.array([nu, nu, nu, nu + h, nu - h, nu + h, nu - h, nu + h, nu - h])
+    offsets = diff_offsets(h, richardson=True)
+    pair = offsets[:2]  # (+h, -h)
+    mus, nus = cross_points(mu, nu, offsets)
+    mus = np.concatenate((mus, mu + np.repeat(pair, 2)))
+    nus = np.concatenate((nus, nu + np.tile(pair, 2)))
 
     def f(xs):
         frame = TomographyFrame(xs[None, :], mus[:, None], nus[:, None])
         return tomogram(state, frame, t, params) * np.exp(1j * k * xs)
 
-    w00, w_mu_p, w_mu_m, w_nu_p, w_nu_m, w_pp, w_pm, w_mp, w_mm = integrate(f, spec).tolist()
-    d_mu = (w_mu_p - w_mu_m) / (2.0 * h)
-    d_nu = (w_nu_p - w_nu_m) / (2.0 * h)
-    d_mumu = (w_mu_p - 2.0 * w00 + w_mu_m) / (h * h)
-    d_nunu = (w_nu_p - 2.0 * w00 + w_nu_m) / (h * h)
+    w, m = integrate(f, spec).tolist(), offsets.size
+    w00, along_mu, along_nu = w[0], w[1 : m + 1], w[m + 1 : 2 * m + 1]
+    w_pp, w_pm, w_mp, w_mm = w[2 * m + 1 :]
+    d_mumu = (along_mu[0] - 2.0 * w00 + along_mu[1]) / (h * h)
+    d_nunu = (along_nu[0] - 2.0 * w00 + along_nu[1]) / (h * h)
     d_munu = (w_pp - w_pm - w_mp + w_mm) / (4.0 * h * h)
+    d_mu = diff_from_values(along_mu, h, richardson=True)
+    d_nu = diff_from_values(along_nu, h, richardson=True)
     return w00, d_mu, d_nu, d_mumu, d_nunu, d_munu
 
 
-def _validate_apply(variant: str, state: Fock, point: DualPoint, h: float):
+def _validate_apply(variant: str, state: Fock, point: DualPoint):
     if variant not in ("direct", "conjugate"):
         raise DomainError(f"variant must be 'direct' or 'conjugate', got {variant!r}")
     if not isinstance(state, Fock):
@@ -158,8 +164,6 @@ def _validate_apply(variant: str, state: Fock, point: DualPoint, h: float):
         raise DomainError(f"number_apply supports n <= {_MAX_APPLY_N}, got {state.n}")
     if abs(point.k) < _K_MIN:
         raise KTooSmall(f"|k| = {abs(point.k)} below floor {_K_MIN}")
-    if not (math.isfinite(h) and h > 0.0):
-        raise DomainError(f"step h must be positive and finite, got {h}")
 
 
 def number_apply(
@@ -170,7 +174,7 @@ def number_apply(
     Returns the complex value of (N w~)(k, mu, nu, t); on a Fock tomogram
     it equals n * w~ up to finite-difference and quadrature noise.
     """
-    _validate_apply(variant, state, point, h)
+    _validate_apply(variant, state, point)
     direct, conjugate = _apply_to_stencil(point, params, _stencil(state, point, h, params))
     return direct if variant == "direct" else conjugate
 
@@ -208,7 +212,7 @@ def number_apply_printed(
     first-order products are expanded literally, e.g.
     nu d/dnu + d/dnu nu = 2 nu d/dnu + 1.
     """
-    _validate_apply(variant, state, point, h)
+    _validate_apply(variant, state, point)
     k, mu, nu = point.k, point.mu, point.nu
     es = epsilon(point.t, params)
     ee, dd, ce, e2 = es.ee, es.dd, es.ce, es.e2
@@ -255,7 +259,7 @@ def eigen_residual(n: int, sample, h: float, params: DampingParams) -> float:
     for point in points:
         w00 = tomogram_characteristic(state, point.k, point.mu, point.nu, point.t, params)
         denom = max(abs(w00), 1e-3)
-        _validate_apply("direct", state, point, h)
+        _validate_apply("direct", state, point)
         for value in _apply_to_stencil(point, params, _stencil(state, point, h, params)):
             worst = max(worst, abs(value - n * w00) / denom)
     return worst

@@ -23,6 +23,9 @@ __all__ = [
     "hermite_gauss",
     "integrate",
     "central_diff",
+    "cross_points",
+    "diff_from_values",
+    "diff_offsets",
 ]
 
 _MAX_HERMITE = 64
@@ -203,12 +206,46 @@ def integrate(f: Callable, spec: QuadratureSpec):
     return complex(total) if np.iscomplexobj(ys) else float(total)
 
 
-def central_diff(f: Callable, x: float, h: float) -> float:
-    """First derivative of f at x by the central difference
-    (f(x+h) - f(x-h)) / (2h), with O(h**2) truncation."""
+# the first-difference rule samples f at x + h * _OFFSETS: the central pair
+# (+1, -1), then (+1/2, -1/2) for Richardson's halved step
+_OFFSETS = np.array([1.0, -1.0, 0.5, -0.5])
+
+
+def diff_offsets(h: float, richardson: bool = False):
+    """Offsets h * (+1, -1) of the central difference, then h * (+1/2, -1/2)
+    for Richardson's rule; the one check that h is a usable step."""
     if not (math.isfinite(h) and h > 0.0):
         raise DomainError(f"step h must be positive and finite, got {h}")
-    return (f(x + h) - f(x - h)) / (2.0 * h)
+    return h * _OFFSETS[: 4 if richardson else 2]
+
+
+def diff_from_values(values, h: float, richardson: bool = False):
+    """First derivative from f at `diff_offsets(h, richardson)`, stacked on
+    the leading axis: D(h) = (f(x+h) - f(x-h)) / (2h) with O(h**2)
+    truncation, or Richardson's D4 = (4 D(h/2) - D(h)) / 3 with O(h**4)
+    (Richardson, Phil. Trans. R. Soc. A 210 (1911) 307)."""
+    d = (values[0] - values[1]) / (2.0 * h)
+    if richardson:
+        d = (4.0 * ((values[2] - values[3]) / h) - d) / 3.0
+    return d
+
+
+def cross_points(x: float, y: float, offsets):
+    """A 2-D stencil around (x, y), for callers that evaluate it in one
+    broadcast: the center, x + offsets at y, then y + offsets at x."""
+    return (
+        np.concatenate(([x], x + offsets, np.full_like(offsets, x))),
+        np.concatenate(([y], np.full_like(offsets, y), y + offsets)),
+    )
+
+
+def central_diff(f: Callable, x, h: float, richardson: bool = False):
+    """First derivative of f at x (a scalar or an array).  f must be
+    vectorized: it is called once, on x + `diff_offsets(h, richardson)`
+    stacked on a new leading axis, the way `integrate` calls it once on all
+    its nodes."""
+    offsets = diff_offsets(h, richardson)
+    return diff_from_values(np.asarray(f(np.add.outer(offsets, x))), h, richardson)
 
 
 _FMT = "%.17g"  # 17 significant digits round-trip binary doubles exactly

@@ -46,6 +46,7 @@ __all__ = [
     "tomogram",
     "normalization",
     "radon_tomogram",
+    "frame_scale_sq",
 ]
 
 _SQRT2 = math.sqrt(2.0)

@@ -1,24 +1,58 @@
 """The benchmark's traced runs (`perfbench/run.py --trace 1`) wrap cktomo
-functions by name through `perfbench/spans.py`; a rename or deletion of a
-hooked name has to fail here, not only in a traced benchmark run."""
+functions by name through `perfbench/spans.py`, and its oracle
+`perfbench/oracles.check_report` fixes the lines of a `check all` report; a
+rename or deletion of a hooked name, or a check line added or dropped, has
+to fail here, not only in a benchmark run."""
 
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parents[1]
+
+
+def _env():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    return env
 
 
 def test_perfbench_install_resolves_every_hook():
     # install() monkeypatches cktomo's modules, so it runs in a child process
     code = "import sys; sys.path.insert(0, sys.argv[1]); import spans; spans.install()"
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
     res = subprocess.run(
         [sys.executable, "-c", code, str(ROOT / "perfbench")],
         capture_output=True,
-        env=env,
+        env=_env(),
         timeout=120,
     )
     assert res.returncode == 0, res.stderr.decode()
+
+
+def test_check_report_passes_the_benchmark_oracle():
+    # the oracle counts the scored and INFO lines of a real report, checks
+    # each status against its value and the exit code against the FAILs
+    pytest.importorskip("scipy")  # perfbench/oracles.py imports it
+    report = subprocess.run(
+        [sys.executable, "-m", "cktomo", "check", "all", "--seed", "42"],
+        capture_output=True,
+        env=_env(),
+        timeout=300,
+    )
+    code = (
+        "import sys, types; sys.path.insert(0, sys.argv[1]); import oracles; "
+        "request = types.SimpleNamespace(params={'seed': 42}); "
+        "print(oracles.check_report(request, sys.stdin.read(), int(sys.argv[2])))"
+    )
+    res = subprocess.run(
+        [sys.executable, "-c", code, str(ROOT / "perfbench"), str(report.returncode)],
+        input=report.stdout,
+        capture_output=True,
+        env=_env(),
+        timeout=120,
+    )
+    assert res.returncode == 0, res.stderr.decode()
+    assert res.stdout.decode().strip() == "(41, False)"

@@ -16,7 +16,8 @@ from cktomo import (
     make_params,
     relative_residual,
 )
-from cktomo.checks import _evolution_config
+from cktomo import evolution
+from cktomo.checks import _evolution_config, run_checks
 from cktomo.evolution import _max_step
 
 
@@ -77,6 +78,53 @@ class TestResidual:
         # the mu d/dnu term drops; the residual must still vanish
         got = relative_residual(Fock(0), 0.3, 0.0, 1.0, 1.0, 1e-3, make_params(0.05))
         assert got < 1e-6
+
+
+class TestStencilCalls:
+    def _count_tomograms(self, monkeypatch):
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return tomogram(*args)
+
+        tomogram = evolution.tomogram
+        monkeypatch.setattr(evolution, "tomogram", counted)
+        return calls
+
+    def test_terms_take_one_frame_broadcast_and_one_call_per_time(self, monkeypatch):
+        calls = self._count_tomograms(monkeypatch)
+        evolution_terms(Fock(1), 0.6, 0.9, -0.5, 1.0, 1e-3, make_params(0.05))
+        # the (mu +- h, nu +- h) cross around w0, then t + h and t - h
+        assert [np.size(call[1].mu) for call in calls] == [5, 1, 1]
+
+    def test_relative_residual_reuses_the_broadcast_w0(self, monkeypatch):
+        calls = self._count_tomograms(monkeypatch)
+        relative_residual(Fock(1), 0.6, 0.9, -0.5, 1.0, 1e-3, make_params(0.05))
+        # Richardson's rule: a 9-point cross, then t +- h and t +- h/2
+        assert [np.size(call[1].mu) for call in calls] == [9, 1, 1, 1, 1]
+
+    @pytest.mark.parametrize(
+        "state, point, gamma",
+        [
+            (Fock(1), (0.7, 0.8, -0.6, 5.0), 0.0),
+            (Fock(1), (0.7, 0.8, -0.6, 5.0), 0.05),
+            (Coherent(1.0 + 1.0j), (0.4, 1.1, 0.5, 2.0), 0.3),
+        ],
+    )
+    def test_relative_residual_order_four(self, state, point, gamma):
+        hs = (2e-2, 1e-2, 5e-3)
+        rs = [relative_residual(state, *point, h, make_params(gamma)) for h in hs]
+        slope = np.polyfit(np.log(hs), np.log(rs), 1)[0]
+        assert slope == pytest.approx(4.0, abs=0.3)
+
+    def test_seed_17_passes(self):
+        # the plain central difference failed evolution_residual_rel here
+        # at 1.0e-4 against 1e-5: pure O(h**2) truncation
+        results = run_checks("evolution", 17)
+        assert [r.name for r in results if not r.passed] == []
+        rel = next(r for r in results if r.name == "evolution_residual_rel")
+        assert rel.value < 1e-7
 
 
 class TestTPrimeForm:

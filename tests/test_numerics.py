@@ -270,18 +270,45 @@ class TestCentralDiff:
             assert abs(got - 6.0) < 1e-10
 
     def test_sine_first_derivative(self):
-        got = central_diff(math.sin, 0.0, 1e-3)
+        got = central_diff(np.sin, 0.0, 1e-3)
         assert abs(got - 1.0) < 2e-7  # h**2/6 Taylor bound
 
     def test_truncation_order_two(self):
         hs = np.logspace(-4, -1, 12)
-        errs = [abs(central_diff(math.sin, 0.3, h) - math.cos(0.3)) for h in hs]
+        errs = [abs(central_diff(np.sin, 0.3, h) - math.cos(0.3)) for h in hs]
         slope = np.polyfit(np.log(hs), np.log(errs), 1)[0]
         assert abs(slope - 2.0) < 0.1
 
+    def test_richardson_truncation_order_four(self):
+        # (4 D(h/2) - D(h)) / 3 leaves -h**4 f^(5) / 480; rounding stays far
+        # below it for h >= 1e-2
+        hs = np.logspace(-2, -0.5, 10)
+        errs = [abs(central_diff(np.sin, 0.3, h, richardson=True) - math.cos(0.3)) for h in hs]
+        slope = np.polyfit(np.log(hs), np.log(errs), 1)[0]
+        assert abs(slope - 4.0) < 0.1
+
+    def test_richardson_exact_on_quartics(self):
+        got = central_diff(lambda x: x**4 - 3.0 * x**3, 1.5, 0.1, richardson=True)
+        assert abs(got - (4.0 * 1.5**3 - 9.0 * 1.5**2)) < 1e-12
+
+    @pytest.mark.parametrize("richardson, offsets", [(False, [1.0, -1.0]), (True, [1.0, -1.0, 0.5, -0.5])])
+    def test_calls_f_once_on_stacked_offsets(self, richardson, offsets):
+        calls = []
+
+        def f(xs):
+            calls.append(xs)
+            return np.sin(xs)
+
+        xs = np.array([0.1, 0.2, 0.4])
+        got = central_diff(f, xs, 1e-2, richardson=richardson)
+        assert len(calls) == 1
+        assert np.array_equal(calls[0], np.add.outer(1e-2 * np.array(offsets), xs))
+        assert np.max(np.abs(got - np.cos(xs))) < 2e-5
+
     def test_validation(self):
-        with pytest.raises(DomainError):
-            central_diff(math.sin, 0.0, -1e-3)
+        for h in (-1e-3, 0.0, math.inf, math.nan):
+            with pytest.raises(DomainError):
+                central_diff(np.sin, 0.0, h)
 
 
 class TestScalarGrid:
