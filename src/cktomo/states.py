@@ -27,7 +27,7 @@ from typing import Union
 
 import numpy as np
 
-from .dynamics import DampingParams, EpsilonState, epsilon
+from .dynamics import DampingParams, epsilon
 from .errors import DomainError, NonFinite
 from .numerics import _PI_QUARTER, _gauss_legendre, _rung, hermite_gauss
 
@@ -46,10 +46,8 @@ _SQRT2 = math.sqrt(2.0)
 _MAX_FOCK = 16
 _MAX_ALPHA = 8.0
 # (point x half-rule node) elements per chunk of the pointwise `wigner`: its
-# complex work matrices stay at 128 kB, in cache and below numpy's 256 kB
-# threshold for reusing temporaries in place, whose in-place complex
-# product rounds differently; so every chunk size up to this one gives the
-# same bits
+# real work matrices stay at 64 kB, in cache; each point's sum is its own,
+# so every chunk size gives the same bits
 _WIGNER_CHUNK = 1 << 13
 
 
@@ -85,65 +83,59 @@ class Fock:
 QuantumState = Union[Coherent, Fock]
 
 
-def _inv_sqrt_eps(t: float, params: DampingParams) -> complex:
-    # eps**(-1/2) on the continuously tracked branch: modulus
-    # Omega**(1/4) exp(gamma t / 2), phase -Omega t / 2.
-    om = params.omega_reduced
-    mod = om**0.25 * math.exp(0.5 * params.gamma * t)
-    return mod * cmath.exp(-0.5j * om * t)
+def _amplitude(state: QuantumState, t: float, params: DampingParams):
+    """The one home of the wave functions: the split
+    psi(q) = c R(q) exp(i (theta q**2 + kappa q)) with R real, returned as
+    (c, theta, kappa, R).  With beta = sqrt(2) alpha / eps and
+    C = -eps* alpha**2 / (2 eps) - |alpha|**2/2,
+
+        coherent: psi = pi**(-1/4) eps**(-1/2)
+                        * exp( i eps' e^{2 gamma t} q**2 / (2 eps) + beta q + C )
+        Fock n:   psi = pi**(-1/4) eps**(-1/2) (eps*/(2 eps))**(n/2) / sqrt(n!)
+                        * exp( i eps' e^{2 gamma t} q**2 / (2 eps) ) H_n(q / |eps|)
+
+    The q**2 coefficient is -1/(2 |eps|**2) + i theta, theta = -gamma e^{2 gamma t}/2.
+    Fock n: kappa = 0, R = phi_n(q/|eps|) (`numerics.hermite_gauss`), and
+    (eps*/eps)**(n/2) = exp(-i n Omega t) on the tracked branch goes into c.
+    Coherent: kappa = Im beta, R = exp(-q**2/(2 |eps|**2) + Re beta q + Re C),
+    exp(i Im C) goes into c.  The alpha**2 term uses eps*, not eps'*: with
+    the dotted coefficient the state is not normalized for alpha != 0.
+    """
+    es = epsilon(t, params)
+    om, theta = params.omega_reduced, -0.5 * params.gamma * es.e2
+    # eps**(-1/2) on the tracked branch: Omega**(1/4) exp(gamma t / 2) exp(-i Omega t / 2)
+    c = om**0.25 * math.exp(0.5 * params.gamma * t) * cmath.exp(-0.5j * om * t)
+    if isinstance(state, Fock):
+        n, scale = state.n, math.sqrt(es.ee)
+        c *= cmath.exp(-1j * n * om * t)
+        return c, theta, 0.0, lambda q: hermite_gauss(n, q / scale)
+    if isinstance(state, Coherent):
+        alpha = state.alpha
+        beta = _SQRT2 * alpha / es.eps
+        const = -es.eps.conjugate() * alpha * alpha / (2.0 * es.eps) - abs(alpha) ** 2 / 2.0
+        c *= _PI_QUARTER * cmath.exp(1j * const.imag)
+        inv_2ee = 0.5 / es.ee
+        return c, theta, beta.imag, lambda q: np.exp(-inv_2ee * q * q + beta.real * q + const.real)
+    raise DomainError(f"unknown state {state!r}")
 
 
-def _quadratic_phase(es: EpsilonState) -> complex:
-    """Coefficient i eps' e^{2 gamma t} / (2 eps) of q**2 in the exponent
-    of every wave function here."""
-    return 0.5j * es.eps_dot * es.e2 / es.eps
+def _psi(state: QuantumState, q, t: float, params: DampingParams) -> complex | np.ndarray:
+    c, theta, kappa, r = _amplitude(state, t, params)
+    qa = np.asarray(q, dtype=float)
+    out = c * r(qa) * np.exp(1j * (theta * qa + kappa) * qa)
+    return complex(out) if qa.ndim == 0 else out
 
 
 def coherent_psi(q, t: float, alpha: complex, params: DampingParams) -> complex | np.ndarray:
-    """Coherent-state wave function at position(s) q and time t.
-
-        psi = pi**(-1/4) eps**(-1/2) exp( i eps' e^{2 gamma t} q**2 / (2 eps)
-              + sqrt(2) alpha q / eps - eps* alpha**2 / (2 eps) - |alpha|**2/2 )
-
-    The alpha**2 coefficient uses eps*, not the time derivative eps'*: with
-    the dotted coefficient the state is not normalized for alpha != 0 and
-    every downstream oracle (normalization, Radon agreement, moments)
-    fails.
-    """
-    alpha = complex(Coherent(alpha).alpha)
-    es = epsilon(t, params)
-    c2 = _quadratic_phase(es)
-    const = -es.eps.conjugate() * alpha * alpha / (2.0 * es.eps) - abs(alpha) ** 2 / 2.0
-    qa = np.asarray(q, dtype=float)
-    out = (
-        _PI_QUARTER
-        * _inv_sqrt_eps(t, params)
-        * np.exp(c2 * qa * qa + _SQRT2 * alpha * qa / es.eps + const)
-    )
-    return complex(out) if qa.ndim == 0 else out
+    """Coherent-state wave function at position(s) q and time t (formula in
+    `_amplitude`)."""
+    return _psi(Coherent(alpha), q, t, params)
 
 
 def fock_psi(q, t: float, n: int, params: DampingParams) -> complex | np.ndarray:
-    """Fock-state wave function at position(s) q and time t.
-
-        psi = pi**(-1/4) eps**(-1/2) (eps*/(2 eps))**(n/2) / sqrt(n!)
-              * exp( i eps' e^{2 gamma t} q**2 / (2 eps) ) H_n(q / |eps|)
-            = eps**(-1/2) exp(-i n Omega t)
-              * exp( i eps' e^{2 gamma t} q**2 / (2 eps) + y**2/2 ) phi_n(y)
-
-    with y = q/|eps| and phi_n the orthonormal Hermite function
-    (:func:`cktomo.numerics.hermite_gauss`); (eps*/eps)**(n/2) is taken on
-    the tracked branch as exp(-i n Omega t).  The real part of the quadratic
-    exponent is -y**2/2 exactly, so the second exponential is a pure phase.
-    """
-    n = Fock(n).n
-    es = epsilon(t, params)
-    c2 = _quadratic_phase(es)
-    prefactor = _inv_sqrt_eps(t, params) * cmath.exp(-1j * n * params.omega_reduced * t)
-    qa = np.asarray(q, dtype=float)
-    y = qa / math.sqrt(es.ee)
-    out = prefactor * np.exp(c2 * qa * qa + 0.5 * y * y) * hermite_gauss(n, y)
-    return complex(out) if qa.ndim == 0 else out
+    """Fock-state wave function at position(s) q and time t (formula in
+    `_amplitude`)."""
+    return _psi(Fock(n), q, t, params)
 
 
 def psi(state: QuantumState, q, t: float, params: DampingParams):
@@ -233,11 +225,14 @@ def _half_rule(u_nodes: np.ndarray, u_weights: np.ndarray) -> tuple[np.ndarray, 
     return u_nodes[h:], weights
 
 
-def _wigner_kernel(state: QuantumState, q, u_nodes, t: float, params: DampingParams) -> np.ndarray:
-    """psi(q + u/2) psi*(q - u/2) over 1-D q and the half-rule u nodes, shape (Q, U)."""
-    return psi(state, q[:, None] + 0.5 * u_nodes, t, params) * np.conj(
-        psi(state, q[:, None] - 0.5 * u_nodes, t, params)
-    )
+def _wigner_factors(split, q, u_nodes) -> tuple[np.ndarray, np.ndarray]:
+    """R(q + u/2) R(q - u/2), shape (Q, U) over 1-D q and the half-rule u
+    nodes, and the rate 2 theta q + kappa, shape (Q, 1), of the `_amplitude`
+    split: psi(q+u/2) psi*(q-u/2) exp(-i p u) = |c|**2 R R exp(i u (rate - p))."""
+    _, theta, kappa, r = split
+    qq = q[:, None]
+    half = 0.5 * u_nodes
+    return r(qq + half) * r(qq - half), 2.0 * theta * qq + kappa
 
 
 def _real_wigner(w: np.ndarray) -> np.ndarray:
@@ -254,22 +249,25 @@ def _wigner_grid(
     """W over the product grid qs x ps (1-D axes), shape (Q, P), as one
     separable product over the nonnegative half of the u-rule (`_half_rule`):
 
-        W(q, p) = sum_u Re K(q, u) cos(p u) + Im K(q, u) sin(p u),
-        K(q, u) = psi(q + u/2) psi*(q - u/2) w_u,
+        W(q, p) = sum_u A cos(phi - p u) = sum_u A [cos phi cos(p u) + sin phi sin(p u)],
+        A = |c|**2 R(q + u/2) R(q - u/2) w_u,  phi = u (2 theta q + kappa)
 
-    so psi is evaluated once per (q, u >= 0) node instead of once per
-    (q, p, u), and the phase table once per (p, u >= 0).  The u-rule is the
-    one `wigner` would pick for the same grid.  The contraction is one real
-    einsum (no BLAS), whose summation order does not depend on the BLAS
-    thread count, so the bytes do not either.
+    (`_wigner_factors`), so R is evaluated once per (q, u >= 0) node instead
+    of once per (q, p, u), and the phase table once per (p, u >= 0).  The
+    u-rule is the one `wigner` would pick for the same grid.  The
+    contraction is one real einsum (no BLAS), whose summation order does
+    not depend on the BLAS thread count, so the bytes do not either.
     """
+    split = _amplitude(state, t, params)
     u_nodes, u_weights = _half_rule(*_wigner_u_rule(state, qs, ps, t, params))
-    kernel = _wigner_kernel(state, qs, u_nodes, t, params) * u_weights
+    amp, rate = _wigner_factors(split, qs, u_nodes)
+    amp *= abs(split[0]) ** 2 * u_weights
+    phi = rate * u_nodes
     pu = ps[:, None] * u_nodes
     return _real_wigner(
         np.einsum(
             "qu,pu->qp",
-            np.hstack((kernel.real, kernel.imag)),
+            np.hstack((amp * np.cos(phi), amp * np.sin(phi))),
             np.hstack((np.cos(pu), np.sin(pu))),
         )
     )
@@ -283,7 +281,8 @@ def wigner(q, p, t: float, state: QuantumState, params: DampingParams):
     exp(-i p u) over the Gaussian support in u; accepts scalar or ndarray
     q, p (broadcast together).  The integrand at -u is the conjugate of the
     one at u, so only the nonnegative half of the (exactly symmetric) rule
-    is summed, as 2 Re, and the result is real by construction.
+    is summed, as 2 Re: |c|**2 R(q+u/2) R(q-u/2) cos(u (2 theta q + kappa - p))
+    (`_wigner_factors`), two real R values and one cosine per (point, u).
     """
     qa, pa = np.broadcast_arrays(np.asarray(q, dtype=float), np.asarray(p, dtype=float))
     if not (np.all(np.isfinite(qa)) and np.all(np.isfinite(pa))):
@@ -291,7 +290,9 @@ def wigner(q, p, t: float, state: QuantumState, params: DampingParams):
     scalar = qa.ndim == 0
     qa = np.atleast_1d(qa)
     pa = np.atleast_1d(pa)
+    split = _amplitude(state, t, params)
     u_nodes, u_weights = _half_rule(*_wigner_u_rule(state, qa, pa, t, params))
+    u_weights = abs(split[0]) ** 2 * u_weights
     # each point is summed on its own by einsum (BLAS gemv rounds a row by
     # its place in the call and the thread count)
     chunk = max(1, _WIGNER_CHUNK // u_nodes.size)
@@ -299,9 +300,7 @@ def wigner(q, p, t: float, state: QuantumState, params: DampingParams):
     out = np.empty(flat_q.shape, dtype=float)
     for start in range(0, flat_q.size, chunk):
         sl = slice(start, start + chunk)
-        kernel = _wigner_kernel(state, flat_q[sl], u_nodes, t, params)
-        pu = flat_p[sl, None] * u_nodes
-        re_phased = kernel.real * np.cos(pu) + kernel.imag * np.sin(pu)  # Re[kernel exp(-i p u)]
-        out[sl] = np.einsum("qu,u->q", re_phased, u_weights)
+        amp, rate = _wigner_factors(split, flat_q[sl], u_nodes)
+        out[sl] = np.einsum("qu,u->q", amp * np.cos((rate - flat_p[sl, None]) * u_nodes), u_weights)
     out = _real_wigner(out.reshape(qa.shape))
     return float(out[0]) if scalar else out

@@ -4,6 +4,7 @@ functions by name through `perfbench/spans.py`, and its oracle
 rename or deletion of a hooked name, or a check line added or dropped, has
 to fail here, not only in a benchmark run."""
 
+import json
 import os
 import subprocess
 import sys
@@ -56,3 +57,20 @@ def test_check_report_passes_the_benchmark_oracle():
     )
     assert res.returncode == 0, res.stderr.decode()
     assert res.stdout.decode().strip() == "(41, False)"
+
+
+def test_wigner_workload_passes_the_benchmark_oracle():
+    # one pass of the benchmark's wigner_cli requests (about 3 s), each grid
+    # checked against perfbench's scipy closed form of W, so a drift in W
+    # values fails here and not only as a benchmark's incorrect output
+    pytest.importorskip("scipy")  # perfbench/oracles.py imports it
+    res = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", "wigner_cli", "--seconds", "0"],
+        cwd=ROOT,
+        capture_output=True,
+        env=_env(),
+        timeout=300,
+    )
+    assert res.returncode == 0, res.stderr.decode()
+    last = json.loads(res.stdout.decode().strip().splitlines()[-1])
+    assert last["correct"] is True and last["failed"] == 0, last

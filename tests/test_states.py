@@ -1,3 +1,4 @@
+import cmath
 import math
 
 import numpy as np
@@ -19,7 +20,7 @@ from cktomo import (
     wigner,
 )
 from cktomo.checks import _check_wigner_marginal
-from cktomo.numerics import _gauss_legendre
+from cktomo.numerics import _gauss_legendre, hermite_gauss
 from cktomo.tomography import _x_window
 
 SQRT2 = math.sqrt(2.0)
@@ -116,6 +117,41 @@ class TestFockPsi:
         assert nrm == pytest.approx(1.0, abs=1e-9)
 
 
+def _psi_complex_exponent(state, q, t, params):
+    """psi as one complex exponent per state, the form the library used
+    before the real split psi = c R exp(i (theta q**2 + kappa q))."""
+    es = epsilon(t, params)
+    om = params.omega_reduced
+    c2 = 0.5j * es.eps_dot * es.e2 / es.eps  # i eps' e^{2 gamma t} / (2 eps)
+    inv_sqrt_eps = om**0.25 * math.exp(0.5 * params.gamma * t) * cmath.exp(-0.5j * om * t)
+    if isinstance(state, Fock):
+        y = q / math.sqrt(es.ee)
+        prefactor = inv_sqrt_eps * cmath.exp(-1j * state.n * om * t)
+        return prefactor * np.exp(c2 * q * q + 0.5 * y * y) * hermite_gauss(state.n, y)
+    a = state.alpha
+    const = -es.eps.conjugate() * a * a / (2.0 * es.eps) - abs(a) ** 2 / 2.0
+    return math.pi**-0.25 * inv_sqrt_eps * np.exp(c2 * q * q + SQRT2 * a * q / es.eps + const)
+
+
+class TestPsiSplit:
+    # the real split is an exact rewriting of the paper's complex exponent,
+    # so the two agree to rounding over the whole supported envelope
+    STATES = [Fock(n) for n in range(17)] + [
+        Coherent(r * cmath.exp(1j * ph)) for r in (0.5, 3.0, 7.9) for ph in (0.4, 2.1, 4.4)
+    ]
+
+    @pytest.mark.parametrize("gamma", [0.0, 0.3, 0.9])
+    @pytest.mark.parametrize("t", [0.0, 1.7, 8.0])
+    def test_psi_matches_complex_exponent(self, gamma, t):
+        p = make_params(gamma)
+        for state in self.STATES:
+            mean, cov = states.wigner_moments(state, t, p)
+            qs = mean[0] + math.sqrt(cov[0, 0]) * np.linspace(-6.0, 6.0, 241)
+            ref = _psi_complex_exponent(state, qs, t, p)
+            got = psi(state, qs, t, p)
+            assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref)), state
+
+
 class TestWigner:
     def test_ground_closed_form(self):
         p = make_params(0.0)
@@ -200,14 +236,20 @@ class TestWignerGrid:
         assert np.max(np.abs(grid - point)) <= 1e-13 * np.max(np.abs(point))
 
     def test_non_finite_refused(self, monkeypatch):
-        real_psi = states.psi
+        # a NaN in the real envelope R of the psi split reaches both sums
+        real_amplitude = states._amplitude
 
-        def broken_psi(state, q, t, params):
-            out = real_psi(state, q, t, params)
-            out.flat[0] = np.nan
-            return out
+        def broken_amplitude(state, t, params):
+            c, theta, kappa, r = real_amplitude(state, t, params)
 
-        monkeypatch.setattr(states, "psi", broken_psi)
+            def broken_r(q):
+                out = r(q)
+                out.flat[0] = np.nan
+                return out
+
+            return c, theta, kappa, broken_r
+
+        monkeypatch.setattr(states, "_amplitude", broken_amplitude)
         qs = np.linspace(-1.0, 1.0, 5)
         with pytest.raises(NonFinite):
             states._wigner_grid(Fock(1), qs, qs, 1.0, make_params(0.1))
@@ -240,6 +282,13 @@ def _assert_real(full):
     assert np.all(np.abs(full.imag) < 1e-9 * (1.0 + np.abs(full.real)))
 
 
+def _alpha_mean_p_zero(r, gamma, t):
+    """The alpha of modulus r whose Wigner mean has p = 0 at (gamma, t), so
+    the fixed test grid around the origin sees the state."""
+    d = epsilon(t, make_params(gamma)).eps_dot
+    return 1j * r * d / abs(d)
+
+
 class TestHalfRule:
     CASES = [
         (Fock(0), 0.1, 3.0),
@@ -247,6 +296,9 @@ class TestHalfRule:
         (Fock(12), 0.2, 3.0),
         (Fock(16), 0.1, 1.0),
         (Coherent(1.2 - 0.7j), 0.05, 2.0),
+        # the edge of the supported envelope
+        (Fock(16), 0.6, 2.0),
+        (Coherent(_alpha_mean_p_zero(7.9, 0.6, 3.0)), 0.6, 3.0),  # mean q = -1.65
     ]
 
     @pytest.mark.parametrize("state, gamma, t", CASES)
