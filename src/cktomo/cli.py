@@ -30,7 +30,7 @@ from . import checks
 from .dynamics import make_params
 from .errors import CkTomoError, DomainError, NonFinite
 from .numerics import Axis, ScalarGrid
-from .states import Coherent, Fock, QuantumState, _wigner_grid
+from .states import Coherent, Fock, QuantumState, wigner
 from .tomography import TomographyFrame, optical_frame, tomogram
 
 __all__ = ["main", "UsageError", "parse_state", "parse_grid", "RunConfig"]
@@ -193,9 +193,8 @@ def cmd_wigner(config: RunConfig) -> ScalarGrid:
         raise UsageError("wigner requires --q-grid and --p-grid")
     if len(config.q_axis) > _MAX_WIGNER_AXIS or len(config.p_axis) > _MAX_WIGNER_AXIS:
         raise UsageError(f"wigner grids are capped at {_MAX_WIGNER_AXIS} points per axis")
-    values = _wigner_grid(
-        config.state, config.q_axis.values, config.p_axis.values, config.t, params
-    )
+    qs, ps = config.q_axis.values, config.p_axis.values
+    values = wigner(qs[:, None], ps[None, :], config.t, config.state, params)
     meta = {
         "gamma": "%.17g" % config.gamma,
         "t": "%.17g" % config.t,

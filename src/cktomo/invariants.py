@@ -249,7 +249,9 @@ def eigen_residual(n: int, sample, h: float, params: DampingParams) -> float:
     """Worst relative eigenvalue defect of both operator variants over a
     sample of dual points:
 
-        max |N w~ - n w~| / max(|w~|, 1e-3).
+        max |N w~ - n w~| / max(|w~|, 1e-3),
+
+    w~ the center value of the point's own `_stencil`.
     """
     state = Fock(n)
     points = list(sample)
@@ -257,9 +259,10 @@ def eigen_residual(n: int, sample, h: float, params: DampingParams) -> float:
         raise DomainError("eigen_residual needs a nonempty sample")
     worst = 0.0
     for point in points:
-        w00 = tomogram_characteristic(state, point.k, point.mu, point.nu, point.t, params)
-        denom = max(abs(w00), 1e-3)
         _validate_apply("direct", state, point)
-        for value in _apply_to_stencil(point, params, _stencil(state, point, h, params)):
+        stencil = _stencil(state, point, h, params)
+        w00 = stencil[0]
+        denom = max(abs(w00), 1e-3)
+        for value in _apply_to_stencil(point, params, stencil):
             worst = max(worst, abs(value - n * w00) / denom)
     return worst

@@ -1,16 +1,22 @@
-"""Wave functions of the damped oscillator and the numerically evaluated
-Wigner function that serves as the independent oracle for every tomogram.
+"""Wave functions and Wigner functions of the damped oscillator.
+
+Every state here is a displaced number state D(alpha)|n> of the damped
+oscillator, with n = 0 (`Coherent`) or alpha = 0 (`Fock`); both classes
+carry both numbers, so one closed form covers each observable.
 
 Conventions
 -----------
-The Wigner function is computed as
+The Wigner function is
 
     W(q, p, t) = Integral  psi(q + u/2) psi*(q - u/2) exp(-i p u) du,
 
 which fixes the normalization Integral W dq dp = 2*pi.  That is the unique
 choice consistent with the Radon relation between W and the quadrature
 distribution together with the normalization of the latter; it is pinned by
-the frictionless ground state, W = 2 exp(-q**2 - p**2).
+the frictionless ground state, W = 2 exp(-q**2 - p**2).  The public
+`wigner` is Groenewold's closed form of this integral; `_wigner_quadrature`
+evaluates the integral itself from psi and is kept as the independent
+oracle of the Radon and Wigner checks.
 
 Branch tracking: eps(t) = |eps| exp(i*Omega*t) with a positive modulus, so
 complex powers of eps are taken with the phase unwrapped as Omega*t rather
@@ -23,7 +29,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import Union
+from typing import ClassVar, Union
 
 import numpy as np
 
@@ -45,7 +51,10 @@ __all__ = [
 _SQRT2 = math.sqrt(2.0)
 _MAX_FOCK = 16
 _MAX_ALPHA = 8.0
-# (point x half-rule node) elements per chunk of the pointwise `wigner`: its
+# every W here (n <= 16) is 0.0 from r**2 = 746 on, where exp(-r**2)
+# underflows while L_n(2 r**2) stays finite; clipping r**2 there moves no value
+_R2_TAIL = 1.0e3
+# (point x half-rule node) elements per chunk of `_wigner_quadrature`: its
 # real work matrices stay at 64 kB, in cache; each point's sum is its own,
 # so every chunk size gives the same bits
 _WIGNER_CHUNK = 1 << 13
@@ -56,6 +65,7 @@ class Coherent:
     """Coherent state |alpha> of the damped oscillator."""
 
     alpha: complex
+    n: ClassVar[int] = 0
 
     def __post_init__(self) -> None:
         a = complex(self.alpha)
@@ -71,6 +81,7 @@ class Fock:
     """Number (loss-energy) state |n> of the damped oscillator."""
 
     n: int
+    alpha: ClassVar[complex] = 0j
 
     def __post_init__(self) -> None:
         if not isinstance(self.n, (int, np.integer)) or isinstance(self.n, bool):
@@ -153,26 +164,22 @@ def wigner_moments(state: QuantumState, t: float, params: DampingParams):
 
     Every state here shares the ground-like covariance
         [[e^{-2 gamma t}, -gamma], [-gamma, e^{2 gamma t}]] / (2 Omega)
-    (times 2n+1 for Fock n); coherent states displace the mean to
+    times 2n+1, and the mean
     (sqrt(2) Re(alpha eps*), sqrt(2) e^{2 gamma t} Re(alpha eps'*)).
     Every quadrature window of the library is sized from these moments.
     """
     es = epsilon(t, params)
     g, om, e2 = params.gamma, params.omega_reduced, es.e2
     cov = np.array([[1.0 / (e2 * om), -g / om], [-g / om, e2 / om]]) / 2.0
-    mean = np.zeros(2)
-    if isinstance(state, Coherent):
-        # Re(alpha z*) = Re(alpha) Re(z) + Im(alpha) Im(z), for z = eps, eps'
-        ar, ai = state.alpha.real, state.alpha.imag
-        mean = np.array(
-            [
-                _SQRT2 * (ar * es.eps.real + ai * es.eps.imag),
-                _SQRT2 * e2 * (ar * es.eps_dot.real + ai * es.eps_dot.imag),
-            ]
-        )
-    elif isinstance(state, Fock):
-        cov = cov * (2.0 * state.n + 1.0)
-    return mean, cov
+    # Re(alpha z*) = Re(alpha) Re(z) + Im(alpha) Im(z), for z = eps, eps'
+    ar, ai = state.alpha.real, state.alpha.imag
+    mean = np.array(
+        [
+            _SQRT2 * (ar * es.eps.real + ai * es.eps.imag),
+            _SQRT2 * e2 * (ar * es.eps_dot.real + ai * es.eps_dot.imag),
+        ]
+    )
+    return mean, cov * (2.0 * state.n + 1.0)
 
 
 def _wigner_u_rule(
@@ -191,15 +198,12 @@ def _wigner_u_rule(
     es = epsilon(t, params)
     _, cov = wigner_moments(state, t, params)
     half_width = 16.0 * math.sqrt(cov[0, 0])
-    fock = isinstance(state, Fock)
-    n_extra = 8 * state.n if fock else 0
-    freq_extra = 0.0 if fock else _SQRT2 * abs(state.alpha) / math.sqrt(es.ee)
     freq = (
         float(np.max(np.abs(p)))
         + params.gamma * es.e2 * float(np.max(np.abs(q)))
-        + freq_extra
+        + _SQRT2 * abs(state.alpha) / math.sqrt(es.ee)
     )
-    n_u = 96 + n_extra + int(0.85 * half_width * freq)
+    n_u = 96 + 8 * state.n + int(0.85 * half_width * freq)
     nodes, weights = _gauss_legendre(_rung(n_u))
     return half_width * nodes, half_width * weights
 
@@ -225,64 +229,53 @@ def _half_rule(u_nodes: np.ndarray, u_weights: np.ndarray) -> tuple[np.ndarray, 
     return u_nodes[h:], weights
 
 
-def _wigner_factors(split, q, u_nodes) -> tuple[np.ndarray, np.ndarray]:
-    """R(q + u/2) R(q - u/2), shape (Q, U) over 1-D q and the half-rule u
-    nodes, and the rate 2 theta q + kappa, shape (Q, 1), of the `_amplitude`
-    split: psi(q+u/2) psi*(q-u/2) exp(-i p u) = |c|**2 R R exp(i u (rate - p))."""
-    _, theta, kappa, r = split
-    qq = q[:, None]
-    half = 0.5 * u_nodes
-    return r(qq + half) * r(qq - half), 2.0 * theta * qq + kappa
-
-
-def _real_wigner(w: np.ndarray) -> np.ndarray:
-    """Quadrature values of W (real by construction, see `_half_rule`),
-    refusing non-finite ones."""
-    if not np.all(np.isfinite(w)):
-        raise NonFinite("Wigner quadrature produced non-finite values")
-    return w
-
-
-def _wigner_grid(
-    state: QuantumState, qs: np.ndarray, ps: np.ndarray, t: float, params: DampingParams
-) -> np.ndarray:
-    """W over the product grid qs x ps (1-D axes), shape (Q, P), as one
-    separable product over the nonnegative half of the u-rule (`_half_rule`):
-
-        W(q, p) = sum_u A cos(phi - p u) = sum_u A [cos phi cos(p u) + sin phi sin(p u)],
-        A = |c|**2 R(q + u/2) R(q - u/2) w_u,  phi = u (2 theta q + kappa)
-
-    (`_wigner_factors`), so R is evaluated once per (q, u >= 0) node instead
-    of once per (q, p, u), and the phase table once per (p, u >= 0).  The
-    u-rule is the one `wigner` would pick for the same grid.  The
-    contraction is one real einsum (no BLAS), whose summation order does
-    not depend on the BLAS thread count, so the bytes do not either.
-    """
-    split = _amplitude(state, t, params)
-    u_nodes, u_weights = _half_rule(*_wigner_u_rule(state, qs, ps, t, params))
-    amp, rate = _wigner_factors(split, qs, u_nodes)
-    amp *= abs(split[0]) ** 2 * u_weights
-    phi = rate * u_nodes
-    pu = ps[:, None] * u_nodes
-    return _real_wigner(
-        np.einsum(
-            "qu,pu->qp",
-            np.hstack((amp * np.cos(phi), amp * np.sin(phi))),
-            np.hstack((np.cos(pu), np.sin(pu))),
-        )
-    )
-
-
 def wigner(q, p, t: float, state: QuantumState, params: DampingParams):
     """Wigner quasidistribution W(q, p, t), normalized so its full
-    phase-space integral equals 2*pi.
+    phase-space integral equals 2*pi, in Groenewold's closed form
 
-    Evaluated by Gauss-Legendre quadrature of psi(q+u/2) psi*(q-u/2)
-    exp(-i p u) over the Gaussian support in u; accepts scalar or ndarray
-    q, p (broadcast together).  The integrand at -u is the conjugate of the
-    one at u, so only the nonnegative half of the (exactly symmetric) rule
-    is summed, as 2 Re: |c|**2 R(q+u/2) R(q-u/2) cos(u (2 theta q + kappa - p))
-    (`_wigner_factors`), two real R values and one cosine per (point, u).
+        W = 2 (-1)**n exp(-r**2) L_n(2 r**2),
+        r**2 = |eps (p - pbar) - e^{2 gamma t} eps' (q - qbar)|**2,
+
+    with the mean (qbar, pbar) of `wigner_moments` and L_n the Laguerre
+    polynomial by its three-term recurrence.  r**2 is 2 |A|**2 of the
+    invariant A(t) of `cktomo.invariants`, a modulus, so it has no
+    cancellation; it is clipped at _R2_TAIL, past which W is 0.0.  Accepts
+    scalar or ndarray q, p (broadcast together).
+    """
+    qa, pa = np.asarray(q, dtype=float), np.asarray(p, dtype=float)
+    if not (np.all(np.isfinite(qa)) and np.all(np.isfinite(pa))):
+        raise DomainError("q and p must be finite")
+    es = epsilon(t, params)
+    mean, _ = wigner_moments(state, t, params)
+    # q and p broadcast only here, so a (Q, 1) x (1, P) grid builds no
+    # (Q, P) copy of either axis
+    dq, dp = qa - mean[0], pa - mean[1]
+    eps, drift = es.eps, es.e2 * es.eps_dot
+    with np.errstate(over="ignore", invalid="ignore"):
+        r2 = np.square(eps.real * dp - drift.real * dq)
+        r2 += np.square(eps.imag * dp - drift.imag * dq)
+        # fmin also maps the nan of an overflowed inf - inf, a point as far out
+        r2 = np.fmin(r2, _R2_TAIL)
+    out = np.exp(-r2)
+    if state.n:
+        x = 2.0 * r2
+        lag, prev = 1.0 - x, 1.0
+        for k in range(1, state.n):
+            lag, prev = ((2 * k + 1 - x) * lag - k * prev) / (k + 1), lag
+        out *= lag
+    out *= 2.0 * (-1.0) ** state.n
+    return float(out) if out.ndim == 0 else out
+
+
+def _wigner_quadrature(q, p, t: float, state: QuantumState, params: DampingParams):
+    """The oracle of `wigner`: W by Gauss-Legendre quadrature of
+    psi(q+u/2) psi*(q-u/2) exp(-i p u) over the Gaussian support in u, from
+    the psi split of `_amplitude` alone.  The integrand at -u is the
+    conjugate of the one at u, so only the nonnegative half of the (exactly
+    symmetric) rule is summed, as 2 Re:
+    |c|**2 R(q+u/2) R(q-u/2) cos(u (2 theta q + kappa - p)), two real R
+    values and one cosine per (point, u).  A u-rule over the 2048-node cap
+    raises DomainError, a non-finite value NonFinite.
     """
     qa, pa = np.broadcast_arrays(np.asarray(q, dtype=float), np.asarray(p, dtype=float))
     if not (np.all(np.isfinite(qa)) and np.all(np.isfinite(pa))):
@@ -290,9 +283,10 @@ def wigner(q, p, t: float, state: QuantumState, params: DampingParams):
     scalar = qa.ndim == 0
     qa = np.atleast_1d(qa)
     pa = np.atleast_1d(pa)
-    split = _amplitude(state, t, params)
+    c, theta, kappa, r = _amplitude(state, t, params)
     u_nodes, u_weights = _half_rule(*_wigner_u_rule(state, qa, pa, t, params))
-    u_weights = abs(split[0]) ** 2 * u_weights
+    u_weights = abs(c) ** 2 * u_weights
+    half = 0.5 * u_nodes
     # each point is summed on its own by einsum (BLAS gemv rounds a row by
     # its place in the call and the thread count)
     chunk = max(1, _WIGNER_CHUNK // u_nodes.size)
@@ -300,7 +294,10 @@ def wigner(q, p, t: float, state: QuantumState, params: DampingParams):
     out = np.empty(flat_q.shape, dtype=float)
     for start in range(0, flat_q.size, chunk):
         sl = slice(start, start + chunk)
-        amp, rate = _wigner_factors(split, flat_q[sl], u_nodes)
+        qq = flat_q[sl, None]
+        amp, rate = r(qq + half) * r(qq - half), 2.0 * theta * qq + kappa
         out[sl] = np.einsum("qu,u->q", amp * np.cos((rate - flat_p[sl, None]) * u_nodes), u_weights)
-    out = _real_wigner(out.reshape(qa.shape))
+    if not np.all(np.isfinite(out)):
+        raise NonFinite("Wigner quadrature produced non-finite values")
+    out = out.reshape(qa.shape)
     return float(out[0]) if scalar else out

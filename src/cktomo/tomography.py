@@ -12,11 +12,14 @@ Gaussian
 
     w0 = exp(-y**2) / sqrt(pi * s2),
 
-Fock states are phi_n(y)**2 / sqrt(s2) = w0 H_n(y)**2 / (2**n n!) with
-phi_n the orthonormal Hermite function, and the coherent tomogram is a
-displaced Gaussian assembled from three exponential factors whose last two
-are mutual complex conjugates: the pair's exponent is written once, in
-(a - i b)/sqrt(s2), and taken as 2 Re.
+and every state D(alpha)|n> here has the one closed form
+
+    w = phi_n(y - ybar)**2 / sqrt(s2),  ybar = sqrt(2) Re(alpha eps* (a - i b)) / sqrt(s2),
+
+with phi_n the orthonormal Hermite function: Fock states have alpha = 0,
+so ybar = 0 and w = w0 H_n(y)**2 / (2**n n!); coherent states have n = 0,
+a displaced Gaussian.  ybar is the mean of X / sqrt(s2); since
+|eps* (a - i b)| = sqrt(s2), |ybar| <= sqrt(2) |alpha| in every frame.
 
 Every integral over a quadrature X = mu q + nu p (the normalization here,
 the characteristic function in :mod:`cktomo.invariants`, the q- and
@@ -35,7 +38,7 @@ import numpy as np
 from .dynamics import DampingParams, epsilon, frame_quantities
 from .errors import DegenerateFrame, DomainError
 from .numerics import QuadratureSpec, hermite_gauss, integrate
-from .states import Coherent, Fock, QuantumState, wigner, wigner_moments
+from .states import Coherent, Fock, QuantumState, _wigner_quadrature, wigner_moments
 
 __all__ = [
     "TomographyFrame",
@@ -51,8 +54,8 @@ __all__ = [
 
 _SQRT2 = math.sqrt(2.0)
 # every tomogram here (n <= 16, |alpha| <= 8) is exactly 0.0 from
-# |X| = 50 sqrt(s2) on; clipping X at 64 sqrt(s2) keeps y = X/sqrt(s2)
-# and y*y from overflowing in the far tail
+# |X| = 50 sqrt(s2) on; clipping X at 64 sqrt(s2) keeps y = X/sqrt(s2),
+# y - ybar and their squares from overflowing in the far tail
 _X_TAIL = 64.0
 # the largest s2 accepted: pi * s2, in every tomogram's normalization, stays finite
 _MAX_S2 = sys.float_info.max / 4.0
@@ -146,39 +149,35 @@ def ground_tomogram(frame: TomographyFrame, t: float, params: DampingParams):
     return fock_tomogram(frame, t, 0, params)
 
 
-def fock_tomogram(frame: TomographyFrame, t: float, n: int, params: DampingParams):
-    """Quadrature distribution of the Fock state |n>: phi_n(y)**2 / sqrt(s2)
-    with y = X/sqrt(s2), i.e. w0 * H_n(y)**2 / (2**n n!).  Nonnegative; n = 0
-    is the ground closed form exp(-y**2) / sqrt(pi * s2) itself, which
-    coherent alpha = 0 reproduces bit for bit."""
-    n = Fock(n).n
-    _, _, s2, y = _scaled_frame(frame, epsilon(t, params))
+def _displaced_tomogram(frame: TomographyFrame, t: float, n: int, alpha: complex, params: DampingParams):
+    """phi_n(y - ybar)**2 / sqrt(s2) of the module docstring.  n = 0 is
+    written as the Gaussian exp(-(y - ybar)**2) / sqrt(pi * s2) itself;
+    alpha = 0 leaves y as it is, so Fock states and coherent alpha = 0
+    share their bits."""
+    es = epsilon(t, params)
+    a, b, s2, y = _scaled_frame(frame, es)
+    root = np.sqrt(s2)
+    if alpha:
+        z = alpha * es.eps.conjugate()
+        y = y - _SQRT2 * (z.real * (a / root) + z.imag * (b / root))
     if n == 0:
         out = np.exp(-y * y) / np.sqrt(math.pi * s2)
     else:
-        out = hermite_gauss(n, y) ** 2 / np.sqrt(s2)
+        out = hermite_gauss(n, y) ** 2 / root
     return float(out) if np.ndim(out) == 0 else out
+
+
+def fock_tomogram(frame: TomographyFrame, t: float, n: int, params: DampingParams):
+    """Quadrature distribution of the Fock state |n>: phi_n(y)**2 / sqrt(s2)
+    with y = X/sqrt(s2), i.e. w0 * H_n(y)**2 / (2**n n!).  Nonnegative."""
+    return _displaced_tomogram(frame, t, Fock(n).n, 0j, params)
 
 
 def coherent_tomogram(frame: TomographyFrame, t: float, alpha: complex, params: DampingParams):
-    """Quadrature distribution of the coherent state |alpha>.
-
-    The product of three exponential factors whose last two are complex
-    conjugates, taken as one real exp of exponent1 + 2 Re(exponent2): at
-    large gamma*t the pair's factors overflow one by one though their
-    product is finite.  alpha = 0 reproduces the ground tomogram exactly.
-    """
-    alpha = complex(Coherent(alpha).alpha)
-    es = epsilon(t, params)
-    a, b, s2, y = _scaled_frame(frame, es)
-    eps_c = es.eps.conjugate()
-    # (a - i b) / sqrt(s2) has modulus 1/|eps|, whatever the frame's size
-    root = np.sqrt(s2)
-    a_m_ib = a / root - 1j * (b / root)
-    exponent1 = -y * y - abs(alpha) ** 2
-    exponent2 = -(alpha**2) * eps_c**2 * a_m_ib**2 / 2.0 + alpha * _SQRT2 * eps_c * y * a_m_ib
-    out = np.exp(exponent1 + 2.0 * exponent2.real) / np.sqrt(math.pi * s2)
-    return float(out) if np.ndim(out) == 0 else out
+    """Quadrature distribution of the coherent state |alpha>: the Gaussian
+    exp(-(y - ybar)**2) / sqrt(pi * s2) displaced to ybar of the module
+    docstring; alpha = 0 is the ground tomogram bit for bit."""
+    return _displaced_tomogram(frame, t, 0, Coherent(alpha).alpha, params)
 
 
 def tomogram(state: QuantumState, frame: TomographyFrame, t: float, params: DampingParams):
@@ -201,13 +200,12 @@ def _x_window(
     follows the Hermite oscillations of Fock n; `integrate` rounds it up to
     the next multiple of 16."""
     mean, _ = wigner_moments(state, t, params)
-    n = state.n if isinstance(state, Fock) else 0
-    root = math.sqrt(2.0 * n + 1.0)
+    root = math.sqrt(2.0 * state.n + 1.0)
     sigma = math.sqrt(frame_scale_sq(mu, nu, t, params) / 2.0) * root
     return QuadratureSpec(
         center=float(mu * mean[0] + nu * mean[1]),
         half_width=8.0 * sigma,
-        points=220 + 16 * n + int(110.0 * (root - 1.0)),
+        points=220 + 16 * state.n + int(110.0 * (root - 1.0)),
     )
 
 
@@ -232,8 +230,8 @@ def radon_tomogram(state: QuantumState, frame: TomographyFrame, t: float, params
     from the covariance Sigma of `wigner_moments` (which carries the 2n+1 of
     Fock n), which stays correct for the strongly squeezed blobs that damping
     produces.  The line takes 220 + 60 n tau nodes, rounded up to a multiple
-    of 16 by `integrate`, and each W on it is the pointwise `wigner` over
-    chunks of the tau nodes.
+    of 16 by `integrate`, and each W on it is the quadrature oracle
+    `states._wigner_quadrature`, so the closed-form W does not enter it.
     """
     if not frame.is_scalar:
         raise DomainError("radon_tomogram expects a scalar frame point")
@@ -245,10 +243,9 @@ def radon_tomogram(state: QuantumState, frame: TomographyFrame, t: float, params
     cov_inv = np.linalg.inv(cov)
     curvature = float(d @ cov_inv @ d)
     tau_center = -float(d @ cov_inv @ (base - mean)) / curvature
-    n_fock = state.n if isinstance(state, Fock) else 0
-    spec = QuadratureSpec(tau_center, 9.0 / math.sqrt(curvature), 220 + 60 * n_fock)
+    spec = QuadratureSpec(tau_center, 9.0 / math.sqrt(curvature), 220 + 60 * state.n)
 
     def line(taus):
-        return wigner(base[0] + taus * d[0], base[1] + taus * d[1], t, state, params)
+        return _wigner_quadrature(base[0] + taus * d[0], base[1] + taus * d[1], t, state, params)
 
     return integrate(line, spec) / (2.0 * math.pi * s)

@@ -59,13 +59,15 @@ def test_check_report_passes_the_benchmark_oracle():
     assert res.stdout.decode().strip() == "(41, False)"
 
 
-def test_wigner_workload_passes_the_benchmark_oracle():
-    # one pass of the benchmark's wigner_cli requests (about 3 s), each grid
-    # checked against perfbench's scipy closed form of W, so a drift in W
-    # values fails here and not only as a benchmark's incorrect output
+@pytest.mark.parametrize("workload", ["wigner_cli", "tomogram_cli"])
+def test_workload_passes_the_benchmark_oracle(workload):
+    # one pass of the benchmark's requests of the workload (a few s), each
+    # Wigner or tomogram grid checked against perfbench's scipy closed form,
+    # so a drift in W or w values fails here and not only as a benchmark's
+    # incorrect output
     pytest.importorskip("scipy")  # perfbench/oracles.py imports it
     res = subprocess.run(
-        [sys.executable, "perfbench/run.py", "--workload", "wigner_cli", "--seconds", "0"],
+        [sys.executable, "perfbench/run.py", "--workload", workload, "--seconds", "0"],
         cwd=ROOT,
         capture_output=True,
         env=_env(),

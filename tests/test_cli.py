@@ -11,7 +11,8 @@ from cktomo import ScalarGrid
 from cktomo.checks import SUITES
 from cktomo.cli import RunConfig, UsageError, cmd_figure1, cmd_tomogram, main, parse_grid, parse_state
 from cktomo.dynamics import make_params
-from cktomo.states import Coherent, Fock
+from cktomo.errors import DomainError
+from cktomo.states import Coherent, Fock, _wigner_quadrature
 from cktomo.tomography import TomographyFrame, optical_frame, tomogram
 
 
@@ -370,8 +371,8 @@ class TestExitCodes:
             assert b"RuntimeWarning" not in res.stderr, res.stderr
 
     def test_coherent_large_gamma_t_finite(self):
-        # each factor of the conjugate pair overflows alone; their product is
-        # a displaced Gaussian with s2 ~ 6.9e-235, well inside the double range
+        # a displaced Gaussian with s2 ~ 6.9e-235, well inside the double
+        # range, whose three-factor form overflowed factor by factor
         res = run_cli(["tomogram", "--gamma", "0.9", "--t", "300", "--state", "coherent:1,1", "--mu", "1", "--nu", "0", "--x-grid=-1:1:3"])
         assert res.returncode == 0, res.stderr
         assert b"RuntimeWarning" not in res.stderr, res.stderr
@@ -415,11 +416,30 @@ class TestExitCodes:
         assert grid.values.tolist() == pytest.approx(exact, rel=1e-13)
 
     def test_numeric_error_rule_cap(self):
-        # the u-rule for this strongly squeezed state would need ~1e10 nodes
+        # the quadrature oracle's u-rule for this strongly squeezed state
+        # would need ~1e10 nodes; the closed form the CLI evaluates needs none
+        with pytest.raises(DomainError, match="exceeds the cap"):
+            axis = np.linspace(-1.0, 1.0, 5)
+            _wigner_quadrature(axis, axis, 20.0, Fock(16), make_params(0.9))
         res = run_cli(["wigner", "--gamma", "0.9", "--t", "20", "--state", "fock:16", "--q-grid=-1:1:5", "--p-grid=-1:1:5"])
-        assert res.returncode == 3
-        assert b"Traceback" not in res.stderr
-        assert res.stdout == b""
+        assert res.returncode == 0, res.stderr
+        assert np.all(np.isfinite(ScalarGrid.from_csv(res.stdout.decode()).values))
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            # the quadrature's u-rule needed 2179 nodes here, over the cap
+            ["--gamma", "0.9", "--t", "0", "--state", "fock:8", "--q-grid=-17.7:17.7:5", "--p-grid=-17.7:17.7:5"],
+            ["--state", "coherent:5,5", "--q-grid=-1e300:1e300:5", "--p-grid=-2:2:5"],
+            ["--gamma", "0.9", "--t", "8", "--state", "fock:16", "--q-grid=-1e300:1e300:5", "--p-grid=-1e300:1e300:5"],
+        ],
+    )
+    def test_wigner_inside_the_states_exits_zero(self, args):
+        res = run_cli(["wigner", *args], env_extra={"PYTHONWARNINGS": "error"})
+        assert res.returncode == 0, res.stderr
+        assert res.stderr == b""
+        values = ScalarGrid.from_csv(res.stdout.decode()).values
+        assert values.shape == (5, 5) and np.all(np.isfinite(values))
 
     def test_check_failure_exit_one(self):
         res = run_cli(["check", "dynamics", "--seed", "0", "--tol", "ode_residual=1e-30"])
@@ -450,7 +470,7 @@ class TestDeterminism:
         assert a.stdout.count(b"\n") >= 26  # >= 25 checks plus the summary
         # pinned, so a refactor meant to be behaviour-neutral is proven so
         digest = hashlib.sha256(a.stdout).hexdigest()
-        assert digest == "ccfe2ebe6848df97d6de3c6bc7d1d0f6f336d4da3be1e60cebf58ada4e1f3e15"
+        assert digest == "ae8a16692464b4daf66087e04c764d16092bd6b53804d55f0a3f969ca41a2cad"
 
     @pytest.mark.parametrize("seed", ["0", "17", "42"])
     def test_suite_lines_match_check_all(self, seed, capsys):
@@ -481,7 +501,7 @@ class TestDeterminism:
         )
         assert res.returncode == 0
         digest = hashlib.sha256(res.stdout).hexdigest()
-        assert digest == "201c6d10accf239b6230255ea963fd397e80b0657ca109250338d8479974fe10"
+        assert digest == "a3699e438a28be92462f904c25ff306a31638b1d9a02d82deb18feae2d070543"
 
     def test_grid_identical_across_thread_counts(self):
         args = [

@@ -135,7 +135,7 @@ class TestNumberApply:
         for point in _eigen_sample(np.random.default_rng(seed), 5, [0.0, 2.0]):
             a = number_apply("direct", Fock(1), point, 1e-3, p)
             b = number_apply("conjugate", Fock(1), point, 1e-3, p)
-            w00 = tomogram_characteristic(Fock(1), point.k, point.mu, point.nu, point.t, p)
+            w00 = _stencil(Fock(1), point, 1e-3, p)[0]  # the stencil's own w~
             worst = max(worst, abs(a - b) / max(abs(w00), 1e-3))
         assert _check_variant_agreement(np.random.default_rng(seed)) == worst
 
@@ -219,12 +219,12 @@ def test_seed_26_passes():
 
 
 def _eigen_residual_per_variant(n, sample, h, params):
-    """`eigen_residual` as it was: one `number_apply` call, and so one
-    stencil, per variant."""
+    """`eigen_residual` with one `number_apply` call, and so one stencil,
+    per variant; w~ is the stencil's own center value."""
     state = Fock(n)
     worst = 0.0
     for point in sample:
-        w00 = tomogram_characteristic(state, point.k, point.mu, point.nu, point.t, params)
+        w00 = _stencil(state, point, h, params)[0]
         denom = max(abs(w00), 1e-3)
         for variant in ("direct", "conjugate"):
             value = number_apply(variant, state, point, h, params)

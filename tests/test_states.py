@@ -1,5 +1,6 @@
 import cmath
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -173,8 +174,7 @@ class TestWigner:
         sp = math.sqrt(e2 / om / 2.0) * math.sqrt(5.0)
         qs = np.linspace(-8.0 * sq, 8.0 * sq, 301)
         ps = np.linspace(-8.0 * sp, 8.0 * sp, 301)
-        # the separable grid agrees with pointwise wigner() (TestWignerGrid)
-        w = states._wigner_grid(state, qs, ps, t, p)
+        w = wigner(qs[:, None], ps[None, :], t, state, p)
         mass = np.trapezoid(np.trapezoid(w, ps, axis=1), qs) / (2.0 * math.pi)
         assert mass == pytest.approx(1.0, abs=1e-7)
 
@@ -207,15 +207,104 @@ class TestWigner:
         assert got == pytest.approx(-2.0, abs=1e-5)
 
     def test_realness_random_points(self):
-        # wigner sums 2 Re over half the u-rule; the full complex sum it
-        # stands for is real to 1e-9 (TestHalfRule); values must be finite
+        # the quadrature sums 2 Re over half the u-rule; the full complex
+        # sum it stands for is real to 1e-9 (TestHalfRule); values must be finite
         p = make_params(0.3)
         rng = np.random.default_rng(4)
         for state in (Fock(2), Coherent(1.0 - 0.7j)):
             qs = rng.uniform(-2.0, 2.0, size=100)
             ps = rng.uniform(-2.0, 2.0, size=100)
-            vals = wigner(qs, ps, 1.0, state, p)
+            vals = states._wigner_quadrature(qs, ps, 1.0, state, p)
             assert np.all(np.isfinite(vals))
+
+
+# the closed-form W is checked on grids of +-4 sigma around each state's
+# Wigner mean, over the whole supported range of states
+_ENVELOPE_STATES = [Fock(n) for n in range(17)] + [
+    Coherent(cmath.rect(r, ph)) for r, ph in ((0.5, 0.3), (4.5, 2.0), (7.9, 4.0))
+]
+
+
+def _four_sigma_axes(state, t, params, points):
+    mean, cov = states.wigner_moments(state, t, params)
+    unit = np.linspace(-4.0, 4.0, points)
+    return mean[0] + math.sqrt(cov[0, 0]) * unit, mean[1] + math.sqrt(cov[1, 1]) * unit
+
+
+def _mp_wigner(mpmath, state, g, t, qs, ps):
+    """Groenewold's 2 (-1)**n exp(-r**2) L_n(2 r**2) with r**2 written as
+    the quadratic form z^T Sigma0^-1 z / 2 of the ground covariance Sigma0,
+    at the working precision of `mpmath`."""
+    g, t = mpmath.mpf(g), mpmath.mpf(t)
+    om = mpmath.sqrt(1 - g * g)
+    e2 = mpmath.exp(2 * g * t)
+    eps = mpmath.exp(-g * t) * mpmath.mpc(mpmath.cos(om * t), mpmath.sin(om * t)) / mpmath.sqrt(om)
+    a = mpmath.mpc(state.alpha.real, state.alpha.imag)
+    q0 = mpmath.sqrt(2) * mpmath.re(a * mpmath.conj(eps))
+    p0 = mpmath.sqrt(2) * e2 * mpmath.re(a * mpmath.conj(mpmath.mpc(-g, om) * eps))
+    # Sigma0 = [[1/e2, -g], [-g, e2]] / (2 Omega), so Sigma0^-1 / 2 = [[e2, g], [g, 1/e2]] / Omega
+    out = []
+    for q, p in zip(qs.tolist(), ps.tolist()):
+        zq, zp = mpmath.mpf(q) - q0, mpmath.mpf(p) - p0
+        r2 = (e2 * zq * zq + 2 * g * zq * zp + zp * zp / e2) / om
+        out.append(float(2 * (-1) ** state.n * mpmath.exp(-r2) * mpmath.laguerre(state.n, 0, 2 * r2)))
+    return np.array(out)
+
+
+class TestWignerClosedForm:
+    @pytest.mark.parametrize("gamma", [0.0, 0.3, 0.9])
+    @pytest.mark.parametrize("t", [0.0, 1.0, 8.0])
+    def test_matches_mpmath(self, gamma, t):
+        mpmath = pytest.importorskip("mpmath")
+        p = make_params(gamma)
+        rng = np.random.default_rng(17)
+        for state in _ENVELOPE_STATES:
+            qs, ps = _four_sigma_axes(state, t, p, 31)
+            w = wigner(qs[:, None], ps[None, :], t, state, p)
+            i, j = rng.integers(0, 31, size=(2, 24))
+            with mpmath.workdps(40):
+                ref = _mp_wigner(mpmath, state, gamma, t, qs[i], ps[j])
+            assert np.max(np.abs(w[i, j] - ref)) <= 1e-14 * np.max(np.abs(w)), state
+
+    @pytest.mark.parametrize("gamma", [0.0, 0.3, 0.9])
+    @pytest.mark.parametrize("t", [0.0, 1.0, 3.0, 8.0])
+    def test_matches_quadrature_on_grids(self, gamma, t):
+        # wherever the quadrature's u-rule fits under the node cap; the
+        # pointwise oracle sizes one rule for the whole grid
+        p = make_params(gamma)
+        accepted = 0
+        for state in _ENVELOPE_STATES:
+            qs, ps = _four_sigma_axes(state, t, p, 21)
+            qq, pp = np.meshgrid(qs, ps, indexing="ij")
+            try:
+                oracle = states._wigner_quadrature(qq, pp, t, state, p)
+            except DomainError:
+                assert isinstance(state, Fock) and state.n >= 8 and gamma == 0.9
+                continue
+            accepted += 1
+            w = wigner(qs[:, None], ps[None, :], t, state, p)
+            assert np.max(np.abs(w - oracle)) <= 1e-13 * np.max(np.abs(w)), state
+        assert accepted >= 7
+
+    def test_scalar_and_broadcast(self):
+        p = make_params(0.3)
+        got = wigner(0.0, 0.0, 1.0, Fock(1), p)
+        assert isinstance(got, float) and got == -2.0
+        grid = wigner(np.array([[0.1], [0.2]]), np.array([0.0, 1.0, 2.0]), 1.0, Coherent(1.0 + 1.0j), p)
+        assert grid.shape == (2, 3)
+        assert grid[1, 2] == wigner(0.2, 2.0, 1.0, Coherent(1.0 + 1.0j), p)
+
+    def test_far_points_are_zero_without_warning(self):
+        # r**2 overflows to inf, or to inf - inf = nan, for these; W is 0.0
+        p = make_params(0.99)
+        huge = np.array([-1e300, -1e10, 1e10, 1e300])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for state in (Fock(0), Fock(1), Fock(16), Coherent(8.0j)):
+                w = wigner(huge[:, None], huge[None, :], 300.0, state, p)
+                assert w.tolist() == np.zeros((4, 4)).tolist(), state
+        with pytest.raises(DomainError):
+            wigner(np.inf, 0.0, 0.0, Fock(0), p)
 
 
 class TestWignerGrid:
@@ -224,19 +313,19 @@ class TestWignerGrid:
         [(Fock(12), 0.2, 3.0), (Coherent(1.2 - 0.7j), 0.05, 2.0)],
     )
     def test_matches_pointwise(self, state, gamma, t):
-        # the separable product sums in another order than the pointwise
-        # quadrature, so the two agree to rounding, not bit for bit
+        # the CLI grid, a broadcast of the closed form over q[:, None] and
+        # p[None, :], against the quadrature oracle point by point
         p = make_params(gamma)
         qs = np.linspace(-5.0, 5.0, 41)
         ps = np.linspace(-4.5, 4.0, 37)
         qq, pp = np.meshgrid(qs, ps, indexing="ij")
-        grid = states._wigner_grid(state, qs, ps, t, p)
-        point = wigner(qq, pp, t, state, p)
+        grid = wigner(qs[:, None], ps[None, :], t, state, p)
+        point = states._wigner_quadrature(qq, pp, t, state, p)
         assert grid.shape == (41, 37)
         assert np.max(np.abs(grid - point)) <= 1e-13 * np.max(np.abs(point))
 
     def test_non_finite_refused(self, monkeypatch):
-        # a NaN in the real envelope R of the psi split reaches both sums
+        # a NaN in the real envelope R of the psi split reaches the quadrature
         real_amplitude = states._amplitude
 
         def broken_amplitude(state, t, params):
@@ -252,13 +341,11 @@ class TestWignerGrid:
         monkeypatch.setattr(states, "_amplitude", broken_amplitude)
         qs = np.linspace(-1.0, 1.0, 5)
         with pytest.raises(NonFinite):
-            states._wigner_grid(Fock(1), qs, qs, 1.0, make_params(0.1))
-        with pytest.raises(NonFinite):
-            wigner(qs, qs, 1.0, Fock(1), make_params(0.1))
+            states._wigner_quadrature(qs, qs, 1.0, Fock(1), make_params(0.1))
 
 
 def _full_rule_pointwise(state, q, p, t, params, u_nodes, u_weights):
-    """The complex sum over the whole u-rule that `wigner` evaluated
+    """The complex sum over the whole u-rule that the quadrature evaluated
     before it summed 2 Re over the nonnegative half."""
     left = psi(state, q[..., None] + 0.5 * u_nodes, t, params)
     right = psi(state, q[..., None] - 0.5 * u_nodes, t, params)
@@ -267,8 +354,8 @@ def _full_rule_pointwise(state, q, p, t, params, u_nodes, u_weights):
 
 
 def _full_rule_grid(state, qs, ps, t, params):
-    """The complex full-rule separable product `_wigner_grid` evaluated
-    before the half rule."""
+    """The complex full-rule sum over the product grid qs x ps, on the
+    u-rule the quadrature picks for that grid."""
     u_nodes, u_weights = states._wigner_u_rule(state, qs, ps, t, params)
     left = psi(state, qs[:, None] + 0.5 * u_nodes, t, params)
     right = psi(state, qs[:, None] - 0.5 * u_nodes, t, params)
@@ -278,7 +365,7 @@ def _full_rule_grid(state, qs, ps, t, params):
 
 
 def _assert_real(full):
-    # the bound wigner enforced on the full sum before the half rule
+    # the bound the quadrature enforced on the full sum before the half rule
     assert np.all(np.abs(full.imag) < 1e-9 * (1.0 + np.abs(full.real)))
 
 
@@ -308,7 +395,8 @@ class TestHalfRule:
         ps = np.linspace(-4.5, 4.0, 37)
         full = _full_rule_grid(state, qs, ps, t, p)
         _assert_real(full)
-        grid = states._wigner_grid(state, qs, ps, t, p)
+        qq, pp = np.meshgrid(qs, ps, indexing="ij")
+        grid = states._wigner_quadrature(qq, pp, t, state, p)
         assert np.max(np.abs(grid - full.real)) <= 1e-13 * np.max(np.abs(full.real))
 
     @pytest.mark.parametrize("state, gamma, t", CASES)
@@ -319,7 +407,7 @@ class TestHalfRule:
         pp = rng.uniform(-4.0, 4.0, size=150)
         u_nodes, u_weights = states._wigner_u_rule(state, q, pp, t, p)
         half_width = float(u_nodes[-1] / _gauss_legendre(u_nodes.size)[0][-1])
-        point = wigner(q, pp, t, state, p)
+        point = states._wigner_quadrature(q, pp, t, state, p)
         full = _full_rule_pointwise(state, q, pp, t, p, u_nodes, u_weights)
         assert np.max(np.abs(point - full.real)) <= 1e-13 * np.max(np.abs(full.real))
         for n in (u_nodes.size, u_nodes.size + 1):  # an even and an odd rule
@@ -328,14 +416,14 @@ class TestHalfRule:
             full = _full_rule_pointwise(state, q, pp, t, p, *rule)
             _assert_real(full)
             monkeypatch.setattr(states, "_wigner_u_rule", lambda *args, rule=rule: rule)
-            half = wigner(q, pp, t, state, p)
+            half = states._wigner_quadrature(q, pp, t, state, p)
             assert np.max(np.abs(half - full.real)) <= 1e-13 * np.max(np.abs(full.real))
 
     def test_asymmetric_rule_refused(self, monkeypatch):
         p = make_params(0.1)
         q = np.array([0.3, -0.2])
         u_nodes, u_weights = states._wigner_u_rule(Fock(1), q, q, 1.0, p)
-        wigner(q, q, 1.0, Fock(1), p)  # its own rule is accepted
+        states._wigner_quadrature(q, q, 1.0, Fock(1), p)  # its own rule is accepted
         bad_nodes = u_nodes.copy()
         bad_nodes[0] = np.nextafter(bad_nodes[0], -np.inf)
         bad_weights = u_weights.copy()
@@ -346,10 +434,7 @@ class TestHalfRule:
         for rule in ((bad_nodes, u_weights), (u_nodes, bad_weights), (shifted, odd_weights)):
             monkeypatch.setattr(states, "_wigner_u_rule", lambda *args, rule=rule: rule)
             with pytest.raises(DomainError):
-                wigner(q, q, 1.0, Fock(1), p)
-        monkeypatch.setattr(states, "_wigner_u_rule", lambda *args: (bad_nodes, u_weights))
-        with pytest.raises(DomainError):
-            states._wigner_grid(Fock(1), q, q, 1.0, p)
+                states._wigner_quadrature(q, q, 1.0, Fock(1), p)
 
 
 class TestWignerChunks:
@@ -359,15 +444,16 @@ class TestWignerChunks:
         q = rng.uniform(-4.0, 4.0, size=3000)
         pp = rng.uniform(-4.0, 4.0, size=3000)
         p = make_params(0.1)
-        default = wigner(q, pp, 1.0, state, p).tobytes()  # 27 to 42 chunks
+        default = states._wigner_quadrature(q, pp, 1.0, state, p).tobytes()  # 27 to 42 chunks
         for chunk in (37 * 97, 1):
             monkeypatch.setattr(states, "_WIGNER_CHUNK", chunk)
-            assert wigner(q, pp, 1.0, state, p).tobytes() == default
+            assert states._wigner_quadrature(q, pp, 1.0, state, p).tobytes() == default
 
 
 def _marginal_check_per_q(rng):
-    """`checks._check_wigner_marginal` as it was: one pointwise `wigner`
-    quadrature per q; returns the worst defect and the marginals."""
+    """`checks._check_wigner_marginal` on the quadrature oracle: one
+    pointwise `_wigner_quadrature` per q; returns the worst defect and the
+    marginals."""
     p = make_params(0.05)
     t = 5.0
     state = Fock(1)
@@ -376,7 +462,7 @@ def _marginal_check_per_q(rng):
     spec = _x_window(state, 0.0, 1.0, t, p)
     margs = []
     for q in rng.uniform(-1.0, 1.0, size=20) * math.sqrt(es.ee):
-        marg = integrate(lambda ps: wigner(q, ps, t, state, p), spec) / (2.0 * math.pi)
+        marg = integrate(lambda ps: states._wigner_quadrature(q, ps, t, state, p), spec) / (2.0 * math.pi)
         margs.append(marg)
         worst = max(worst, abs(marg - abs(psi(state, q, t, p)) ** 2))
     return worst, np.array(margs)
@@ -388,13 +474,11 @@ class TestMarginalCheck:
         old, per_q = _marginal_check_per_q(np.random.default_rng([seed, 16]))
         new = _check_wigner_marginal(np.random.default_rng([seed, 16]))
         assert abs(new - old) <= 1e-15
-        # the same marginals from one grid, as the check now computes them
+        # the same marginals from one closed-form grid, as the check computes them
         p = make_params(0.05)
         es = epsilon(5.0, p)
         qs = np.random.default_rng([seed, 16]).uniform(-1.0, 1.0, size=20) * math.sqrt(es.ee)
         spec = _x_window(Fock(1), 0.0, 1.0, 5.0, p)
-        one_grid = integrate(
-            lambda ps: states._wigner_grid(Fock(1), qs, ps, 5.0, p), spec
-        ) / (2.0 * math.pi)
+        one_grid = integrate(lambda ps: wigner(qs[:, None], ps, 5.0, Fock(1), p), spec) / (2.0 * math.pi)
         assert np.max(np.abs(one_grid - per_q)) <= 1e-15
         assert float(np.max(np.abs(one_grid - np.abs(psi(Fock(1), qs, 5.0, p)) ** 2))) == new

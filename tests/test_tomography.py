@@ -1,3 +1,4 @@
+import cmath
 import math
 import sys
 import warnings
@@ -178,6 +179,23 @@ class TestFockTomogram:
                 assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(ref), n
 
 
+def _mp_displaced_gaussian(mpmath, alpha, g, t, mu, nu):
+    """Mean Xbar = mu qbar + nu pbar and scale s2 = 2 Var X of a coherent
+    tomogram, from the Wigner mean sqrt(2) (Re(alpha eps*), e^{2 g t}
+    Re(alpha eps'*)) and the covariance [[e^{-2gt}, -g], [-g, e^{2gt}]] / (2 Omega)
+    at the working precision of `mpmath`."""
+    g, t, mu, nu = (mpmath.mpf(v) for v in (g, t, mu, nu))
+    om = mpmath.sqrt(1 - g * g)
+    e2 = mpmath.exp(2 * g * t)
+    eps = mpmath.exp(-g * t) * mpmath.mpc(mpmath.cos(om * t), mpmath.sin(om * t)) / mpmath.sqrt(om)
+    eps_dot = mpmath.mpc(-g, om) * eps
+    a = mpmath.mpc(alpha.real, alpha.imag)
+    q0 = mpmath.sqrt(2) * mpmath.re(a * mpmath.conj(eps))
+    p0 = mpmath.sqrt(2) * e2 * mpmath.re(a * mpmath.conj(eps_dot))
+    s2 = (mu * mu / e2 - 2 * g * mu * nu + e2 * nu * nu) / om
+    return mu * q0 + nu * p0, s2
+
+
 class TestCoherentTomogram:
     def test_alpha0_equals_ground_exactly(self):
         p = make_params(0.05)
@@ -220,6 +238,27 @@ class TestCoherentTomogram:
         mu, nu = optical_frame(1.2)
         got = normalization(Coherent(2.0 - 1.0j), mu, nu, 5.0, make_params(0.05))
         assert got == pytest.approx(1.0, abs=1e-9)
+
+    def test_large_alpha_matches_mpmath(self):
+        # the displaced Gaussian exp(-(X - Xbar)**2 / s2) / sqrt(pi s2) in 40
+        # digits, with Xbar and s2 from the Wigner mean and covariance; the
+        # closed form must hold to 1e-14 of its peak where |alpha|**2 ~ 50
+        mpmath = pytest.importorskip("mpmath")
+        rng = np.random.default_rng(18)
+        for _ in range(40):
+            g, t = rng.uniform(0.0, 0.9), rng.uniform(0.0, 8.0)
+            alpha = cmath.rect(rng.uniform(6.0, 8.0), rng.uniform(0.0, 2.0 * math.pi))
+            scale = 10.0 ** rng.uniform(-3.0, 3.0)
+            angle = rng.uniform(0.0, 2.0 * math.pi)
+            mu, nu = scale * math.cos(angle), scale * math.sin(angle)
+            p = make_params(g)
+            with mpmath.workdps(40):
+                xbar, s2 = _mp_displaced_gaussian(mpmath, alpha, g, t, mu, nu)
+                xs = np.array([float(xbar + k * mpmath.sqrt(s2) / 4) for k in range(-12, 13)])
+                ref = np.array([float(mpmath.exp(-((x - xbar) ** 2) / s2)) for x in xs.tolist()])
+                peak = float(1 / mpmath.sqrt(mpmath.pi * s2))
+            got = coherent_tomogram(TomographyFrame(xs, mu, nu), t, alpha, p)
+            assert np.max(np.abs(got - peak * ref)) <= 1e-14 * peak, (alpha, g, t, mu, nu)
 
 
 class TestFarTail:
