@@ -7,19 +7,37 @@ numerical oracles (Wigner-function Radon transforms, quadrature, and
 finite differences).
 """
 
-from . import dynamics, errors, evolution, invariants, numerics, states, tomography
+from importlib import import_module
+
+from . import dynamics, errors, numerics, states, tomography
 from .dynamics import *  # noqa: F403 -- each module's __all__ is its public surface
 from .errors import *  # noqa: F403
-from .evolution import *  # noqa: F403
-from .invariants import *  # noqa: F403
 from .numerics import *  # noqa: F403
 from .states import *  # noqa: F403
 from .tomography import *  # noqa: F403
 
 __version__ = "0.1.0"
 
+# evolution and invariants load on the first use of one of their names (PEP
+# 562), so a grid command never compiles them; these tuples are their __all__
+_LAZY = {
+    "evolution": ("ResidualReport", "evolution_terms", "evolution_residual",
+                  "evolution_residual_tprime", "relative_residual", "convergence_study"),
+    "invariants": ("DualPoint", "tomogram_characteristic", "number_apply",
+                   "number_apply_printed", "eigen_residual"),
+}
 __all__ = ["__version__"] + [
-    name
-    for module in (errors, dynamics, numerics, states, tomography, evolution, invariants)
-    for name in module.__all__
-]
+    name for module in (errors, dynamics, numerics, states, tomography) for name in module.__all__
+] + [name for names in _LAZY.values() for name in names]
+
+
+def __getattr__(name):
+    for module, names in _LAZY.items():
+        if name == module or name in names:
+            loaded = import_module(f".{module}", __name__)
+            return loaded if name == module else getattr(loaded, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__) | set(_LAZY))

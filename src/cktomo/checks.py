@@ -19,6 +19,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -30,7 +31,7 @@ from .dynamics import (
     time_backward,
     time_forward,
 )
-from .errors import DomainError
+from .errors import UsageError
 from .evolution import (
     _max_step,
     convergence_study,
@@ -187,6 +188,11 @@ def coherent_moments_from_psi(alpha: complex, t: float, params) -> tuple[float, 
 # sampling helpers
 
 
+def _pick(rng, items):
+    # rng.choice(items)'s draw, without the array conversion that costs 5x
+    return items[int(rng.integers(0, len(items)))]
+
+
 def _random_frame(rng, lo=0.4, hi=1.6):
     angle = rng.uniform(0.0, 2.0 * math.pi)
     scale = rng.uniform(lo, hi)
@@ -202,7 +208,7 @@ def _random_state(rng):
     return Coherent(0.0)
 
 
-def _fd_direction_scales(mu, nu, t, params):
+def _fd_direction_scales(mu, nu, t, params, s2):
     """Log-variation scales of the tomogram width s2 along t, mu, nu.
 
     Central differences at step h are trustworthy only when h is far below
@@ -212,7 +218,6 @@ def _fd_direction_scales(mu, nu, t, params):
     """
     g, om = params.gamma, params.omega_reduced
     e2 = epsilon(t, params).e2
-    s2 = frame_scale_sq(mu, nu, t, params)
     d_mu = (2.0 * mu / e2 - 2.0 * g * nu) / om
     d_nu = (-2.0 * g * mu + 2.0 * e2 * nu) / om
     d_t = 2.0 * g * (e2 * nu * nu - mu * mu / e2) / om
@@ -228,16 +233,14 @@ def _evolution_config(rng, gammas, h):
     """Draw (state, x, mu, nu, t, params) admissible for step h."""
     states = [Fock(0), Fock(1), Fock(2), Coherent(1.0 + 1.0j), Coherent(0.7 - 0.4j)]
     while True:
-        params = make_params(float(rng.choice(gammas)))
+        params = make_params(_pick(rng, gammas))
         t = rng.uniform(0.1, 8.0)
         mu, nu = _random_frame(rng)
-        if _fd_direction_scales(mu, nu, t, params) < 0.5:
-            continue
-        if h > _max_step(mu, nu, t, params):
-            continue
         s2 = frame_scale_sq(mu, nu, t, params)
+        if _fd_direction_scales(mu, nu, t, params, s2) < 0.5 or h > _max_step(s2):
+            continue
         x = rng.uniform(-2.0, 2.0) * math.sqrt(s2 / 2.0)
-        state = states[int(rng.integers(0, len(states)))]
+        state = _pick(rng, states)
         return state, x, mu, nu, t, params
 
 
@@ -303,12 +306,12 @@ def _check_time_monotone(rng):
     for g in (0.0, 0.05, 0.3, 0.7):
         ts = np.linspace(0.0, 20.0, 200)
         fwd = np.array([time_forward(t, g) for t in ts])
-        if np.any(np.diff(fwd) <= 0.0):
+        if (np.diff(fwd) <= 0.0).any():
             return 1.0
         if g > 0.0:
             tps = np.linspace(0.0, (1.0 / (2.0 * g)) * 0.999, 200)
             back = np.array([time_backward(tp, g) for tp in tps])
-            if np.any(np.diff(back) <= 0.0):
+            if (np.diff(back) <= 0.0).any():
                 return 1.0
     return 0.0
 
@@ -455,7 +458,7 @@ def _check_wigner_parity(rng):
 def _check_normalization(rng):
     worst = 0.0
     for _ in range(30):
-        g = float(rng.choice([0.0, 0.05, 0.3, 0.6]))
+        g = _pick(rng, [0.0, 0.05, 0.3, 0.6])
         t = rng.uniform(0.0, 6.0)
         mu, nu = _random_frame(rng)
         state = _random_state(rng)
@@ -478,11 +481,11 @@ def _check_radon_ground(rng):
 def _radon_family_residual(rng, states, n_points):
     worst = 0.0
     for _ in range(n_points):
-        g = float(rng.choice([0.0, 0.05, 0.3]))
-        t = float(rng.choice([0.0, 2.0, 5.0]))
+        g = _pick(rng, [0.0, 0.05, 0.3])
+        t = _pick(rng, [0.0, 2.0, 5.0])
         p = make_params(g)
         mu, nu = _random_frame(rng, 0.5, 1.5)
-        state = states[int(rng.integers(0, len(states)))]
+        state = _pick(rng, states)
         s2 = frame_scale_sq(mu, nu, t, p)
         x = rng.uniform(-2.5, 2.5) * math.sqrt(s2 / 2.0)
         frame = TomographyFrame(x, mu, nu)
@@ -725,19 +728,16 @@ def _eigen_sample(rng, n_points, ts):
     for _ in range(n_points):
         k = rng.uniform(0.2, 2.0) * (1.0 if rng.uniform() < 0.5 else -1.0)
         mu, nu = _random_frame(rng, 0.4, 1.5)
-        pts.append(DualPoint(k=k, mu=mu, nu=nu, t=float(rng.choice(ts))))
+        pts.append(DualPoint(k=k, mu=mu, nu=nu, t=_pick(rng, ts)))
     return pts
 
 
-def _check_eigen(n):
-    def check(rng):
-        worst = 0.0
-        for g in (0.0, 0.05, 0.3):
-            sample = _eigen_sample(rng, 7, [0.0, 1.0, 5.0])
-            worst = max(worst, eigen_residual(n, sample, 1e-3, make_params(g)))
-        return worst
-
-    return check
+def _check_eigen(n, rng):
+    worst = 0.0
+    for g in (0.0, 0.05, 0.3):
+        sample = _eigen_sample(rng, 7, [0.0, 1.0, 5.0])
+        worst = max(worst, eigen_residual(n, sample, 1e-3, make_params(g)))
+    return worst
 
 
 def _check_variant_agreement(rng):
@@ -753,16 +753,13 @@ def _check_variant_agreement(rng):
     return worst
 
 
-def _check_printed_forms(variant):
-    def check(rng):
-        p = make_params(0.0)
-        point = DualPoint(k=1.0, mu=1.0, nu=0.5, t=0.0)
-        state = Fock(1)
-        value = number_apply_printed(variant, state, point, 1e-3, p)
-        w00 = tomogram_characteristic(state, 1.0, 1.0, 0.5, 0.0, p)
-        return abs(value - 1.0 * w00) / abs(w00)
-
-    return check
+def _check_printed_forms(variant, rng):
+    p = make_params(0.0)
+    point = DualPoint(k=1.0, mu=1.0, nu=0.5, t=0.0)
+    state = Fock(1)
+    value = number_apply_printed(variant, state, point, 1e-3, p)
+    w00 = tomogram_characteristic(state, 1.0, 1.0, 0.5, 0.0, p)
+    return abs(value - 1.0 * w00) / abs(w00)
 
 
 # --------------------------------------------------------------------------
@@ -815,12 +812,12 @@ _INVARIANTS = [
     ("characteristic_unit_k0", _check_characteristic_unit, "characteristic_unit", False),
     ("characteristic_bound", _check_characteristic_bound, "characteristic_bound", False),
     ("dual_homogeneity", _check_dual_homogeneity, "dual_homogeneity", False),
-    ("eigen_n0", _check_eigen(0), "eigen_n0", False),
-    ("eigen_n1", _check_eigen(1), "eigen_n1", False),
-    ("eigen_n2", _check_eigen(2), "eigen_n2", False),
+    ("eigen_n0", partial(_check_eigen, 0), "eigen_n0", False),
+    ("eigen_n1", partial(_check_eigen, 1), "eigen_n1", False),
+    ("eigen_n2", partial(_check_eigen, 2), "eigen_n2", False),
     ("variant_agreement", _check_variant_agreement, "variant_agreement", False),
-    ("printed_direct_residual", _check_printed_forms("direct"), None, True),
-    ("printed_conjugate_residual", _check_printed_forms("conjugate"), None, True),
+    ("printed_direct_residual", partial(_check_printed_forms, "direct"), None, True),
+    ("printed_conjugate_residual", partial(_check_printed_forms, "conjugate"), None, True),
 ]
 
 SUITES: dict[str, list] = {
@@ -841,23 +838,20 @@ def run_checks(
     if isinstance(suites, str):
         suites = list(SUITES) if suites == "all" else [suites]
     overrides = dict(tol_overrides or {})
-    for name in overrides:
+    for name, tol in overrides.items():
         if name not in TOLERANCES:
-            raise DomainError(f"unknown tolerance name {name!r}")
+            raise UsageError(f"unknown tolerance name {name!r}")
+        if not tol >= 0.0:  # nan too: no residual would ever pass it
+            raise UsageError(f"tolerance {name}={tol!r} must be a number >= 0")
+    if int(seed) < 0:  # numpy's SeedSequence takes only nonnegative entropy
+        raise UsageError(f"seed must be a nonnegative integer, got {seed}")
     results: list[CheckResult] = []
     for suite in suites:
         if suite not in SUITES:
-            raise DomainError(f"unknown suite {suite!r}")
+            raise UsageError(f"unknown suite {suite!r}")
         for index, (name, fn, tol_name, info) in enumerate(SUITES[suite], _FIRST_INDEX[suite]):
             rng = np.random.default_rng([int(seed), index])
             value = float(fn(rng))
-            if info:
-                results.append(
-                    CheckResult(name=name, value=value, tol=math.nan, passed=True, info=True)
-                )
-            else:
-                tol = overrides.get(tol_name, TOLERANCES[tol_name])
-                results.append(
-                    CheckResult(name=name, value=value, tol=tol, passed=value <= tol)
-                )
+            tol = math.nan if info else overrides.get(tol_name, TOLERANCES[tol_name])
+            results.append(CheckResult(name, value, tol, passed=info or value <= tol, info=info))
     return results

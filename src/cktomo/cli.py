@@ -26,9 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import checks
 from .dynamics import make_params
-from .errors import CkTomoError, DomainError, NonFinite
+from .errors import CkTomoError, DomainError, NonFinite, UsageError
 from .numerics import Axis, ScalarGrid
 from .states import Coherent, Fock, QuantumState, wigner
 from .tomography import TomographyFrame, optical_frame, tomogram
@@ -46,10 +45,6 @@ EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
 EXIT_NUMERIC = 3
 EXIT_BROKEN_PIPE = 141
-
-
-class UsageError(CkTomoError):
-    """Bad configuration that is the caller's fault, not a numeric failure."""
 
 
 @dataclass(frozen=True)
@@ -110,8 +105,6 @@ def _parse_tol(items) -> dict[str, float]:
         name, sep, value = item.partition("=")
         if not sep:
             raise UsageError(f"--tol expects name=value, got {item!r}")
-        if name not in checks.TOLERANCES:
-            raise UsageError(f"unknown tolerance name {name!r}")
         try:
             overrides[name] = float(value)
         except ValueError as exc:
@@ -126,7 +119,7 @@ def _map_rows(fn, row_args, threads: int):
 
 
 def _emit(grid: ScalarGrid, fmt: str, output: str | None) -> None:
-    if not np.all(np.isfinite(grid.values)):
+    if not np.isfinite(grid.values).all():
         raise NonFinite("grid contains non-finite values; nothing was written")
     text = grid.to_csv() if fmt == "csv" else grid.to_json()
     sink = (
@@ -227,6 +220,8 @@ def cmd_figure1() -> ScalarGrid:
 
 def cmd_check(suite: str, seed: int, tol_overrides: dict[str, float]) -> int:
     """Run the named check suites and print one line per check."""
+    from . import checks  # the oracle suites load only for `check`
+
     results = checks.run_checks(suite, seed, tol_overrides)
     n_pass = 0
     n_scored = 0

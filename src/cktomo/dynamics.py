@@ -61,10 +61,7 @@ class DampingParams:
     omega_reduced: float
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.gamma) and 0.0 <= self.gamma < 1.0):
-            raise DomainError(
-                f"underdamped regime requires 0 <= gamma < 1, got {self.gamma!r}"
-            )
+        _require_gamma(self.gamma)
         if abs(self.omega_reduced**2 + self.gamma**2 - 1.0) > 1e-12:
             raise DomainError("omega_reduced inconsistent with gamma")
 
@@ -96,16 +93,18 @@ class FrameCoeffs:
 
 
 def make_params(gamma: float) -> DampingParams:
-    """Validate gamma and derive Omega = sqrt(1 - gamma**2)."""
+    """Derive Omega = sqrt(1 - gamma**2); DampingParams refuses a gamma outside [0, 1)."""
     try:
         g = float(gamma)
     except (TypeError, ValueError) as exc:
         raise DomainError(f"gamma must be a real number, got {gamma!r}") from exc
-    if not math.isfinite(g):
-        raise DomainError(f"gamma must be finite, got {g!r}")
-    if g < 0.0 or g >= 1.0:
-        raise DomainError(f"underdamped regime requires 0 <= gamma < 1, got {g}")
-    return DampingParams(gamma=g, omega_reduced=math.sqrt(1.0 - g * g))
+    return DampingParams(g, math.sqrt(1.0 - g * g) if abs(g) < 1.0 else math.nan)
+
+
+def _require_gamma(gamma: float) -> float:
+    if not 0.0 <= gamma < 1.0:  # false for nan and +-inf too
+        raise DomainError(f"underdamped regime requires 0 <= gamma < 1, got {gamma!r}")
+    return gamma
 
 
 def _require_finite(name: str, value: float) -> float:
@@ -161,7 +160,7 @@ def time_forward(t: float, gamma: float) -> float:
     not by thresholded division.
     """
     t = _require_finite("t", t)
-    gamma = make_params(gamma).gamma
+    gamma = _require_gamma(float(gamma))
     if gamma == 0.0:
         return t
     return -math.expm1(-2.0 * gamma * t) / (2.0 * gamma)
@@ -174,7 +173,7 @@ def time_backward(t_prime: float, gamma: float) -> float:
     logarithm has no real branch and a DomainError is raised.
     """
     t_prime = _require_finite("t_prime", t_prime)
-    gamma = make_params(gamma).gamma
+    gamma = _require_gamma(float(gamma))
     if gamma == 0.0:
         return t_prime
     x = 2.0 * gamma * t_prime

@@ -7,6 +7,7 @@ __all__ = [
     "NonFinite",
     "KTooSmall",
     "StepTooLarge",
+    "UsageError",
 ]
 
 
@@ -32,3 +33,7 @@ class KTooSmall(CkTomoError, ValueError):
 
 class StepTooLarge(CkTomoError, ValueError):
     """Finite-difference step too large for the local tomogram scale."""
+
+
+class UsageError(CkTomoError):
+    """Bad configuration that is the caller's fault, not a numeric failure."""

@@ -24,20 +24,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _LAZY
 from .dynamics import DampingParams, epsilon, time_backward, time_forward
 from .errors import DomainError, StepTooLarge
 from .numerics import central_diff, cross_points, diff_from_values, diff_offsets
 from .states import QuantumState
 from .tomography import TomographyFrame, frame_scale_sq, tomogram
 
-__all__ = [
-    "ResidualReport",
-    "evolution_terms",
-    "evolution_residual",
-    "evolution_residual_tprime",
-    "relative_residual",
-    "convergence_study",
-]
+__all__ = list(_LAZY["evolution"])  # listed in the package, which loads this module on first use
 
 
 @dataclass(frozen=True)
@@ -50,10 +44,10 @@ class ResidualReport:
     converged_order: float
 
 
-def _max_step(mu, nu, t, params: DampingParams) -> float:
-    """Largest step h the residuals accept, 0.1 min(1, sqrt(s2)): the
-    stencil has to stay well inside the tomogram's width sqrt(s2)."""
-    return 0.1 * min(1.0, math.sqrt(frame_scale_sq(mu, nu, t, params)))
+def _max_step(s2: float) -> float:
+    """Largest step h the residuals accept, 0.1 min(1, sqrt(s2)) with s2 from
+    `frame_scale_sq`: the stencil has to stay well inside its width sqrt(s2)."""
+    return 0.1 * min(1.0, math.sqrt(s2))
 
 
 def _frame_terms(state: QuantumState, x, mu, nu, t, h, params: DampingParams, richardson=False):
@@ -63,7 +57,7 @@ def _frame_terms(state: QuantumState, x, mu, nu, t, h, params: DampingParams, ri
     offsets = diff_offsets(h, richardson)
     if t - h < 0.0:
         raise DomainError(f"t - h = {t - h} < 0: backward time node leaves the domain")
-    limit = _max_step(mu, nu, t, params)
+    limit = _max_step(frame_scale_sq(mu, nu, t, params))
     if h > limit:
         raise StepTooLarge(f"h = {h} exceeds 0.1 * min(1, sqrt(s2)) = {limit}")
     e2 = epsilon(t, params).e2

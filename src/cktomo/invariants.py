@@ -48,19 +48,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _LAZY
 from .dynamics import DampingParams, epsilon
 from .errors import DomainError, KTooSmall
 from .numerics import QuadratureSpec, cross_points, diff_from_values, diff_offsets, integrate
 from .states import Fock, QuantumState
 from .tomography import TomographyFrame, _x_window, tomogram
 
-__all__ = [
-    "DualPoint",
-    "tomogram_characteristic",
-    "number_apply",
-    "number_apply_printed",
-    "eigen_residual",
-]
+__all__ = list(_LAZY["invariants"])  # listed in the package, which loads this module on first use
 
 _K_MIN = 0.05
 _MAX_APPLY_N = 6

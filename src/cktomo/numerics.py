@@ -198,7 +198,7 @@ def integrate(f: Callable, spec: QuadratureSpec):
     ys = np.asarray(f(xs))
     if ys.shape[-1:] != xs.shape or ys.ndim > 2:
         raise DomainError("integrand must return one value per node (per row)")
-    if not np.all(np.isfinite(ys)):
+    if not np.isfinite(ys).all():
         raise NonFinite("integrand returned non-finite values inside the window")
     if ys.ndim == 2:
         return spec.half_width * np.array([np.dot(weights, row) for row in ys])
@@ -262,17 +262,17 @@ class Axis:
         vals = np.asarray(self.values, dtype=float)
         if vals.ndim != 1 or vals.size < 1:
             raise DomainError(f"axis {self.name!r} must be a nonempty 1-D array")
-        if not np.all(np.isfinite(vals)):
+        if not np.isfinite(vals).all():
             raise DomainError(f"axis {self.name!r} contains non-finite values")
         if vals.size > 1:
             d = np.diff(vals)
-            if np.any(d <= 0.0):
+            if (d <= 0.0).any():
                 raise DomainError(f"axis {self.name!r} must be strictly increasing")
             step = d[0]
             # np.linspace rounds each value to within about one ulp of the
             # largest |value|, so the spacings scatter by a few such ulps
             slack = 1e-12 * abs(step) + 4.0 * np.spacing(np.max(np.abs(vals)))
-            if np.any(np.abs(d - step) > slack):
+            if (np.abs(d - step) > slack).any():
                 raise DomainError(f"axis {self.name!r} is not uniformly spaced")
         object.__setattr__(self, "values", vals)
 

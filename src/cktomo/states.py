@@ -243,7 +243,7 @@ def wigner(q, p, t: float, state: QuantumState, params: DampingParams):
     scalar or ndarray q, p (broadcast together).
     """
     qa, pa = np.asarray(q, dtype=float), np.asarray(p, dtype=float)
-    if not (np.all(np.isfinite(qa)) and np.all(np.isfinite(pa))):
+    if not (np.isfinite(qa).all() and np.isfinite(pa).all()):
         raise DomainError("q and p must be finite")
     es = epsilon(t, params)
     mean, _ = wigner_moments(state, t, params)
@@ -278,7 +278,7 @@ def _wigner_quadrature(q, p, t: float, state: QuantumState, params: DampingParam
     raises DomainError, a non-finite value NonFinite.
     """
     qa, pa = np.broadcast_arrays(np.asarray(q, dtype=float), np.asarray(p, dtype=float))
-    if not (np.all(np.isfinite(qa)) and np.all(np.isfinite(pa))):
+    if not (np.isfinite(qa).all() and np.isfinite(pa).all()):
         raise DomainError("q and p must be finite")
     scalar = qa.ndim == 0
     qa = np.atleast_1d(qa)
@@ -297,7 +297,7 @@ def _wigner_quadrature(q, p, t: float, state: QuantumState, params: DampingParam
         qq = flat_q[sl, None]
         amp, rate = r(qq + half) * r(qq - half), 2.0 * theta * qq + kappa
         out[sl] = np.einsum("qu,u->q", amp * np.cos((rate - flat_p[sl, None]) * u_nodes), u_weights)
-    if not np.all(np.isfinite(out)):
+    if not np.isfinite(out).all():
         raise NonFinite("Wigner quadrature produced non-finite values")
     out = out.reshape(qa.shape)
     return float(out[0]) if scalar else out

@@ -77,10 +77,10 @@ class TomographyFrame:
         x = np.asarray(self.x, dtype=float)
         mu = np.asarray(self.mu, dtype=float)
         nu = np.asarray(self.nu, dtype=float)
-        if not (np.all(np.isfinite(x)) and np.all(np.isfinite(mu)) and np.all(np.isfinite(nu))):
+        if not (np.isfinite(x).all() and np.isfinite(mu).all() and np.isfinite(nu).all()):
             raise DomainError("frame coordinates must be finite")
-        np.broadcast_shapes(x.shape, mu.shape, nu.shape)
-        if np.any((mu == 0.0) & (nu == 0.0)):
+        np.broadcast(x, mu, nu)  # raises on shapes that do not broadcast
+        if ((mu == 0.0) & (nu == 0.0)).any():
             raise DegenerateFrame("frame contains a point with mu = nu = 0")
         object.__setattr__(self, "x", x if x.ndim else float(x))
         object.__setattr__(self, "mu", mu if mu.ndim else float(mu))
@@ -98,7 +98,7 @@ def optical_frame(phi):
     q cos(phi) - p sin(phi); phi may be a scalar or an array.
     """
     pa = np.asarray(phi, dtype=float)
-    if not np.all(np.isfinite(pa)):
+    if not np.isfinite(pa).all():
         raise DomainError("phi must be finite")
     mu = np.cos(pa)
     nu = -np.sin(pa)
@@ -111,7 +111,7 @@ def frame_scale_sq(mu, nu, t: float, params: DampingParams):
     """Tomogram Gaussian scale s2 = eps eps* (a**2 + b**2); the variance of
     the ground-like quadrature distribution is s2 / 2.  An s2 outside
     [smallest normal double, largest double / 4] raises DomainError."""
-    if np.any((np.asarray(mu) == 0.0) & (np.asarray(nu) == 0.0)):
+    if ((np.asarray(mu) == 0.0) & (np.asarray(nu) == 0.0)).any():
         raise DegenerateFrame("frame direction (mu, nu) = (0, 0) is degenerate")
     return _frame_quantities_in_range(mu, nu, epsilon(t, params))[2]
 
@@ -122,7 +122,7 @@ def _frame_quantities_in_range(mu, nu, es):
     and an underflowed s2 into 0/0, though the true values are finite."""
     with np.errstate(all="ignore"):
         a, b, s2 = frame_quantities(mu, nu, es)
-    if not np.all((s2 >= sys.float_info.min) & (s2 <= _MAX_S2)):
+    if not ((s2 >= sys.float_info.min) & (s2 <= _MAX_S2)).all():
         raise DomainError(
             "frame scale s2 leaves the supported double range "
             f"(min {float(np.min(s2))!r}, max {float(np.max(s2))!r})"

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from cktomo import ScalarGrid
-from cktomo.checks import SUITES
+from cktomo.checks import SUITES, run_checks
 from cktomo.cli import RunConfig, UsageError, cmd_figure1, cmd_tomogram, main, parse_grid, parse_state
 from cktomo.dynamics import make_params
 from cktomo.errors import DomainError
@@ -388,10 +388,52 @@ class TestExitCodes:
             values = ScalarGrid.from_csv(res.stdout.decode()).values
             assert values.tolist() == [0.0, 0.0], state
 
-    def test_no_thread_pool_import(self):
-        code = "import sys, cktomo.cli; print('concurrent.futures' in sys.modules)"
-        res = subprocess.run([sys.executable, "-c", code], capture_output=True)
-        assert res.stdout.strip() == b"False", res.stderr
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["-c", "import cktomo"],
+            ["-c", "import cktomo.cli"],
+            ["-m", "cktomo", "tomogram", "--state", "fock:1", "--mu", "1", "--nu", "0", "--x-grid=-1:1:3"],
+            ["-m", "cktomo", "wigner", "--state", "coherent:1", "--q-grid=-1:1:3", "--p-grid=-1:1:3"],
+        ],
+        ids=["cktomo", "cktomo.cli", "tomogram", "wigner"],
+    )
+    def test_loads_no_oracle_module(self, argv):
+        # a grid request compiles no check suite, finite-difference or
+        # dual-space oracle and no thread pool: -X importtime names every
+        # module the process imports
+        res = subprocess.run([sys.executable, "-X", "importtime", *argv], capture_output=True)
+        assert res.returncode == 0, res.stderr
+        lines = res.stderr.decode().splitlines()
+        loaded = {line.rsplit("|", 1)[-1].strip() for line in lines if line.startswith("import time:")}
+        assert "cktomo.tomography" in loaded, lines
+        oracles = {"cktomo.checks", "cktomo.evolution", "cktomo.invariants", "concurrent.futures"}
+        assert loaded.isdisjoint(oracles), sorted(loaded & oracles)
+
+    def test_usage_error_negative_seed(self):
+        # numpy's SeedSequence takes no negative seed; it used to end in a traceback
+        res = run_cli(["check", "all", "--seed", "-1"])
+        assert res.returncode == 2 and res.stdout == b""
+        lines = res.stderr.decode().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: seed must be"), lines
+
+    @pytest.mark.parametrize("value", ["nan", "-1"])
+    def test_usage_error_tol_that_never_passes(self, value):
+        # a check against it could only FAIL, and the report would say 39/41
+        res = run_cli(["check", "all", "--tol", f"radon={value}"])
+        assert res.returncode == 2 and res.stdout == b""
+        lines = res.stderr.decode().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: tolerance radon="), lines
+
+    def test_zero_tol_accepted(self):
+        res = run_cli(["check", "dynamics", "--tol", "time_monotone=0"])
+        assert res.returncode == 0, res.stderr
+        assert b"PASS time_monotone" in res.stdout and b"tol=0.0e+00" in res.stdout
+
+    @pytest.mark.parametrize("seed, tols", [(-1, {}), (0, {"radon": math.nan}), (0, {"radon": -1e-9})])
+    def test_run_checks_refuses_bad_seed_and_tolerances(self, seed, tols):
+        with pytest.raises(UsageError):
+            run_checks("all", seed, tols)
 
     def test_pi_s2_overflow_is_refused_without_warning(self):
         # s2 = 1e308 is a finite double, but pi * s2 in the normalization is not

@@ -13,6 +13,7 @@ from cktomo import (
     evolution_residual,
     evolution_residual_tprime,
     evolution_terms,
+    frame_scale_sq,
     make_params,
     relative_residual,
 )
@@ -57,14 +58,14 @@ class TestResidual:
         # StepTooLarge and the check sampler read the same bound
         p = make_params(0.3)
         mu, nu, t = 0.8, -0.6, 2.0
-        limit = _max_step(mu, nu, t, p)
+        limit = _max_step(frame_scale_sq(mu, nu, t, p))
         evolution_residual(Fock(1), 0.1, mu, nu, t, limit, p)
         with pytest.raises(StepTooLarge):
             evolution_residual(Fock(1), 0.1, mu, nu, t, math.nextafter(limit, math.inf), p)
         rng = np.random.default_rng(5)
         for _ in range(20):
             _, _, mu, nu, t, p = _evolution_config(rng, [0.0, 0.3, 0.7], 0.05)
-            assert 0.05 <= _max_step(mu, nu, t, p)
+            assert 0.05 <= _max_step(frame_scale_sq(mu, nu, t, p))
 
     def test_backward_time_guard(self):
         with pytest.raises(DomainError):
