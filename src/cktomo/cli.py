@@ -10,15 +10,15 @@ reference two-lobe figure, and the seeded verification suites.
 Exit codes: 0 success, 1 check failure, 2 usage/config error, 3 numeric
 domain error, 141 the reader of stdout went away (`ck-tomo figure1 | head
 -1`): the command stops there without a traceback, and 141 = 128 + SIGPIPE
-is the status a shell shows for a writer that a closed pipe stopped.  An
-optical `tomogram` grid is one broadcast over (phi, X) of at most
-_MAX_TOMOGRAM_VALUES values.
+is the status a shell shows for a writer that a closed pipe stopped; an
+output that cannot be written (no such directory, a full disk) is exit 2.
+Optical `tomogram` and `wigner` grids are evaluated, and every grid is
+written, one fixed tile at a time, so memory is set by the values array.
 """
 
 from __future__ import annotations
 
 import argparse
-import contextlib
 import math
 import os
 import sys
@@ -28,17 +28,17 @@ import numpy as np
 
 from .dynamics import make_params
 from .errors import CkTomoError, DomainError, NonFinite, UsageError
-from .numerics import Axis, ScalarGrid
+from .numerics import Axis, ScalarGrid, tiles
 from .states import Coherent, Fock, QuantumState, wigner
 from .tomography import TomographyFrame, optical_frame, tomogram
 
 __all__ = ["main", "UsageError", "parse_state", "parse_grid", "RunConfig"]
 
 _MAX_GRID_POINTS = 100_000
-# bounds the broadcast's temporaries: peak RSS at the cap is in the README
+# bounds the values array: peak RSS at the cap is in the README
 _MAX_TOMOGRAM_VALUES = 1_000_000
 _MAX_WIGNER_AXIS = 401
-_WRITE_SLICE = 1 << 16  # characters
+_BLOCK = 1 << 15  # values per evaluated tile: bounds the broadcast temporaries
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -114,27 +114,33 @@ def _parse_tol(items) -> dict[str, float]:
 
 def _map_rows(fn, row_args, threads: int):
     """fn over row_args, in order.  perfbench's `cli.rows` hook counts the
-    blocks (one per optical grid) and passes `threads`, which is unused."""
+    blocks (tiles of a 2-D grid) and passes `threads`, which is unused."""
     return [fn(arg) for arg in row_args]
+
+
+def _fill(a: np.ndarray, b: np.ndarray, f) -> np.ndarray:
+    """f(a[:, None], b[None, :]), evaluated one tile of at most _BLOCK values
+    at a time.  Every tomogram and Wigner operation is elementwise, so the
+    tiles hold the bits of one whole-grid broadcast."""
+    values = np.empty((len(a), len(b)))
+    blocks = tiles(len(a), len(b), _BLOCK)
+    _map_rows(lambda tile: np.copyto(values[tile], f(a[tile[0], None], b[None, tile[1]])), blocks, 0)
+    return values
 
 
 def _emit(grid: ScalarGrid, fmt: str, output: str | None) -> None:
     if not np.isfinite(grid.values).all():
         raise NonFinite("grid contains non-finite values; nothing was written")
-    text = grid.to_csv() if fmt == "csv" else grid.to_json()
-    sink = (
-        contextlib.nullcontext(sys.stdout) if output is None else open(output, "w", encoding="utf-8")
-    )
-    with sink as fh:
-        # one slice at a time, so encoding never holds a second copy of the text
-        for start in range(0, len(text), _WRITE_SLICE):
-            fh.write(text[start : start + _WRITE_SLICE])
+    if output is None:
+        return grid.write(sys.stdout, fmt)
+    with open(output, "w", encoding="utf-8") as fh:
+        grid.write(fh, fmt)
 
 
-def _state_descriptor(state: QuantumState) -> str:
-    if isinstance(state, Fock):
-        return f"fock:{state.n}"
-    return f"coherent:{state.alpha.real:g},{state.alpha.imag:g}"
+def _meta(config: RunConfig, equation: str) -> dict[str, str]:
+    st, alpha = config.state, config.state.alpha
+    state = f"fock:{st.n}" if isinstance(st, Fock) else f"coherent:{alpha.real:g},{alpha.imag:g}"
+    return dict(gamma="%.17g" % config.gamma, t="%.17g" % config.t, state=state, equation=equation)
 
 
 # --------------------------------------------------------------------------
@@ -147,23 +153,17 @@ def cmd_tomogram(config: RunConfig) -> ScalarGrid:
     if config.x_axis is None:
         raise UsageError("tomogram requires --x-grid")
     xs = config.x_axis.values
-    meta = {
-        "gamma": "%.17g" % config.gamma,
-        "t": "%.17g" % config.t,
-        "state": _state_descriptor(config.state),
-        "equation": "fock-tomogram" if isinstance(config.state, Fock) else "coherent-tomogram",
-    }
+    meta = _meta(config, "fock-tomogram" if isinstance(config.state, Fock) else "coherent-tomogram")
     if config.frame_mode == "optical" and config.phi_axis is not None:
         meta["frame"] = "optical"
         if len(config.phi_axis) * len(xs) > _MAX_TOMOGRAM_VALUES:
             raise UsageError(f"tomogram grids are capped at {_MAX_TOMOGRAM_VALUES} values")
 
-        def grid(phis: np.ndarray) -> np.ndarray:
-            mu, nu = optical_frame(phis)
-            frame = TomographyFrame(xs[None, :], mu[:, None], nu[:, None])
+        def block(phis: np.ndarray, x: np.ndarray) -> np.ndarray:
+            frame = TomographyFrame(x, *optical_frame(phis))
             return tomogram(config.state, frame, config.t, params)
 
-        (values,) = _map_rows(grid, [config.phi_axis.values], 0)
+        values = _fill(config.phi_axis.values, xs, block)
         return ScalarGrid(axis1=config.phi_axis, axis2=config.x_axis, values=values, meta=meta)
     if config.frame_mode == "optical":
         mu, nu = optical_frame(config.phi)
@@ -187,13 +187,8 @@ def cmd_wigner(config: RunConfig) -> ScalarGrid:
     if len(config.q_axis) > _MAX_WIGNER_AXIS or len(config.p_axis) > _MAX_WIGNER_AXIS:
         raise UsageError(f"wigner grids are capped at {_MAX_WIGNER_AXIS} points per axis")
     qs, ps = config.q_axis.values, config.p_axis.values
-    values = wigner(qs[:, None], ps[None, :], config.t, config.state, params)
-    meta = {
-        "gamma": "%.17g" % config.gamma,
-        "t": "%.17g" % config.t,
-        "state": _state_descriptor(config.state),
-        "equation": "wigner",
-    }
+    values = _fill(qs, ps, lambda q, p: wigner(q, p, config.t, config.state, params))
+    meta = _meta(config, "wigner")
     return ScalarGrid(axis1=config.q_axis, axis2=config.p_axis, values=values, meta=meta)
 
 
@@ -346,6 +341,11 @@ def main(argv=None) -> int:
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         return EXIT_BROKEN_PIPE
+    except OSError as exc:
+        # from the sink (open, write or flush): no such directory, a full disk
+        target = getattr(args, "output", None) or "stdout"
+        print(f"error: cannot write {target}: {exc.strerror or exc}", file=sys.stderr)
+        return EXIT_USAGE
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

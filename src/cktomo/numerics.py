@@ -5,6 +5,7 @@ container used for all file output.
 
 from __future__ import annotations
 
+import io
 import json
 import math
 from dataclasses import dataclass, field
@@ -249,6 +250,14 @@ def central_diff(f: Callable, x, h: float, richardson: bool = False):
 
 
 _FMT = "%.17g"  # 17 significant digits round-trip binary doubles exactly
+_WRITE_BLOCK = 1 << 11  # values formatted per write of `ScalarGrid.write`
+
+
+def tiles(n1: int, n2: int, size: int) -> list[tuple[slice, slice]]:
+    """(rows, cols) slices covering an (n1, n2) array in row-major order, each
+    of at most `size` elements: whole rows, or part of a row that is longer."""
+    h, w = max(1, size // n2), min(n2, size)
+    return [(slice(r, r + h), slice(c, c + w)) for r in range(0, n1, h) for c in range(0, n2, w)]
 
 
 @dataclass(frozen=True)
@@ -310,26 +319,51 @@ class ScalarGrid:
             self, "meta", {str(k): str(v) for k, v in self.meta.items()}
         )
 
-    # ------------------------------------------------------------------ CSV
+    def write(self, fh, fmt: str) -> None:
+        """Write the grid to the text stream fh, one tile of at most
+        _WRITE_BLOCK values per fh.write, so no text of the whole grid is
+        held.  "csv": '#'-commented metadata, a header row, then long-form
+        rows (axis1[, axis2], value), all numbers with 17 significant digits.
+        "json": one compact object (meta, axis1, axis2, the values flattened
+        row-major) and a trailing newline."""
+        if fmt not in ("csv", "json"):
+            raise DomainError(f"unknown grid format {fmt!r}")
+        values = self.values.reshape(len(self.axis1), -1)  # 1-D: one column
+        blocks = tiles(*values.shape, _WRITE_BLOCK)
+        axes = [self.axis1] + ([] if self.axis2 is None else [self.axis2])
+        if fmt == "json":
+            dumps = json.JSONEncoder(separators=(",", ":")).encode
+            head = {"meta": self.meta, "axis1": None, "axis2": None}
+            for key, axis in zip(("axis1", "axis2"), axes):
+                head[key] = {"name": axis.name, "values": axis.values.tolist()}
+            fh.write(dumps(head)[:-1] + ',"values":[')
+            for i, tile in enumerate(blocks):
+                fh.write(("," if i else "") + dumps(values[tile].ravel().tolist())[1:-1])
+            fh.write("]}\n")
+            return
+        fh.write("".join(f"# {k}={v}\n" for k, v in self.meta.items()))
+        fh.write(",".join(axis.name for axis in axes) + ",value\n")
+        # axis2 is formatted once per grid; each row of a tile is then one
+        # template "a,b_0,%.17g\na,b_1,%.17g..." filled from its values
+        tails = [f",{_FMT}"]  # the one column of a 1-D grid
+        if self.axis2 is not None:
+            tails = [f",{_FMT % b},{_FMT}" for b in self.axis2.values.tolist()]
+        for rows, cols in blocks:
+            lines = []
+            for a, row in zip(self.axis1.values[rows].tolist(), values[rows, cols].tolist()):
+                head = _FMT % a
+                lines.append((head + ("\n" + head).join(tails[cols])) % tuple(row))
+            fh.write("\n".join(lines) + "\n")
 
     def to_csv(self) -> str:
-        """Serialize as '#'-commented metadata, a header row, then long-form
-        rows (axis1[, axis2], value), all numbers with 17 significant digits."""
-        lines = [f"# {k}={v}" for k, v in self.meta.items()]
-        if self.axis2 is None:
-            lines.append(f"{self.axis1.name},value")
-            for a, v in zip(self.axis1.values.tolist(), self.values.tolist()):
-                lines.append(f"{_FMT % a},{_FMT % v}")
-        else:
-            lines.append(f"{self.axis1.name},{self.axis2.name},value")
-            # axis2 is formatted once per grid; each row is then one
-            # template "a,b_0,%.17g\na,b_1,%.17g..." filled from its values
-            tails = [f",{_FMT % b},{_FMT}" for b in self.axis2.values.tolist()]
-            for a, row in zip(self.axis1.values.tolist(), self.values.tolist()):
-                head = _FMT % a
-                lines.append((head + ("\n" + head).join(tails)) % tuple(row))
-        lines.append("")  # trailing newline without copying the joined text
-        return "\n".join(lines)
+        """The text of `write(fh, "csv")`."""
+        self.write(buf := io.StringIO(), "csv")
+        return buf.getvalue()
+
+    def to_json(self) -> str:
+        """The text of `write(fh, "json")`."""
+        self.write(buf := io.StringIO(), "json")
+        return buf.getvalue()
 
     @classmethod
     def from_csv(cls, text: str) -> "ScalarGrid":
@@ -371,25 +405,6 @@ class ScalarGrid:
             values=values,
             meta=meta,
         )
-
-    # ----------------------------------------------------------------- JSON
-
-    def to_json(self) -> str:
-        """One compact JSON object (meta, axis1, axis2, the values flattened
-        row-major), with a trailing newline.  The values are encoded one row
-        at a time, so no Python list of the whole grid is ever built."""
-        head = {
-            "meta": self.meta,
-            "axis1": {"name": self.axis1.name, "values": self.axis1.values.tolist()},
-            "axis2": None
-            if self.axis2 is None
-            else {"name": self.axis2.name, "values": self.axis2.values.tolist()},
-        }
-        rows = (
-            json.dumps(row.tolist(), separators=(",", ":"))[1:-1]
-            for row in np.atleast_2d(self.values)
-        )
-        return f'{json.dumps(head, separators=(",", ":"))[:-1]},"values":[{",".join(rows)}]}}\n'
 
     @classmethod
     def from_json(cls, text: str) -> "ScalarGrid":

@@ -76,3 +76,34 @@ def test_workload_passes_the_benchmark_oracle(workload):
     assert res.returncode == 0, res.stderr.decode()
     last = json.loads(res.stdout.decode().strip().splitlines()[-1])
     assert last["correct"] is True and last["failed"] == 0, last
+
+
+@pytest.mark.parametrize(
+    "args, shape",
+    [
+        (["tomogram", "--state", "fock:4", "--optical", "--phi-grid", "0:6.283:300", "--x-grid=-6:6:400"], (300, 400)),
+        (["wigner", "--state", "coherent:1,1", "--q-grid=-4:4:201", "--p-grid=-4:4:201"], (201, 201)),
+    ],
+    ids=["optical", "wigner"],
+)
+def test_traced_run_counts_one_row_per_block(args, shape, tmp_path):
+    # spans.count_rows calls len() on _map_rows' argument, so a generator
+    # there would crash every traced run; `cli.rows` counts the tiles
+    from cktomo.cli import _BLOCK
+    from cktomo.numerics import tiles
+
+    result = tmp_path / "result.json"
+    res = subprocess.run(
+        [
+            sys.executable, str(ROOT / "perfbench" / "child.py"), str(result), str(tmp_path / "trace.json"),
+            *args, "--output", str(tmp_path / "grid.csv"),
+        ],
+        capture_output=True,
+        env=_env(),
+        timeout=120,
+    )
+    assert res.returncode == 0, res.stderr.decode()
+    report = json.loads(result.read_text())
+    blocks = len(tiles(*shape, _BLOCK))
+    assert report["exit"] == 0 and blocks > 1
+    assert report["counters"]["cli.rows"] == blocks

@@ -1,3 +1,4 @@
+import contextlib
 import hashlib
 import math
 import os
@@ -9,10 +10,21 @@ import pytest
 
 from cktomo import ScalarGrid
 from cktomo.checks import SUITES, run_checks
-from cktomo.cli import RunConfig, UsageError, cmd_figure1, cmd_tomogram, main, parse_grid, parse_state
+from cktomo.cli import (
+    _BLOCK,
+    RunConfig,
+    UsageError,
+    cmd_figure1,
+    cmd_tomogram,
+    cmd_wigner,
+    main,
+    parse_grid,
+    parse_state,
+)
 from cktomo.dynamics import make_params
 from cktomo.errors import DomainError
-from cktomo.states import Coherent, Fock, _wigner_quadrature
+from cktomo.numerics import tiles
+from cktomo.states import Coherent, Fock, _wigner_quadrature, wigner
 from cktomo.tomography import TomographyFrame, optical_frame, tomogram
 
 
@@ -149,8 +161,9 @@ def _optical_config(state, n_phi: int, n_x: int) -> RunConfig:
 
 
 class TestOpticalBroadcast:
-    """An optical grid is one broadcast tomogram call; the reference here
-    evaluates it one phi row at a time."""
+    """An optical grid is evaluated one tile of at most cli._BLOCK values at
+    a time; the references here are one phi row at a time and one
+    whole-grid broadcast."""
 
     @staticmethod
     def _row_loop(config: RunConfig) -> np.ndarray:
@@ -175,6 +188,21 @@ class TestOpticalBroadcast:
         got = cmd_tomogram(config).values
         ref = self._row_loop(config)
         assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(ref)
+
+    @staticmethod
+    def _broadcast(config: RunConfig) -> np.ndarray:
+        mu, nu = optical_frame(config.phi_axis.values)
+        frame = TomographyFrame(config.x_axis.values[None, :], mu[:, None], nu[:, None])
+        return tomogram(config.state, frame, config.t, make_params(config.gamma))
+
+    @pytest.mark.parametrize("state", [Fock(16), Coherent(2.5 - 1.5j)], ids=["fock16", "coherent"])
+    @pytest.mark.parametrize("shape", [(300, 400), (3, 50_000)], ids=["row_tiles", "column_tiles"])
+    def test_tiles_bit_identical_to_one_broadcast(self, state, shape):
+        # 300 x 400 is 4 tiles of whole rows; a 50 000-point row is 2 tiles
+        config = _optical_config(state, *shape)
+        assert len(tiles(*shape, _BLOCK)) >= 3
+        got = cmd_tomogram(config).values
+        assert got.tobytes() == self._broadcast(config).tobytes()
 
     def test_value_cap_boundary(self):
         # 1000 x 1000 is exactly the cap; one more X point is refused
@@ -236,6 +264,21 @@ class TestWignerCommand:
         )
         grid = ScalarGrid.from_csv(out.read_text())
         assert np.max(np.abs(grid.values - grid.values[::-1, ::-1])) < 1e-8
+
+    @pytest.mark.parametrize("state", [Fock(7), Coherent(1.5 + 2.0j)], ids=["fock7", "coherent"])
+    def test_tiles_bit_identical_to_one_broadcast(self, state):
+        config = RunConfig(
+            gamma=0.13,
+            t=1.7,
+            state=state,
+            frame_mode="symplectic",
+            q_axis=parse_grid("q", "-6:6:401"),
+            p_axis=parse_grid("p", "-6:6:401"),
+        )
+        assert len(tiles(401, 401, _BLOCK)) >= 3
+        qs, ps = config.q_axis.values, config.p_axis.values
+        ref = wigner(qs[:, None], ps[None, :], config.t, state, make_params(config.gamma))
+        assert cmd_wigner(config).values.tobytes() == ref.tobytes()
 
     def test_axis_cap(self):
         code = main(
@@ -501,6 +544,86 @@ class TestExitCodes:
         _, err = proc.communicate(timeout=300)
         assert proc.returncode == 141, err
         assert err == b""
+
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["figure1"],
+            ["wigner", "--state", "fock:3", "--q-grid=-4:4:201", "--p-grid=-4:4:201", "--format", "json"],
+        ],
+        ids=["figure1_csv", "wigner_json"],
+    )
+    def test_pipe_closed_mid_stream_exits_quietly(self, args):
+        # the reader takes the first line (of ~1 MB of CSV) or the first
+        # 4 KiB (of one ~0.8 MB JSON line), then goes away, as `| head -1`
+        # would; both outputs are far larger than a pipe buffer
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "cktomo", *args], stdout=subprocess.PIPE, stderr=subprocess.PIPE
+        )
+        first = proc.stdout.readline() if args[0] == "figure1" else proc.stdout.read(4096)
+        assert first
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=300) == 141, err
+        assert err == b""
+
+    @pytest.mark.parametrize(
+        "args, sink",
+        [
+            (["figure1", "--output", "{tmp}/no/such/dir/f.csv"], None),
+            (["figure1", "--output", "{tmp}"], None),
+            (["figure1"], "/dev/full"),
+            (["check", "dynamics", "--seed", "0"], "/dev/full"),
+        ],
+        ids=["missing_directory", "directory", "figure1_dev_full", "check_dev_full"],
+    )
+    def test_unwritable_output_exits_two(self, args, sink, tmp_path):
+        if sink is not None and not os.path.exists(sink):
+            pytest.skip(f"no {sink}")
+        argv = [sys.executable, "-m", "cktomo", *(a.format(tmp=tmp_path) for a in args)]
+        with contextlib.ExitStack() as stack:
+            stdout = subprocess.PIPE if sink is None else stack.enter_context(open(sink, "w"))
+            res = subprocess.run(argv, stdout=stdout, stderr=subprocess.PIPE, timeout=300)
+        err = res.stderr.decode()
+        assert res.returncode == 2, err
+        assert "Traceback" not in err
+        assert err.startswith("error: cannot write ") and err.count("\n") == 1, err
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_peak_memory_at_the_cap(self, fmt, tmp_path):
+        # 10**6 values: the values array is 8 MB; tiled evaluation and
+        # writing keep the rest to a few MB over what the imports cost
+        if not _has_vmhwm():
+            pytest.skip("no VmHWM in /proc/self/status")
+        code = (
+            "import sys\n"
+            "def hwm():\n"
+            "    for line in open('/proc/self/status'):\n"
+            "        if line.startswith('VmHWM:'):\n"
+            "            return int(line.split()[1])\n"
+            "import cktomo.cli\n"
+            "base = hwm()\n"
+            "assert cktomo.cli.main(sys.argv[1:]) == 0\n"
+            "print(hwm() - base)\n"
+        )
+        out = tmp_path / f"cap.{fmt}"
+        argv = [
+            "tomogram", "--state", "fock:16", "--optical", "--phi-grid", "0:6.283:1000",
+            "--x-grid=-9:9:1000", "--format", fmt, "--output", str(out),
+        ]
+        res = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, timeout=300)
+        assert res.returncode == 0, res.stderr.decode()
+        assert out.stat().st_size > 10**7
+        assert int(res.stdout) < 30 * 1024  # kB
+
+
+def _has_vmhwm() -> bool:
+    try:
+        with open("/proc/self/status", encoding="ascii") as fh:
+            return any(line.startswith("VmHWM:") for line in fh)
+    except OSError:
+        return False
 
 
 class TestDeterminism:

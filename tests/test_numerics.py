@@ -1,3 +1,4 @@
+import io
 import json
 import math
 
@@ -18,7 +19,15 @@ from cktomo import (
     integrate,
 )
 from cktomo import checks
-from cktomo.numerics import _J0_ZEROS, _MAX_RULE_POINTS, _bessel_j0_zeros, _gauss_legendre, _rung
+from cktomo.numerics import (
+    _J0_ZEROS,
+    _MAX_RULE_POINTS,
+    _WRITE_BLOCK,
+    _bessel_j0_zeros,
+    _gauss_legendre,
+    _rung,
+    tiles,
+)
 
 
 class TestHermite:
@@ -402,6 +411,82 @@ class TestScalarGrid:
                 "values": grid.values.reshape(-1).tolist(),
             }
             assert grid.to_json() == json.dumps(payload, indent=None, separators=(",", ":")) + "\n"
+
+    @staticmethod
+    def _multi_block_grids():
+        # 37 x 203 is 4 write tiles of whole rows, a 5000-point row is 3
+        # tiles, and the 1-D scan is 5 runs of values
+        rng = np.random.default_rng(11)
+        values = rng.standard_normal(37 * 203 + 3 * 5000 + 10_000)
+        values[::7] *= 1e-300
+        values[1::11] *= 1e300
+        values[2::13] = -0.0
+        return [
+            ScalarGrid(
+                axis1=Axis("phi", np.linspace(0.0, 6.283, 37)),
+                axis2=Axis("x", np.linspace(-7.0, 7.0, 203)),
+                values=values[: 37 * 203].reshape(37, 203),
+                meta={"gamma": "0.05", "frame": "optical"},
+            ),
+            ScalarGrid(
+                axis1=Axis("phi", np.linspace(0.0, 1.0, 3)),
+                axis2=Axis("x", np.linspace(-9.0, 9.0, 5000)),
+                values=values[37 * 203 : 37 * 203 + 15_000].reshape(3, 5000),
+            ),
+            ScalarGrid(
+                axis1=Axis("x", np.linspace(-6.0, 6.0, 10_000)),
+                values=values[-10_000:],
+                meta={"t": "5"},
+            ),
+        ]
+
+    def test_multi_block_text_equals_whole_grid_formulas(self):
+        for grid in self._multi_block_grids():
+            axes = [grid.axis1] + ([] if grid.axis2 is None else [grid.axis2])
+            assert len(tiles(len(grid.axis1), grid.values.size // len(grid.axis1), _WRITE_BLOCK)) >= 3
+            points = np.stack(
+                [m.ravel() for m in np.meshgrid(*(ax.values for ax in axes), indexing="ij")]
+                + [grid.values.ravel()],
+                axis=1,
+            )
+            lines = [f"# {k}={v}" for k, v in grid.meta.items()]
+            lines.append(",".join(ax.name for ax in axes) + ",value")
+            lines += [",".join("%.17g" % c for c in row) for row in points.tolist()]
+            assert grid.to_csv() == "\n".join(lines) + "\n"
+            payload = {
+                "meta": grid.meta,
+                "axis1": {"name": grid.axis1.name, "values": grid.axis1.values.tolist()},
+                "axis2": None
+                if grid.axis2 is None
+                else {"name": grid.axis2.name, "values": grid.axis2.values.tolist()},
+                "values": grid.values.reshape(-1).tolist(),
+            }
+            assert grid.to_json() == json.dumps(payload, indent=None, separators=(",", ":")) + "\n"
+
+    def test_write_formats_one_block_per_write(self):
+        class Recorder:
+            def __init__(self):
+                self.writes = []
+
+            def write(self, text):
+                self.writes.append(text)
+
+        for grid in self._multi_block_grids():
+            fh = Recorder()
+            grid.write(fh, "csv")
+            assert len(fh.writes) >= 5
+            assert max(text.count("\n") for text in fh.writes) <= _WRITE_BLOCK
+            assert "".join(fh.writes) == grid.to_csv()
+            fh = Recorder()
+            grid.write(fh, "json")
+            # the head (with the axes), then one write per tile: its values
+            # and the comma that separates it from the tile before
+            assert max(text.count(",") for text in fh.writes[1:]) <= _WRITE_BLOCK
+            assert "".join(fh.writes) == grid.to_json()
+
+    def test_write_refuses_unknown_format(self):
+        with pytest.raises(DomainError, match="format"):
+            self._grid2d().write(io.StringIO(), "xml")
 
     def test_csv_seventeen_digits(self):
         grid = ScalarGrid(
