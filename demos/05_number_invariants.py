@@ -3,7 +3,8 @@
 The damped oscillator has a time-dependent number invariant N(t) whose
 action on the Fock tomogram w_n returns n * w_n at every instant -- the
 quantum numbers survive the friction.  The check runs in the Fourier-dual
-representation where the awkward (d/dX)^{-2} becomes division by -k^2.
+representation where the awkward (d/dX)^{-2} becomes division by -k^2,
+and the characteristic function w~_n itself is a closed form.
 
 The published transcription of these operators contains defects (a missing
 1/4, a missing e^{4 gamma t}, sign slips in the conjugate form); the
@@ -22,9 +23,9 @@ from cktomo import (
     DualPoint,
     Fock,
     make_params,
+    characteristic,
     number_apply,
     number_apply_printed,
-    tomogram_characteristic,
 )
 
 rng = np.random.default_rng(3)
@@ -39,7 +40,7 @@ for n in (0, 1, 2):
         angle = rng.uniform(0.0, 2.0 * math.pi)
         mu, nu = math.cos(angle), -math.sin(angle)
         point = DualPoint(k=k, mu=mu, nu=nu, t=t)
-        w = tomogram_characteristic(Fock(n), k, mu, nu, t, params)
+        w = characteristic(Fock(n), k, mu, nu, t, params)
         res = {
             variant: abs(number_apply(variant, Fock(n), point, h, params) - n * w)
             / max(abs(w), 1e-3)
@@ -53,9 +54,9 @@ for n in (0, 1, 2):
 print("\nVerbatim printed operator at the same kind of point (diagnostic):")
 params = make_params(0.0)
 point = DualPoint(k=1.0, mu=1.0, nu=0.5, t=0.0)
-w = tomogram_characteristic(Fock(1), 1.0, 1.0, 0.5, 0.0, params)
+w = characteristic(Fock(1), 1.0, 1.0, 0.5, 0.0, params)
 for variant in ("direct", "conjugate"):
     bad = number_apply_printed(variant, Fock(1), point, h, params)
     print(f"  printed {variant:9s}: relative residual = {abs(bad - w) / abs(w):.6f}")
 print("\nThe printed forms miss the eigenvalue by O(1) even without damping;")
-print("the derived operators hold it to ~1e-6.")
+print("the derived operators hold it to ~1e-8.")

@@ -1,10 +1,10 @@
 """Symplectic tomography of the Caldirola-Kanai damped quantum oscillator.
 
-Closed-form quadrature distributions (tomograms) for coherent and Fock
-states of the damped oscillator, their classical-like evolution equation,
-and the number-operator invariants, each cross-checked against independent
-numerical oracles (Wigner-function Radon transforms, quadrature, and
-finite differences).
+Closed-form tomograms, Wigner and characteristic functions of coherent
+and Fock states of the damped oscillator, their classical-like evolution
+equation, and the number-operator invariants, each closed form checked
+against a numerical oracle (W integrated from psi, Radon line integrals of
+W, X-quadrature of the tomogram, finite differences and RK4).
 """
 
 from importlib import import_module
@@ -23,7 +23,7 @@ __version__ = "0.1.0"
 _LAZY = {
     "evolution": ("ResidualReport", "evolution_terms", "evolution_residual",
                   "evolution_residual_tprime", "relative_residual", "convergence_study"),
-    "invariants": ("DualPoint", "tomogram_characteristic", "number_apply",
+    "invariants": ("DualPoint", "characteristic", "tomogram_characteristic", "number_apply",
                    "number_apply_printed", "eigen_residual"),
 }
 __all__ = ["__version__"] + [

@@ -11,10 +11,10 @@ and since dt/dt' = exp(2 gamma t) its exact physical-time form is
 
 The residual R is evaluated with first differences of the closed-form
 tomograms (step h in each variable, `numerics.central_diff`'s rule): the
-relative residual extrapolates them by Richardson's rule and vanishes as
-O(h**4); the step ladder of `convergence_study` and the raw terms keep the
-plain central difference, O(h**2).  This module checks the identity rather
-than time-stepping it.
+relative and the t'-form residuals extrapolate them by Richardson's rule
+and vanish as O(h**4); the step ladder of `convergence_study` and the raw
+terms keep the plain central difference, O(h**2).  This module checks the
+identity rather than time-stepping it.
 """
 
 from __future__ import annotations
@@ -139,16 +139,18 @@ def evolution_residual_tprime(
 ) -> float:
     """Residual with the time derivative taken in t' coordinates.
 
-    Differences w(t(t')) around t' = t'(t) with step h; by the chain rule
-    this must agree with :func:`evolution_residual` up to finite-difference
-    noise, cross-checking the time reparameterization maps.
+    Differences w(t(t')) around t' = t'(t) with step h, every term by
+    Richardson's rule, O(h**4); by the chain rule this must agree with the
+    t-form residual up to finite-difference noise, cross-checking the time
+    reparameterization maps.
     """
-    _, _, mu_term, nu_term = _frame_terms(state, x, mu, nu, t, h, params)
+    _, _, mu_term, nu_term = _frame_terms(state, x, mu, nu, t, h, params, richardson=True)
     g, frame = params.gamma, TomographyFrame(x, mu, nu)
     dw_dtp = central_diff(
         lambda tps: [tomogram(state, frame, time_backward(tp, g), params) for tp in tps],
         time_forward(t, g),
         h,
+        richardson=True,
     )
     return dw_dtp + mu_term + nu_term
 

@@ -12,8 +12,10 @@ generic functions; on the X-Fourier transform
 every X-derivative becomes multiplication: d/dX -> -i k, so
 (d/dX)**(-2) -> -1/k**2, a bounded factor for k != 0.  The eigenvalue
 identity is then checked pointwise at dual points with |k| at or above
-the floor _K_MIN (the 1/k**2 terms amplify quadrature noise as k -> 0).
-mu- and nu-derivatives of w~ are taken by central differences.
+the floor _K_MIN (the 1/k**2 terms amplify finite-difference noise as
+k -> 0).  w~ itself is a closed form (`characteristic`), and its mu- and
+nu-derivatives are Richardson-extrapolated central differences of it;
+the quadrature `tomogram_characteristic` is kept as its oracle.
 
 Operator form
 -------------
@@ -44,21 +46,22 @@ printed forms verbatim so their residuals can be reported side by side.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import _LAZY
 from .dynamics import DampingParams, epsilon
 from .errors import DomainError, KTooSmall
-from .numerics import QuadratureSpec, cross_points, diff_from_values, diff_offsets, integrate
-from .states import Fock, QuantumState
-from .tomography import TomographyFrame, _x_window, tomogram
+from .numerics import _laguerre, _richardson, diff_from_values, diff_offsets, integrate
+from .states import Fock, QuantumState, wigner_moments
+from .tomography import TomographyFrame, _x_window, frame_scale_sq, tomogram
 
 __all__ = list(_LAZY["invariants"])  # listed in the package, which loads this module on first use
 
 _K_MIN = 0.05
-_MAX_APPLY_N = 6
+# the stencil's directions in (mu, nu): both axes and both diagonals
+_DIRECTIONS = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [1.0, -1.0]])
 
 
 @dataclass(frozen=True)
@@ -78,76 +81,56 @@ class DualPoint:
             raise DomainError("k = 0 is excluded from the dual representation")
 
 
-def _characteristic_spec(
-    state: QuantumState, k: float, mu: float, nu: float, t: float, params: DampingParams
-) -> QuadratureSpec:
-    # the tomogram's X-window, plus nodes for the fastest oscillation
-    # k * half_width of the kernel on it
-    spec = _x_window(state, mu, nu, t, params)
-    points = spec.points + int(0.8 * abs(k) * spec.half_width)
-    return QuadratureSpec(center=spec.center, half_width=spec.half_width, points=points)
+def characteristic(state: QuantumState, k: float, mu, nu, t: float, params: DampingParams):
+    """X-Fourier transform of the tomogram, kernel exp(+i k X), in closed form:
 
+        w~(k, mu, nu, t) = exp(i k Xbar - kappa**2 / 4) L_n(kappa**2 / 2),
 
-def _characteristic_with_spec(
-    state: QuantumState,
-    k: float,
-    mu: float,
-    nu: float,
-    t: float,
-    params: DampingParams,
-    spec: QuadratureSpec,
-) -> complex:
-    return integrate(
-        lambda xs: tomogram(state, TomographyFrame(xs, mu, nu), t, params)
-        * np.exp(1j * k * xs),
-        spec,
-    )
+    kappa**2 = k**2 s2 (`frame_scale_sq`), Xbar = mu qbar + nu pbar
+    (`wigner_moments`): the transform of the one tomogram
+    phi_n(y - ybar)**2 / sqrt(s2).  mu and nu are scalars or arrays of one
+    shape; `tomogram_characteristic` is its quadrature oracle.
+    """
+    if not math.isfinite(k):
+        raise DomainError("k must be finite")
+    mean, _ = wigner_moments(state, t, params)
+    kappa2 = k * k * frame_scale_sq(mu, nu, t, params)
+    out = np.exp(1j * k * (mu * mean[0] + nu * mean[1]) - 0.25 * kappa2)
+    out = out * _laguerre(state.n, 0.5 * kappa2)
+    return complex(out) if np.ndim(out) == 0 else out
 
 
 def tomogram_characteristic(
     state: QuantumState, k: float, mu: float, nu: float, t: float, params: DampingParams
 ) -> complex:
-    """X-Fourier transform of the tomogram, kernel exp(+i k X).
+    """Quadrature oracle of `characteristic`: Gauss-Legendre over the
+    tomogram's X-window, plus nodes for the kernel's k * half_width.
 
     Satisfies w~(k, mu, nu) = w~(1, k mu, k nu) for k > 0, |w~| <= 1, and
     w~ -> 1 as k -> 0 (normalization).
     """
-    spec = _characteristic_spec(state, k, mu, nu, t, params)
-    return _characteristic_with_spec(state, k, mu, nu, t, params, spec)
+    spec = _x_window(state, mu, nu, t, params)
+    return integrate(
+        lambda xs: tomogram(state, TomographyFrame(xs, mu, nu), t, params) * np.exp(1j * k * xs),
+        replace(spec, points=spec.points + int(0.8 * abs(k) * spec.half_width)),
+    )
 
 
 def _stencil(state, point: DualPoint, h: float, params):
-    """Characteristic-function values on a 13-point (mu, nu) stencil sharing
-    one quadrature rule (frozen at the stencil center so finite differences
-    see a smooth map), as one tomogram broadcast over the stencil x the X
-    nodes and one batched `integrate`; each value is bit for bit the one
-    `_characteristic_with_spec` gives for its point alone.  d_mu and d_nu
-    take Richardson's rule from `numerics`, the second differences its
-    central pair and the four corners (mu +- h, nu +- h)."""
-    k, mu, nu, t = point.k, point.mu, point.nu, point.t
-    base = _characteristic_spec(state, k, mu, nu, t, params)
-    spec = QuadratureSpec(
-        center=base.center, half_width=1.05 * base.half_width, points=base.points
-    )
+    """w~ and its (mu, nu) derivatives up to second order at a dual point,
+    from `characteristic` on 17 points in one broadcast: the center and the
+    steps (+h, -h, +h/2, -h/2) of `diff_offsets` along mu, nu and both
+    diagonals, whose second differences differ by 4 d2/dmu dnu.  Every
+    difference is Richardson's D4 of its steps h and h/2, O(h**4)."""
     offsets = diff_offsets(h, richardson=True)
-    pair = offsets[:2]  # (+h, -h)
-    mus, nus = cross_points(mu, nu, offsets)
-    mus = np.concatenate((mus, mu + np.repeat(pair, 2)))
-    nus = np.concatenate((nus, nu + np.tile(pair, 2)))
-
-    def f(xs):
-        frame = TomographyFrame(xs[None, :], mus[:, None], nus[:, None])
-        return tomogram(state, frame, t, params) * np.exp(1j * k * xs)
-
-    w, m = integrate(f, spec).tolist(), offsets.size
-    w00, along_mu, along_nu = w[0], w[1 : m + 1], w[m + 1 : 2 * m + 1]
-    w_pp, w_pm, w_mp, w_mm = w[2 * m + 1 :]
-    d_mumu = (along_mu[0] - 2.0 * w00 + along_mu[1]) / (h * h)
-    d_nunu = (along_nu[0] - 2.0 * w00 + along_nu[1]) / (h * h)
-    d_munu = (w_pp - w_pm - w_mp + w_mm) / (4.0 * h * h)
-    d_mu = diff_from_values(along_mu, h, richardson=True)
-    d_nu = diff_from_values(along_nu, h, richardson=True)
-    return w00, d_mu, d_nu, d_mumu, d_nunu, d_munu
+    steps = _DIRECTIONS[:, None, :] * offsets[None, :, None]  # (direction, offset, mu/nu)
+    mus = np.append(point.mu, point.mu + steps[..., 0])
+    nus = np.append(point.nu, point.nu + steps[..., 1])
+    w = characteristic(state, point.k, mus, nus, point.t, params)
+    w00, v = w[0], w[1:].reshape(4, 4).T  # v[offset, direction]
+    d1 = diff_from_values(v, h, richardson=True)
+    d2 = _richardson((v[0] - 2.0 * w00 + v[1]) / (h * h), (v[2] - 2.0 * w00 + v[3]) / (0.25 * h * h))
+    return complex(w00), *d1[:2].tolist(), *d2[:2].tolist(), complex(0.25 * (d2[2] - d2[3]))
 
 
 def _validate_apply(variant: str, state: Fock, point: DualPoint):
@@ -155,8 +138,6 @@ def _validate_apply(variant: str, state: Fock, point: DualPoint):
         raise DomainError(f"variant must be 'direct' or 'conjugate', got {variant!r}")
     if not isinstance(state, Fock):
         raise DomainError("number invariants act on Fock tomograms")
-    if state.n > _MAX_APPLY_N:
-        raise DomainError(f"number_apply supports n <= {_MAX_APPLY_N}, got {state.n}")
     if abs(point.k) < _K_MIN:
         raise KTooSmall(f"|k| = {abs(point.k)} below floor {_K_MIN}")
 
@@ -167,7 +148,7 @@ def number_apply(
     """Apply the number invariant (or its conjugate) to w~ at a dual point.
 
     Returns the complex value of (N w~)(k, mu, nu, t); on a Fock tomogram
-    it equals n * w~ up to finite-difference and quadrature noise.
+    it equals n * w~ up to finite-difference noise.
     """
     _validate_apply(variant, state, point)
     direct, conjugate = _apply_to_stencil(point, params, _stencil(state, point, h, params))

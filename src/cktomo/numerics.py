@@ -83,6 +83,15 @@ def hermite_gauss(n: int, x):
     return float(phi) if xa.ndim == 0 else phi
 
 
+def _laguerre(n: int, x):
+    """Laguerre polynomial L_n(x), scalar or ndarray x, by the recurrence
+    (k+1) L_{k+1} = (2k+1-x) L_k - k L_{k-1} from L_0 = 1, L_1 = 1 - x."""
+    lag, prev = 1.0 - x, 1.0
+    for k in range(1, n):
+        lag, prev = ((2 * k + 1 - x) * lag - k * prev) / (k + 1), lag
+    return lag if n else 1.0
+
+
 def _check_hermite_order(n) -> int:
     if not isinstance(n, (int, np.integer)):
         raise DomainError(f"Hermite order must be an integer, got {n!r}")
@@ -227,8 +236,13 @@ def diff_from_values(values, h: float, richardson: bool = False):
     (Richardson, Phil. Trans. R. Soc. A 210 (1911) 307)."""
     d = (values[0] - values[1]) / (2.0 * h)
     if richardson:
-        d = (4.0 * ((values[2] - values[3]) / h) - d) / 3.0
+        d = _richardson(d, (values[2] - values[3]) / h)
     return d
+
+
+def _richardson(coarse, fine):
+    """O(h**4) from two O(h**2) estimates at steps h (coarse) and h/2 (fine)."""
+    return (4.0 * fine - coarse) / 3.0
 
 
 def cross_points(x: float, y: float, offsets):

@@ -15,8 +15,8 @@ choice consistent with the Radon relation between W and the quadrature
 distribution together with the normalization of the latter; it is pinned by
 the frictionless ground state, W = 2 exp(-q**2 - p**2).  The public
 `wigner` is Groenewold's closed form of this integral; `_wigner_quadrature`
-evaluates the integral itself from psi and is kept as the independent
-oracle of the Radon and Wigner checks.
+evaluates the integral itself from psi and is kept only as its oracle,
+compared with it directly by the `wigner_ground_value` check.
 
 Branch tracking: eps(t) = |eps| exp(i*Omega*t) with a positive modulus, so
 complex powers of eps are taken with the phase unwrapped as Omega*t rather
@@ -35,7 +35,7 @@ import numpy as np
 
 from .dynamics import DampingParams, epsilon
 from .errors import DomainError, NonFinite
-from .numerics import _PI_QUARTER, _gauss_legendre, _rung, hermite_gauss
+from .numerics import _PI_QUARTER, _gauss_legendre, _laguerre, _rung, hermite_gauss
 
 __all__ = [
     "Coherent",
@@ -54,10 +54,6 @@ _MAX_ALPHA = 8.0
 # every W here (n <= 16) is 0.0 from r**2 = 746 on, where exp(-r**2)
 # underflows while L_n(2 r**2) stays finite; clipping r**2 there moves no value
 _R2_TAIL = 1.0e3
-# (point x half-rule node) elements per chunk of `_wigner_quadrature`: its
-# real work matrices stay at 64 kB, in cache; each point's sum is its own,
-# so every chunk size gives the same bits
-_WIGNER_CHUNK = 1 << 13
 
 
 @dataclass(frozen=True)
@@ -190,19 +186,19 @@ def _wigner_u_rule(
     The |psi(q+u/2) psi*(q-u/2)| envelope is the q-envelope stretched by 2
     in u (a displacement alpha does not move it), so the window is 8 sigma_u
     with sigma_u = 2 sqrt(Sigma_qq), Sigma_qq from `wigner_moments` (which
-    carries the 2n+1 of Fock n).  The node count tracks the fastest phase
-    exp(-i p u) seen on the grid and the Hermite oscillations of Fock n,
-    rounded up to the next multiple of 16 (`numerics._rung`), so grids of
-    nearby frequencies share one cached rule.
+    carries the 2n+1 of Fock n).  The node count tracks the faster of the
+    phase exp(-i p u) on the points and the Hermite oscillation
+    sqrt(2n+1)/|eps| of Fock n (all there is at a lone point near the
+    origin; their sum would push Fock 7 grids at gamma = 0.9 past the node
+    cap), plus the drift of alpha, rounded up to a multiple of 16
+    (`numerics._rung`), so nearby frequencies share one cached rule.
     """
     es = epsilon(t, params)
     _, cov = wigner_moments(state, t, params)
     half_width = 16.0 * math.sqrt(cov[0, 0])
-    freq = (
-        float(np.max(np.abs(p)))
-        + params.gamma * es.e2 * float(np.max(np.abs(q)))
-        + _SQRT2 * abs(state.alpha) / math.sqrt(es.ee)
-    )
+    scale = math.sqrt(es.ee)
+    phase = float(np.max(np.abs(p))) + params.gamma * es.e2 * float(np.max(np.abs(q)))
+    freq = max(phase, math.sqrt(2.0 * state.n + 1.0) / scale) + _SQRT2 * abs(state.alpha) / scale
     n_u = 96 + 8 * state.n + int(0.85 * half_width * freq)
     nodes, weights = _gauss_legendre(_rung(n_u))
     return half_width * nodes, half_width * weights
@@ -237,7 +233,7 @@ def wigner(q, p, t: float, state: QuantumState, params: DampingParams):
         r**2 = |eps (p - pbar) - e^{2 gamma t} eps' (q - qbar)|**2,
 
     with the mean (qbar, pbar) of `wigner_moments` and L_n the Laguerre
-    polynomial by its three-term recurrence.  r**2 is 2 |A|**2 of the
+    polynomial (`numerics._laguerre`).  r**2 is 2 |A|**2 of the
     invariant A(t) of `cktomo.invariants`, a modulus, so it has no
     cancellation; it is clipped at _R2_TAIL, past which W is 0.0.  Accepts
     scalar or ndarray q, p (broadcast together).
@@ -258,11 +254,7 @@ def wigner(q, p, t: float, state: QuantumState, params: DampingParams):
         r2 = np.fmin(r2, _R2_TAIL)
     out = np.exp(-r2)
     if state.n:
-        x = 2.0 * r2
-        lag, prev = 1.0 - x, 1.0
-        for k in range(1, state.n):
-            lag, prev = ((2 * k + 1 - x) * lag - k * prev) / (k + 1), lag
-        out *= lag
+        out *= _laguerre(state.n, 2.0 * r2)
     out *= 2.0 * (-1.0) ** state.n
     return float(out) if out.ndim == 0 else out
 
@@ -274,30 +266,22 @@ def _wigner_quadrature(q, p, t: float, state: QuantumState, params: DampingParam
     conjugate of the one at u, so only the nonnegative half of the (exactly
     symmetric) rule is summed, as 2 Re:
     |c|**2 R(q+u/2) R(q-u/2) cos(u (2 theta q + kappa - p)), two real R
-    values and one cosine per (point, u).  A u-rule over the 2048-node cap
-    raises DomainError, a non-finite value NonFinite.
+    values and one cosine per (point, u), for a small point set as one
+    matrix.  A u-rule over the 2048-node cap raises DomainError, a
+    non-finite value NonFinite.
     """
     qa, pa = np.broadcast_arrays(np.asarray(q, dtype=float), np.asarray(p, dtype=float))
     if not (np.isfinite(qa).all() and np.isfinite(pa).all()):
         raise DomainError("q and p must be finite")
-    scalar = qa.ndim == 0
-    qa = np.atleast_1d(qa)
-    pa = np.atleast_1d(pa)
     c, theta, kappa, r = _amplitude(state, t, params)
     u_nodes, u_weights = _half_rule(*_wigner_u_rule(state, qa, pa, t, params))
-    u_weights = abs(c) ** 2 * u_weights
     half = 0.5 * u_nodes
+    qq, pp = qa.reshape(-1, 1), pa.reshape(-1, 1)
+    amp, rate = r(qq + half) * r(qq - half), 2.0 * theta * qq + kappa
     # each point is summed on its own by einsum (BLAS gemv rounds a row by
     # its place in the call and the thread count)
-    chunk = max(1, _WIGNER_CHUNK // u_nodes.size)
-    flat_q, flat_p = qa.reshape(-1), pa.reshape(-1)
-    out = np.empty(flat_q.shape, dtype=float)
-    for start in range(0, flat_q.size, chunk):
-        sl = slice(start, start + chunk)
-        qq = flat_q[sl, None]
-        amp, rate = r(qq + half) * r(qq - half), 2.0 * theta * qq + kappa
-        out[sl] = np.einsum("qu,u->q", amp * np.cos((rate - flat_p[sl, None]) * u_nodes), u_weights)
+    out = np.einsum("qu,u->q", amp * np.cos((rate - pp) * u_nodes), abs(c) ** 2 * u_weights)
     if not np.isfinite(out).all():
         raise NonFinite("Wigner quadrature produced non-finite values")
     out = out.reshape(qa.shape)
-    return float(out[0]) if scalar else out
+    return float(out) if out.ndim == 0 else out

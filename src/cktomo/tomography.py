@@ -1,6 +1,6 @@
 """Analytic quadrature distributions (tomograms) of the damped oscillator,
-the homodyne frame map, the normalization check, and the independent
-Radon-transform oracle built on the numerically evaluated Wigner function.
+the homodyne frame map, the normalization check, and the Radon-transform
+oracle, a line integral of the closed-form Wigner function.
 
 All tomograms share the scale
 
@@ -38,7 +38,7 @@ import numpy as np
 from .dynamics import DampingParams, epsilon, frame_quantities
 from .errors import DegenerateFrame, DomainError
 from .numerics import QuadratureSpec, hermite_gauss, integrate
-from .states import Coherent, Fock, QuantumState, _wigner_quadrature, wigner_moments
+from .states import Coherent, Fock, QuantumState, wigner, wigner_moments
 
 __all__ = [
     "TomographyFrame",
@@ -217,8 +217,7 @@ def normalization(state: QuantumState, mu: float, nu: float, t: float, params: D
 
 
 def radon_tomogram(state: QuantumState, frame: TomographyFrame, t: float, params: DampingParams) -> float:
-    """Independent oracle: the tomogram as a line integral of the Wigner
-    function.
+    """Oracle: the tomogram as a line integral of the Wigner function.
 
     With s = sqrt(mu**2 + nu**2) the line mu q + nu p = X is parametrized
     as (q, p) = (X/s**2)(mu, nu) + (tau/s)(-nu, mu) and
@@ -230,8 +229,8 @@ def radon_tomogram(state: QuantumState, frame: TomographyFrame, t: float, params
     from the covariance Sigma of `wigner_moments` (which carries the 2n+1 of
     Fock n), which stays correct for the strongly squeezed blobs that damping
     produces.  The line takes 220 + 60 n tau nodes, rounded up to a multiple
-    of 16 by `integrate`, and each W on it is the quadrature oracle
-    `states._wigner_quadrature`, so the closed-form W does not enter it.
+    of 16 by `integrate`, and each W on it is the closed form `states.wigner`:
+    the Radon relation ties the two closed forms, W and phi_n**2, together.
     """
     if not frame.is_scalar:
         raise DomainError("radon_tomogram expects a scalar frame point")
@@ -246,6 +245,6 @@ def radon_tomogram(state: QuantumState, frame: TomographyFrame, t: float, params
     spec = QuadratureSpec(tau_center, 9.0 / math.sqrt(curvature), 220 + 60 * state.n)
 
     def line(taus):
-        return _wigner_quadrature(base[0] + taus * d[0], base[1] + taus * d[1], t, state, params)
+        return wigner(base[0] + taus * d[0], base[1] + taus * d[1], t, state, params)
 
     return integrate(line, spec) / (2.0 * math.pi * s)

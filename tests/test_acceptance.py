@@ -4,7 +4,9 @@ tolerance, printing a single PASS/FAIL line (run with -s to see them).
 Criteria:
   1  mode-function dynamics (closed form, Wronskian, RK4 oracle)
   2  tomogram normalization across all families
-  3  Radon-oracle equivalence (the keystone: certifies wave functions,
+  3  Radon-oracle equivalence (the keystone: the psi-quadrature W against
+     the closed-form W, then the closed-form tomograms against line
+     integrals of that W, certify wave functions, Wigner functions,
      tomograms, and frame coefficients jointly)
   4  evolution-equation residual and its convergence order
   5  number-invariant eigenvalues for n = 0, 1, 2, both variants
@@ -37,10 +39,13 @@ from cktomo import (
     normalization,
     radon_tomogram,
     tomogram,
+    wigner,
+    wigner_moments,
 )
 from cktomo.checks import _evolution_config, rk4_epsilon
 from cktomo.cli import cmd_figure1
 from cktomo.evolution import convergence_study, relative_residual
+from cktomo.states import _wigner_quadrature
 
 
 def _report(num: int, name: str, ok: bool, detail: str = "") -> None:
@@ -120,7 +125,25 @@ def test_criterion_3_radon_oracle_equivalence():
             worst,
             draw_point(Coherent(alphas[i % 3]), gammas[i % 3], times[(i // 3) % 3]),
         )
-    _report(3, "radon oracle equivalence", worst < 1e-5, f"max diff = {worst:.2e}")
+    # the W those line integrals take is the closed form; it is tied to
+    # the wave functions by the psi-quadrature W, on 5 x 5 points within
+    # 2 sigma of each state's mean
+    worst_w = 0.0
+    for i in range(18):
+        state = Fock(i % 3) if i < 9 else Coherent(alphas[i % 3] + 5.0j * (i >= 15))
+        t, p = times[(i // 3) % 3], make_params(gammas[i % 3])
+        mean, cov = wigner_moments(state, t, p)
+        unit = np.linspace(-2.0, 2.0, 5)
+        qs = mean[0] + math.sqrt(cov[0, 0]) * unit[:, None]
+        ps = mean[1] + math.sqrt(cov[1, 1]) * unit[None, :]
+        oracle = _wigner_quadrature(qs, ps, t, state, p)
+        worst_w = max(worst_w, float(np.max(np.abs(oracle - wigner(qs, ps, t, state, p)))))
+    _report(
+        3,
+        "radon oracle equivalence",
+        worst < 1e-5 and worst_w < 1e-8,
+        f"max diff = {worst:.2e}, psi-quadrature W vs closed form = {worst_w:.2e}",
+    )
 
 
 def test_criterion_4_evolution_equation():

@@ -1,3 +1,4 @@
+import cmath
 import math
 
 import numpy as np
@@ -5,10 +6,12 @@ import pytest
 
 from cktomo import (
     Coherent,
+    DegenerateFrame,
     DomainError,
     DualPoint,
     Fock,
     KTooSmall,
+    characteristic,
     eigen_residual,
     make_params,
     number_apply,
@@ -16,8 +19,7 @@ from cktomo import (
     tomogram_characteristic,
 )
 from cktomo.checks import _check_variant_agreement, _eigen_sample, run_checks
-from cktomo.invariants import _apply_to_stencil, _characteristic_spec, _characteristic_with_spec, _stencil
-from cktomo.numerics import QuadratureSpec
+from cktomo.invariants import _apply_to_stencil, _stencil
 
 
 def _sample(rng, n_points, ts):
@@ -69,6 +71,83 @@ class TestCharacteristic:
             assert lhs == pytest.approx(rhs, abs=1e-8)
 
 
+class TestClosedFormCharacteristic:
+    @pytest.mark.parametrize("gamma", [0.0, 0.3, 0.6, 0.9])
+    def test_matches_quadrature_oracle(self, gamma):
+        # over the whole state envelope, wherever the oracle's X rule fits
+        # under the node cap
+        rng = np.random.default_rng(60)
+        p = make_params(gamma)
+        accepted = 0
+        for state in _ENVELOPE_STATES:
+            for _ in range(3):
+                k = rng.uniform(0.05, 3.0) * (1.0 if rng.uniform() < 0.5 else -1.0)
+                angle = rng.uniform(0.0, 2.0 * math.pi)
+                mu, nu = math.cos(angle), -math.sin(angle)
+                t = rng.uniform(0.0, 4.0 / max(gamma, 0.5))
+                try:
+                    oracle = tomogram_characteristic(state, k, mu, nu, t, p)
+                except DomainError:
+                    continue
+                accepted += 1
+                got = characteristic(state, k, mu, nu, t, p)
+                assert abs(got - oracle) <= 1e-13, (state, k, mu, nu, t)
+        assert accepted >= 50
+
+    @pytest.mark.parametrize("gamma, t", [(0.0, 0.0), (0.3, 1.7), (0.9, 2.2)])
+    def test_matches_mpmath(self, gamma, t):
+        mpmath = pytest.importorskip("mpmath")
+        rng = np.random.default_rng(61)
+        p = make_params(gamma)
+        for state in _ENVELOPE_STATES:
+            k = rng.uniform(0.05, 3.0)
+            mus, nus = rng.uniform(-1.5, 1.5, size=(2, 4))
+            got = characteristic(state, k, mus, nus, t, p)
+            with mpmath.workdps(40):
+                ref = [_mp_characteristic(mpmath, state, k, mu, nu, gamma, t) for mu, nu in zip(mus, nus)]
+            assert np.max(np.abs(got - np.array(ref))) <= 1e-14, state
+
+    def test_scalar_and_broadcast(self):
+        p = make_params(0.3)
+        mus, nus = np.array([[0.4], [1.2]]), np.array([[-0.7, 0.1, 0.9]])
+        got = characteristic(Coherent(1.0 - 2.0j), 0.8, *np.broadcast_arrays(mus, nus), 2.0, p)
+        assert got.shape == (2, 3)
+        scalar = characteristic(Coherent(1.0 - 2.0j), 0.8, 1.2, 0.9, 2.0, p)
+        assert isinstance(scalar, complex) and got[1, 2] == scalar
+
+    def test_refuses_bad_input(self):
+        p = make_params(0.3)
+        with pytest.raises(DegenerateFrame):
+            characteristic(Fock(1), 1.0, 0.0, 0.0, 1.0, p)
+        for k, mu in ((math.nan, 1.0), (math.inf, 1.0), (1.0, math.nan), (1.0, math.inf)):
+            with pytest.raises(DomainError):
+                characteristic(Fock(1), k, mu, 0.5, 1.0, p)
+
+
+_ENVELOPE_STATES = [Fock(n) for n in range(17)] + [
+    Coherent(cmath.rect(r, ph)) for r, ph in ((0.5, 0.3), (4.5, 2.0), (7.9, 4.0), (8.0, 5.5))
+]
+
+
+def _mp_characteristic(mpmath, state, k, mu, nu, g, t):
+    """exp(i k Xbar - kappa**2/4) L_n(kappa**2/2), kappa**2 = k**2 s2, with
+    Xbar and s2 = 2 Var X from the Wigner mean sqrt(2) (Re(alpha eps*),
+    e^{2 g t} Re(alpha eps'*)) and the ground covariance
+    [[e^{-2gt}, -g], [-g, e^{2gt}]] / (2 Omega), at the working precision of
+    `mpmath`."""
+    k, mu, nu, g, t = (mpmath.mpf(float(v)) for v in (k, mu, nu, g, t))
+    om = mpmath.sqrt(1 - g * g)
+    e2 = mpmath.exp(2 * g * t)
+    eps = mpmath.exp(-g * t) * mpmath.mpc(mpmath.cos(om * t), mpmath.sin(om * t)) / mpmath.sqrt(om)
+    a = mpmath.mpc(state.alpha.real, state.alpha.imag)
+    xbar = mpmath.sqrt(2) * (
+        mu * mpmath.re(a * mpmath.conj(eps)) + nu * e2 * mpmath.re(a * mpmath.conj(mpmath.mpc(-g, om) * eps))
+    )
+    kappa2 = k * k * (mu * mu / e2 - 2 * g * mu * nu + e2 * nu * nu) / om
+    value = mpmath.exp(mpmath.mpc(-kappa2 / 4, k * xbar)) * mpmath.laguerre(state.n, 0, kappa2 / 2)
+    return complex(value)
+
+
 class TestNumberApply:
     def test_n0_annihilated(self):
         p = make_params(0.05)
@@ -104,10 +183,9 @@ class TestNumberApply:
             )
 
     def test_n_cap(self):
+        # every Fock order the states accept, and no other
         with pytest.raises(DomainError):
-            number_apply(
-                "direct", Fock(7), DualPoint(k=1.0, mu=1.0, nu=0.0, t=0.0), 1e-3, make_params(0.0)
-            )
+            eigen_residual(17, [DualPoint(k=1.0, mu=1.0, nu=0.0, t=0.0)], 1e-3, make_params(0.0))
 
     def test_variants_agree_on_real_characteristic(self):
         # Fock tomograms are even in X => w~ real => the first-order
@@ -141,33 +219,44 @@ class TestNumberApply:
 
 
 class TestStencil:
-    @pytest.mark.parametrize("n, gamma", [(0, 0.0), (1, 0.3), (2, 0.05), (6, 0.3)])
+    @pytest.mark.parametrize("n, gamma", [(0, 0.0), (1, 0.3), (2, 0.05), (6, 0.3), (16, 0.6)])
     def test_one_broadcast_matches_nine_quadratures(self, n, gamma):
+        # the stencil's one broadcast of the closed form against one
+        # `characteristic` call per point, and Richardson's
+        # (4 D(h/2) - D(h)) / 3 for every first and second difference; the
+        # mixed one is a quarter of the two diagonals' difference.  numpy
+        # divides a complex array by a real as a product with its
+        # reciprocal, Python by a quotient: a few ulps apart
         p = make_params(gamma)
         h = 1e-3
         for point in _sample(np.random.default_rng(n), 4, [0.0, 1.0, 5.0]):
             k, mu, nu, t = point.k, point.mu, point.nu, point.t
-            base = _characteristic_spec(Fock(n), k, mu, nu, t, p)
-            spec = QuadratureSpec(base.center, 1.05 * base.half_width, base.points)
 
-            def w(m, v):
-                return _characteristic_with_spec(Fock(n), k, m, v, t, p, spec)
+            def w(dm, dv):
+                return characteristic(Fock(n), k, mu + dm, nu + dv, t, p)
 
-            def d1(plus, minus, half_plus, half_minus):
-                # Richardson's (4 D(h/2) - D(h)) / 3 from the two central pairs
-                return (4.0 * ((half_plus - half_minus) / h) - (plus - minus) / (2.0 * h)) / 3.0
+            def d1(step, axis):
+                return (w(*(step * axis)) - w(*(-step * axis))) / (2.0 * step)
 
-            w00, wp0, wm0, w0p, w0m = w(mu, nu), w(mu + h, nu), w(mu - h, nu), w(mu, nu + h), w(mu, nu - h)
-            wpp, wpm, wmp, wmm = w(mu + h, nu + h), w(mu + h, nu - h), w(mu - h, nu + h), w(mu - h, nu - h)
+            def d2(step, axis):
+                return (w(*(step * axis)) - 2.0 * w00 + w(*(-step * axis))) / (step * step)
+
+            def richardson(d, axis):
+                return (4.0 * d(h / 2, axis) - d(h, axis)) / 3.0
+
+            w00 = w(0.0, 0.0)
+            e_mu, e_nu = np.array([1.0, 0.0]), np.array([0.0, 1.0])
             expected = (
                 w00,
-                d1(wp0, wm0, w(mu + h / 2, nu), w(mu - h / 2, nu)),
-                d1(w0p, w0m, w(mu, nu + h / 2), w(mu, nu - h / 2)),
-                (wp0 - 2.0 * w00 + wm0) / (h * h),
-                (w0p - 2.0 * w00 + w0m) / (h * h),
-                (wpp - wpm - wmp + wmm) / (4.0 * h * h),
+                richardson(d1, e_mu),
+                richardson(d1, e_nu),
+                richardson(d2, e_mu),
+                richardson(d2, e_nu),
+                0.25 * (richardson(d2, e_mu + e_nu) - richardson(d2, e_mu - e_nu)),
             )
-            assert _stencil(Fock(n), point, h, p) == expected
+            got = _stencil(Fock(n), point, h, p)
+            assert got[0] == w00
+            np.testing.assert_allclose(got, expected, rtol=1e-14, atol=0.0)
 
 
 class TestEigenResidual:
@@ -194,7 +283,15 @@ class TestEigenResidual:
         sample = [DualPoint(k=1.0, mu=0.9, nu=0.6, t=2.0)]
         coarse = eigen_residual(1, sample, 2e-2, p)
         fine = eigen_residual(1, sample, 2e-3, p)
-        assert fine < coarse / 8.0  # O(h**2) until the quadrature floor
+        assert fine < coarse / 8.0  # O(h**4) until the rounding floor
+
+    def test_every_fock_order(self):
+        # the closed-form stencil holds the eigenvalue at the top of the
+        # state envelope as well
+        rng = np.random.default_rng(16)
+        for g in (0.0, 0.3, 0.6):
+            sample = _sample(rng, 7, [0.0, 1.0, 5.0])
+            assert eigen_residual(16, sample, 1e-3, make_params(g)) < 1e-3
 
 
     @pytest.mark.parametrize("n, gamma", [(0, 0.0), (1, 0.05), (2, 0.3)])
