@@ -465,8 +465,8 @@ def _check_wigner_marginal(rng):
     state = Fock(1)
     spec = _x_window(state, 0.0, 1.0, t, p)
     qs = rng.uniform(-1.0, 1.0, size=20) * math.sqrt(epsilon(t, p).ee)
-    # the p-integral of the closed-form W at every q at once, one row per q
-    marg = integrate(lambda ps: wigner(qs[:, None], ps, t, state, p), spec) / (2.0 * math.pi)
+    # the p-integral of the closed-form W at each q
+    marg = np.array([integrate(lambda ps: wigner(q, ps, t, state, p), spec) for q in qs]) / (2.0 * math.pi)
     return float(np.max(np.abs(marg - np.abs(psi(state, qs, t, p)) ** 2)))
 
 

@@ -2,11 +2,13 @@
 reference two-lobe figure, and the seeded verification suites.
 
     ck-tomo tomogram --gamma 0.05 --t 5 --state fock:1 --optical \
-        --phi-grid 0:6.2832:64 --x-grid -6:6:241
-    ck-tomo wigner --gamma 0 --t 0 --state fock:0 --q-grid -4:4:81 --p-grid -4:4:81
+        --phi-grid 0:6.2832:64 --x-grid=-6:6:241
+    ck-tomo wigner --gamma 0 --t 0 --state fock:0 --q-grid=-4:4:81 --p-grid=-4:4:81
     ck-tomo figure1 --format csv --output fig1.csv
     ck-tomo check all --seed 42
 
+Each `cmd_*` parses and checks only its own command's options.  A tomogram
+takes one frame: --mu with --nu, or --optical with --phi or --phi-grid.
 Exit codes: 0 success, 1 check failure, 2 usage/config error, 3 numeric
 domain error, 141 the reader of stdout went away (`ck-tomo figure1 | head
 -1`): the command stops there without a traceback, and 141 = 128 + SIGPIPE
@@ -22,17 +24,16 @@ import argparse
 import math
 import os
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
 from .dynamics import make_params
 from .errors import CkTomoError, DomainError, NonFinite, UsageError
-from .numerics import Axis, ScalarGrid, tiles
+from .numerics import _FMT, Axis, ScalarGrid, tiles
 from .states import Coherent, Fock, QuantumState, wigner
 from .tomography import TomographyFrame, optical_frame, tomogram
 
-__all__ = ["main", "UsageError", "parse_state", "parse_grid", "RunConfig"]
+__all__ = ["main", "UsageError", "parse_state", "parse_grid"]
 
 _MAX_GRID_POINTS = 100_000
 # bounds the values array: peak RSS at the cap is in the README
@@ -45,23 +46,6 @@ EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
 EXIT_NUMERIC = 3
 EXIT_BROKEN_PIPE = 141
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Parsed command configuration for grid-emitting commands."""
-
-    gamma: float
-    t: float
-    state: QuantumState
-    frame_mode: str  # "symplectic" | "optical"
-    mu: float | None = None
-    nu: float | None = None
-    phi: float | None = None
-    phi_axis: Axis | None = None
-    x_axis: Axis | None = None
-    q_axis: Axis | None = None
-    p_axis: Axis | None = None
 
 
 def parse_state(text: str) -> QuantumState:
@@ -94,9 +78,13 @@ def parse_grid(name: str, text: str) -> Axis:
         raise UsageError(f"grid spec {text!r}: {exc}") from exc
     if not (2 <= count <= _MAX_GRID_POINTS):
         raise UsageError(f"grid counts must lie in [2, {_MAX_GRID_POINTS}], got {count}")
-    if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
-        raise UsageError(f"grid spec {text!r} must have min < max")
+    if not (lo < hi and math.isfinite(hi - lo)):  # false for a nan, an inf or an overflowing span
+        raise UsageError(f"grid spec {text!r} must have min < max and a finite max - min")
     return Axis(name, np.linspace(lo, hi, count))
+
+
+def _axis(name: str, text: str | None) -> Axis | None:
+    return None if text is None else parse_grid(name, text)
 
 
 def _parse_tol(items) -> dict[str, float]:
@@ -137,59 +125,71 @@ def _emit(grid: ScalarGrid, fmt: str, output: str | None) -> None:
         grid.write(fh, fmt)
 
 
-def _meta(config: RunConfig, equation: str) -> dict[str, str]:
-    st, alpha = config.state, config.state.alpha
-    state = f"fock:{st.n}" if isinstance(st, Fock) else f"coherent:{alpha.real:g},{alpha.imag:g}"
-    return dict(gamma="%.17g" % config.gamma, t="%.17g" % config.t, state=state, equation=equation)
+def _meta(args: argparse.Namespace, state: QuantumState, equation: str) -> dict[str, str]:
+    """gamma, t and the state's parameters with 17 digits, as the grid's numbers."""
+    alpha = state.alpha
+    desc = f"fock:{state.n}" if isinstance(state, Fock) else f"coherent:{_FMT % alpha.real},{_FMT % alpha.imag}"
+    return dict(gamma=_FMT % args.gamma, t=_FMT % args.t, state=desc, equation=equation)
 
 
 # --------------------------------------------------------------------------
 # commands
 
 
-def cmd_tomogram(config: RunConfig) -> ScalarGrid:
-    """Evaluate the selected tomogram over the requested grid."""
-    params = make_params(config.gamma)
-    if config.x_axis is None:
+def cmd_tomogram(args: argparse.Namespace) -> ScalarGrid:
+    """Evaluate the tomogram of `args` (the parsed `tomogram` options) over
+    its X grid, in one frame: --mu/--nu, --optical --phi, or an
+    --optical --phi-grid of angles, one row per angle."""
+    state = parse_state(args.state)
+    if args.phi_grid is not None and not args.optical:
+        raise UsageError("--phi-grid requires --optical")
+    phi_axis, x_axis = _axis("phi", args.phi_grid), _axis("x", args.x_grid)
+    if args.phi is not None and not args.optical:
+        raise UsageError("--phi requires --optical")
+    if args.phi is not None and phi_axis is not None:
+        raise UsageError("--phi and --phi-grid conflict: give one")
+    if args.optical and args.phi is None and phi_axis is None:
+        raise UsageError("--optical requires --phi or --phi-grid")
+    if args.optical and (args.mu is not None or args.nu is not None):
+        raise UsageError("--mu/--nu conflict with --optical")
+    if not args.optical and (args.mu is None) != (args.nu is None):
+        raise UsageError("--mu and --nu must be given together")
+    if not args.optical and args.mu is None:
+        raise UsageError("choose a frame: --mu/--nu or --optical")
+    params = make_params(args.gamma)
+    if x_axis is None:
         raise UsageError("tomogram requires --x-grid")
-    xs = config.x_axis.values
-    meta = _meta(config, "fock-tomogram" if isinstance(config.state, Fock) else "coherent-tomogram")
-    if config.frame_mode == "optical" and config.phi_axis is not None:
+    xs = x_axis.values
+    meta = _meta(args, state, "fock-tomogram" if isinstance(state, Fock) else "coherent-tomogram")
+    if phi_axis is not None:
         meta["frame"] = "optical"
-        if len(config.phi_axis) * len(xs) > _MAX_TOMOGRAM_VALUES:
+        if len(phi_axis) * len(xs) > _MAX_TOMOGRAM_VALUES:
             raise UsageError(f"tomogram grids are capped at {_MAX_TOMOGRAM_VALUES} values")
-
-        def block(phis: np.ndarray, x: np.ndarray) -> np.ndarray:
-            frame = TomographyFrame(x, *optical_frame(phis))
-            return tomogram(config.state, frame, config.t, params)
-
-        values = _fill(config.phi_axis.values, xs, block)
-        return ScalarGrid(axis1=config.phi_axis, axis2=config.x_axis, values=values, meta=meta)
-    if config.frame_mode == "optical":
-        mu, nu = optical_frame(config.phi)
-        meta["frame"] = "optical"
-        meta["phi"] = "%.17g" % config.phi
+        block = lambda phis, x: tomogram(state, TomographyFrame(x, *optical_frame(phis)), args.t, params)
+        values = _fill(phi_axis.values, xs, block)
+        return ScalarGrid(axis1=phi_axis, axis2=x_axis, values=values, meta=meta)
+    if args.optical:
+        mu, nu = optical_frame(args.phi)
+        meta.update(frame="optical", phi=_FMT % args.phi)
     else:
-        mu, nu = config.mu, config.nu
-        meta["frame"] = "symplectic"
-        meta["mu"] = "%.17g" % mu
-        meta["nu"] = "%.17g" % nu
-    frame = TomographyFrame(xs, mu, nu)
-    values = np.asarray(tomogram(config.state, frame, config.t, params))
-    return ScalarGrid(axis1=config.x_axis, values=values, meta=meta)
+        mu, nu = args.mu, args.nu
+        meta.update(frame="symplectic", mu=_FMT % mu, nu=_FMT % nu)
+    values = np.asarray(tomogram(state, TomographyFrame(xs, mu, nu), args.t, params))
+    return ScalarGrid(axis1=x_axis, values=values, meta=meta)
 
 
-def cmd_wigner(config: RunConfig) -> ScalarGrid:
-    """Evaluate the Wigner function over the requested (q, p) grid."""
-    params = make_params(config.gamma)
-    if config.q_axis is None or config.p_axis is None:
+def cmd_wigner(args: argparse.Namespace) -> ScalarGrid:
+    """Evaluate the Wigner function of `args` (the parsed `wigner` options)
+    over its (q, p) grid."""
+    state = parse_state(args.state)
+    q_axis, p_axis = _axis("q", args.q_grid), _axis("p", args.p_grid)
+    params = make_params(args.gamma)
+    if q_axis is None or p_axis is None:
         raise UsageError("wigner requires --q-grid and --p-grid")
-    if len(config.q_axis) > _MAX_WIGNER_AXIS or len(config.p_axis) > _MAX_WIGNER_AXIS:
+    if len(q_axis) > _MAX_WIGNER_AXIS or len(p_axis) > _MAX_WIGNER_AXIS:
         raise UsageError(f"wigner grids are capped at {_MAX_WIGNER_AXIS} points per axis")
-    qs, ps = config.q_axis.values, config.p_axis.values
-    values = _fill(qs, ps, lambda q, p: wigner(q, p, config.t, config.state, params))
-    meta = _meta(config, "wigner")
-    return ScalarGrid(axis1=config.q_axis, axis2=config.p_axis, values=values, meta=meta)
+    values = _fill(q_axis.values, p_axis.values, lambda q, p: wigner(q, p, args.t, state, params))
+    return ScalarGrid(axis1=q_axis, axis2=p_axis, values=values, meta=_meta(args, state, "wigner"))
 
 
 def cmd_figure1() -> ScalarGrid:
@@ -200,15 +200,11 @@ def cmd_figure1() -> ScalarGrid:
     [-6, 6] with 241 points.  The window choice is a reproduction decision
     recorded in the output metadata.
     """
-    config = RunConfig(
-        gamma=0.05,
-        t=5.0,
-        state=Fock(1),
-        frame_mode="optical",
-        phi_axis=Axis("phi", np.linspace(0.0, 2.0 * math.pi, 64)),
-        x_axis=Axis("x", np.linspace(-6.0, 6.0, 241)),
+    args = argparse.Namespace(
+        gamma=0.05, t=5.0, state="fock:1", optical=True, phi=None, mu=None, nu=None,
+        phi_grid=f"0:{2.0 * math.pi!r}:64", x_grid="-6:6:241",
     )
-    grid = cmd_tomogram(config)
+    grid = cmd_tomogram(args)
     grid.meta["window"] = "phi:0:6.2831853071795865:64;x:-6:6:241"
     return grid
 
@@ -218,8 +214,7 @@ def cmd_check(suite: str, seed: int, tol_overrides: dict[str, float]) -> int:
     from . import checks  # the oracle suites load only for `check`
 
     results = checks.run_checks(suite, seed, tol_overrides)
-    n_pass = 0
-    n_scored = 0
+    n_pass = n_scored = 0
     for res in results:
         if res.info:
             status = "INFO"
@@ -271,59 +266,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p_fig.add_argument("--output", type=str, default=None)
 
     p_chk = sub.add_parser("check", help="run verification suites")
-    p_chk.add_argument(
-        "suite",
-        choices=("all", "dynamics", "tomography", "evolution", "invariants"),
-    )
+    p_chk.add_argument("suite", choices=("all", "dynamics", "tomography", "evolution", "invariants"))
     p_chk.add_argument("--seed", type=int, default=0)
     p_chk.add_argument("--tol", action="append", default=[], help="name=value override")
     return parser
-
-
-def _config_from_args(args) -> RunConfig:
-    state = parse_state(args.state)
-    frame_mode = "optical" if getattr(args, "optical", False) else "symplectic"
-    phi_axis = x_axis = q_axis = p_axis = None
-    if getattr(args, "phi_grid", None) is not None:
-        if not args.optical:
-            raise UsageError("--phi-grid requires --optical")
-        phi_axis = parse_grid("phi", args.phi_grid)
-    if getattr(args, "x_grid", None) is not None:
-        x_axis = parse_grid("x", args.x_grid)
-    if getattr(args, "q_grid", None) is not None:
-        q_axis = parse_grid("q", args.q_grid)
-    if getattr(args, "p_grid", None) is not None:
-        p_axis = parse_grid("p", args.p_grid)
-    mu = getattr(args, "mu", None)
-    nu = getattr(args, "nu", None)
-    phi = getattr(args, "phi", None)
-    if phi is not None and frame_mode != "optical":
-        raise UsageError("--phi requires --optical")
-    if phi is not None and phi_axis is not None:
-        raise UsageError("--phi and --phi-grid conflict: give one")
-    if frame_mode == "optical":
-        if phi is None and phi_axis is None:
-            raise UsageError("--optical requires --phi or --phi-grid")
-        if mu is not None or nu is not None:
-            raise UsageError("--mu/--nu conflict with --optical")
-    elif hasattr(args, "mu") and (mu is not None or nu is not None):
-        if mu is None or nu is None:
-            raise UsageError("--mu and --nu must be given together")
-    elif hasattr(args, "mu"):
-        raise UsageError("choose a frame: --mu/--nu or --optical")
-    return RunConfig(
-        gamma=args.gamma,
-        t=args.t,
-        state=state,
-        frame_mode=frame_mode,
-        mu=mu,
-        nu=nu,
-        phi=phi,
-        phi_axis=phi_axis,
-        x_axis=x_axis,
-        q_axis=q_axis,
-        p_axis=p_axis,
-    )
 
 
 def main(argv=None) -> int:
@@ -356,16 +302,15 @@ def main(argv=None) -> int:
 
 
 def _run(args) -> int:
+    # each cmd_* is looked up when called, so a wrapper set in its place runs
     if args.command == "check":
         return cmd_check(args.suite, args.seed, _parse_tol(args.tol))
     if args.command == "figure1":
         grid = cmd_figure1()
     elif args.command == "tomogram":
-        grid = cmd_tomogram(_config_from_args(args))
-    elif args.command == "wigner":
-        grid = cmd_wigner(_config_from_args(args))
-    else:  # pragma: no cover - argparse restricts the choices
-        raise UsageError(f"unknown command {args.command!r}")
+        grid = cmd_tomogram(args)
+    else:  # argparse restricts the commands
+        grid = cmd_wigner(args)
     _emit(grid, args.fmt, args.output)
     return EXIT_OK
 

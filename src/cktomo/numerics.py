@@ -197,21 +197,17 @@ def integrate(f: Callable, spec: QuadratureSpec):
 
     The rule has `spec.points` nodes rounded up to the next multiple of 16
     (`_rung`).  f must be vectorized (called once with the full node array)
-    and may return real or complex values: one per node, or an (m, nodes)
-    array of m integrands on the same rule, which gives an array of m
-    integrals, each row summed exactly as a 1-D integrand would be.  For
-    Gaussian-tailed integrands with half_width >= 8 sigma, doubling
-    `points` moves the result by < 1e-10.
+    and return one real or complex value per node.  For Gaussian-tailed
+    integrands with half_width >= 8 sigma, doubling `points` moves the
+    result by < 1e-10.
     """
     nodes, weights = _gauss_legendre(_rung(spec.points))
     xs = spec.center + spec.half_width * nodes
     ys = np.asarray(f(xs))
-    if ys.shape[-1:] != xs.shape or ys.ndim > 2:
-        raise DomainError("integrand must return one value per node (per row)")
+    if ys.shape != xs.shape:
+        raise DomainError("integrand must return one value per node")
     if not np.isfinite(ys).all():
         raise NonFinite("integrand returned non-finite values inside the window")
-    if ys.ndim == 2:
-        return spec.half_width * np.array([np.dot(weights, row) for row in ys])
     total = spec.half_width * np.dot(weights, ys)
     return complex(total) if np.iscomplexobj(ys) else float(total)
 

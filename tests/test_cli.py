@@ -12,8 +12,8 @@ from cktomo import ScalarGrid
 from cktomo.checks import SUITES, run_checks
 from cktomo.cli import (
     _BLOCK,
-    RunConfig,
     UsageError,
+    _build_parser,
     cmd_figure1,
     cmd_tomogram,
     cmd_wigner,
@@ -59,7 +59,7 @@ class TestParsing:
     def test_bad_grid_spec(self):
         from cktomo.cli import UsageError
 
-        for bad in ("1:2", "2:1:5", "1:2:1", "1:2:200001", "a:b:c"):
+        for bad in ("1:2", "2:1:5", "1:2:1", "1:2:200001", "a:b:c", "-1e308:1e308:3", "0:inf:3", "nan:1:3"):
             with pytest.raises(UsageError):
                 parse_grid("x", bad)
 
@@ -149,14 +149,16 @@ class TestTomogramCommand:
         assert np.array_equal(back.values, grid.values)
 
 
-def _optical_config(state, n_phi: int, n_x: int) -> RunConfig:
-    return RunConfig(
-        gamma=0.17,
-        t=2.3,
-        state=state,
-        frame_mode="optical",
-        phi_axis=parse_grid("phi", f"0:6.283:{n_phi}"),
-        x_axis=parse_grid("x", f"-7:7:{n_x}"),
+def _descriptor(state) -> str:
+    if isinstance(state, Fock):
+        return f"fock:{state.n}"
+    return f"coherent:{state.alpha.real!r},{state.alpha.imag!r}"
+
+
+def _optical_args(state, n_phi: int, n_x: int):
+    return _build_parser().parse_args(
+        ["tomogram", "--gamma", "0.17", "--t", "2.3", "--state", _descriptor(state),
+         "--optical", "--phi-grid", f"0:6.283:{n_phi}", f"--x-grid=-7:7:{n_x}"]
     )
 
 
@@ -166,49 +168,49 @@ class TestOpticalBroadcast:
     whole-grid broadcast."""
 
     @staticmethod
-    def _row_loop(config: RunConfig) -> np.ndarray:
-        params = make_params(config.gamma)
-        xs = config.x_axis.values
+    def _row_loop(args) -> np.ndarray:
+        params = make_params(args.gamma)
+        xs = parse_grid("x", args.x_grid).values
         rows = []
-        for phi in config.phi_axis.values:
+        for phi in parse_grid("phi", args.phi_grid).values:
             frame = TomographyFrame(xs, *optical_frame(phi))
-            rows.append(tomogram(config.state, frame, config.t, params))
+            rows.append(tomogram(parse_state(args.state), frame, args.t, params))
         return np.vstack(rows)
 
     @pytest.mark.parametrize("n", [0, 1, 9, 10, 16])
     def test_fock_bit_identical_to_row_loop(self, n):
-        config = _optical_config(Fock(n), 37, 203)
-        got = cmd_tomogram(config).values
+        args = _optical_args(Fock(n), 37, 203)
+        got = cmd_tomogram(args).values
         assert got.shape == (37, 203)
-        assert got.tobytes() == self._row_loop(config).tobytes()
+        assert got.tobytes() == self._row_loop(args).tobytes()
 
     @pytest.mark.parametrize("alpha", [0.0, 1.3 - 0.4j, -2.1 + 2.7j, 8.0j])
     def test_coherent_matches_row_loop(self, alpha):
-        config = _optical_config(Coherent(alpha), 37, 203)
-        got = cmd_tomogram(config).values
-        ref = self._row_loop(config)
+        args = _optical_args(Coherent(alpha), 37, 203)
+        got = cmd_tomogram(args).values
+        ref = self._row_loop(args)
         assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(ref)
 
     @staticmethod
-    def _broadcast(config: RunConfig) -> np.ndarray:
-        mu, nu = optical_frame(config.phi_axis.values)
-        frame = TomographyFrame(config.x_axis.values[None, :], mu[:, None], nu[:, None])
-        return tomogram(config.state, frame, config.t, make_params(config.gamma))
+    def _broadcast(args) -> np.ndarray:
+        mu, nu = optical_frame(parse_grid("phi", args.phi_grid).values)
+        frame = TomographyFrame(parse_grid("x", args.x_grid).values[None, :], mu[:, None], nu[:, None])
+        return tomogram(parse_state(args.state), frame, args.t, make_params(args.gamma))
 
     @pytest.mark.parametrize("state", [Fock(16), Coherent(2.5 - 1.5j)], ids=["fock16", "coherent"])
     @pytest.mark.parametrize("shape", [(300, 400), (3, 50_000)], ids=["row_tiles", "column_tiles"])
     def test_tiles_bit_identical_to_one_broadcast(self, state, shape):
         # 300 x 400 is 4 tiles of whole rows; a 50 000-point row is 2 tiles
-        config = _optical_config(state, *shape)
+        args = _optical_args(state, *shape)
         assert len(tiles(*shape, _BLOCK)) >= 3
-        got = cmd_tomogram(config).values
-        assert got.tobytes() == self._broadcast(config).tobytes()
+        got = cmd_tomogram(args).values
+        assert got.tobytes() == self._broadcast(args).tobytes()
 
     def test_value_cap_boundary(self):
         # 1000 x 1000 is exactly the cap; one more X point is refused
-        assert cmd_tomogram(_optical_config(Fock(0), 1000, 1000)).values.shape == (1000, 1000)
+        assert cmd_tomogram(_optical_args(Fock(0), 1000, 1000)).values.shape == (1000, 1000)
         with pytest.raises(UsageError, match="capped"):
-            cmd_tomogram(_optical_config(Fock(0), 1000, 1001))
+            cmd_tomogram(_optical_args(Fock(0), 1000, 1001))
         argv = ["tomogram", "--state", "fock:0", "--optical", "--phi-grid", "0:1:1001", "--x-grid=-1:1:1000"]
         assert main(argv) == 2
 
@@ -267,18 +269,14 @@ class TestWignerCommand:
 
     @pytest.mark.parametrize("state", [Fock(7), Coherent(1.5 + 2.0j)], ids=["fock7", "coherent"])
     def test_tiles_bit_identical_to_one_broadcast(self, state):
-        config = RunConfig(
-            gamma=0.13,
-            t=1.7,
-            state=state,
-            frame_mode="symplectic",
-            q_axis=parse_grid("q", "-6:6:401"),
-            p_axis=parse_grid("p", "-6:6:401"),
+        args = _build_parser().parse_args(
+            ["wigner", "--gamma", "0.13", "--t", "1.7", "--state", _descriptor(state),
+             "--q-grid=-6:6:401", "--p-grid=-6:6:401"]
         )
         assert len(tiles(401, 401, _BLOCK)) >= 3
-        qs, ps = config.q_axis.values, config.p_axis.values
-        ref = wigner(qs[:, None], ps[None, :], config.t, state, make_params(config.gamma))
-        assert cmd_wigner(config).values.tobytes() == ref.tobytes()
+        qs = ps = np.linspace(-6.0, 6.0, 401)
+        ref = wigner(qs[:, None], ps[None, :], 1.7, state, make_params(0.13))
+        assert cmd_wigner(args).values.tobytes() == ref.tobytes()
 
     def test_axis_cap(self):
         code = main(
@@ -391,6 +389,24 @@ class TestExitCodes:
             )
             assert code == 0
             assert np.all(np.isfinite(ScalarGrid.from_csv(out.read_text()).values))
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["tomogram", "--mu", "1", "--nu", "0", "--x-grid=-1e308:1e308:3"],
+            ["tomogram", "--optical", "--phi-grid=-1e308:1e308:3", "--x-grid=-1:1:3"],
+            ["wigner", "--q-grid=-1e308:1e308:3", "--p-grid=-1:1:3"],
+            ["wigner", "--q-grid=-1:1:3", "--p-grid=-1.7e308:1.7e308:3"],
+        ],
+        ids=["x", "phi", "q", "p"],
+    )
+    def test_usage_error_overflowing_span(self, argv):
+        # max - min overflows although both ends are finite doubles: the
+        # grid's spacing was inf, numpy warned twice and the axis was exit 3
+        res = run_cli(argv, env_extra={"PYTHONWARNINGS": "error"})
+        assert res.returncode == 2 and res.stdout == b""
+        lines = res.stderr.decode().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: grid spec"), lines
 
     def test_numeric_error_overflow_no_traceback(self):
         res = run_cli(["tomogram", "--gamma", "0.9", "--t", "500", "--state", "fock:1", "--mu", "1", "--nu", "0", "--x-grid=-1:1:5"])
@@ -657,7 +673,8 @@ class TestDeterminism:
 
     def test_coherent_grid_csv_sha256(self):
         # figure1 is Fock 1 and the check report prints 7 digits, so neither
-        # pin sees a change in the coherent closed form
+        # pin sees a change in the coherent closed form; the metadata carries
+        # alpha with 17 digits (state=coherent:1.3,-0.40000000000000002)
         res = run_cli(
             [
                 "tomogram", "--gamma", "0.05", "--t", "5", "--state", "coherent:1.3,-0.4",
@@ -666,7 +683,7 @@ class TestDeterminism:
         )
         assert res.returncode == 0
         digest = hashlib.sha256(res.stdout).hexdigest()
-        assert digest == "a3699e438a28be92462f904c25ff306a31638b1d9a02d82deb18feae2d070543"
+        assert digest == "1b6610faa6f7db72f7c45bd34214b078ad7b649266c75c802dc95442fbe00536"
 
     def test_grid_identical_across_thread_counts(self):
         args = [

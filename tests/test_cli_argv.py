@@ -146,27 +146,27 @@ EXPECTED: dict[str, tuple[int, str]] = {
     "tomogram-g0.1-bad_state-phi_grid_alone-x_reversed": (2, EMPTY),
     "tomogram-g0.1-bad_state-phi_grid_alone-x_valid": (2, EMPTY),
     "tomogram-g0.1-coherent-mu_nu-x_missing": (2, EMPTY),
-    "tomogram-g0.1-coherent-mu_nu-x_overflow": (3, EMPTY),
+    "tomogram-g0.1-coherent-mu_nu-x_overflow": (2, EMPTY),
     "tomogram-g0.1-coherent-mu_nu-x_reversed": (2, EMPTY),
-    "tomogram-g0.1-coherent-mu_nu-x_valid": (0, "fdeccdbf6c61749e36719319b80dfdce988ea0d9b2ef2a77e5f485a7e5884756"),
+    "tomogram-g0.1-coherent-mu_nu-x_valid": (0, "2db9d60caf66304a0749b78406c3a7d7b746dbc59b3fa057ce702cc56682327e"),
     "tomogram-g0.1-coherent-mu_nu_zero-x_missing": (2, EMPTY),
-    "tomogram-g0.1-coherent-mu_nu_zero-x_overflow": (3, EMPTY),
+    "tomogram-g0.1-coherent-mu_nu_zero-x_overflow": (2, EMPTY),
     "tomogram-g0.1-coherent-mu_nu_zero-x_reversed": (2, EMPTY),
     "tomogram-g0.1-coherent-mu_nu_zero-x_valid": (3, EMPTY),
     "tomogram-g0.1-coherent-mu_only-x_missing": (2, EMPTY),
-    "tomogram-g0.1-coherent-mu_only-x_overflow": (3, EMPTY),
+    "tomogram-g0.1-coherent-mu_only-x_overflow": (2, EMPTY),
     "tomogram-g0.1-coherent-mu_only-x_reversed": (2, EMPTY),
     "tomogram-g0.1-coherent-mu_only-x_valid": (2, EMPTY),
     "tomogram-g0.1-coherent-none-x_missing": (2, EMPTY),
-    "tomogram-g0.1-coherent-none-x_overflow": (3, EMPTY),
+    "tomogram-g0.1-coherent-none-x_overflow": (2, EMPTY),
     "tomogram-g0.1-coherent-none-x_reversed": (2, EMPTY),
     "tomogram-g0.1-coherent-none-x_valid": (2, EMPTY),
     "tomogram-g0.1-coherent-nu_only-x_missing": (2, EMPTY),
-    "tomogram-g0.1-coherent-nu_only-x_overflow": (3, EMPTY),
+    "tomogram-g0.1-coherent-nu_only-x_overflow": (2, EMPTY),
     "tomogram-g0.1-coherent-nu_only-x_reversed": (2, EMPTY),
     "tomogram-g0.1-coherent-nu_only-x_valid": (2, EMPTY),
     "tomogram-g0.1-coherent-optical_alone-x_missing": (2, EMPTY),
-    "tomogram-g0.1-coherent-optical_alone-x_overflow": (3, EMPTY),
+    "tomogram-g0.1-coherent-optical_alone-x_overflow": (2, EMPTY),
     "tomogram-g0.1-coherent-optical_alone-x_reversed": (2, EMPTY),
     "tomogram-g0.1-coherent-optical_alone-x_valid": (2, EMPTY),
     "tomogram-g0.1-coherent-optical_bad_phi_grid-x_missing": (2, EMPTY),
@@ -174,23 +174,23 @@ EXPECTED: dict[str, tuple[int, str]] = {
     "tomogram-g0.1-coherent-optical_bad_phi_grid-x_reversed": (2, EMPTY),
     "tomogram-g0.1-coherent-optical_bad_phi_grid-x_valid": (2, EMPTY),
     "tomogram-g0.1-coherent-optical_mu_nu-x_missing": (2, EMPTY),
-    "tomogram-g0.1-coherent-optical_mu_nu-x_overflow": (3, EMPTY),
+    "tomogram-g0.1-coherent-optical_mu_nu-x_overflow": (2, EMPTY),
     "tomogram-g0.1-coherent-optical_mu_nu-x_reversed": (2, EMPTY),
     "tomogram-g0.1-coherent-optical_mu_nu-x_valid": (2, EMPTY),
     "tomogram-g0.1-coherent-optical_phi-x_missing": (2, EMPTY),
-    "tomogram-g0.1-coherent-optical_phi-x_overflow": (3, EMPTY),
+    "tomogram-g0.1-coherent-optical_phi-x_overflow": (2, EMPTY),
     "tomogram-g0.1-coherent-optical_phi-x_reversed": (2, EMPTY),
-    "tomogram-g0.1-coherent-optical_phi-x_valid": (0, "a6b7fd8a2732548f21680c3959face44263f5b71492f58aa4040b2418ad3db76"),
+    "tomogram-g0.1-coherent-optical_phi-x_valid": (0, "6796189f22cf05138b4cf3f03e12f774e2e4e98985afed067b9bd041adccce0f"),
     "tomogram-g0.1-coherent-optical_phi_and_grid-x_missing": (2, EMPTY),
-    "tomogram-g0.1-coherent-optical_phi_and_grid-x_overflow": (3, EMPTY),
+    "tomogram-g0.1-coherent-optical_phi_and_grid-x_overflow": (2, EMPTY),
     "tomogram-g0.1-coherent-optical_phi_and_grid-x_reversed": (2, EMPTY),
     "tomogram-g0.1-coherent-optical_phi_and_grid-x_valid": (2, EMPTY),
     "tomogram-g0.1-coherent-optical_phi_grid-x_missing": (2, EMPTY),
-    "tomogram-g0.1-coherent-optical_phi_grid-x_overflow": (3, EMPTY),
+    "tomogram-g0.1-coherent-optical_phi_grid-x_overflow": (2, EMPTY),
     "tomogram-g0.1-coherent-optical_phi_grid-x_reversed": (2, EMPTY),
-    "tomogram-g0.1-coherent-optical_phi_grid-x_valid": (0, "5f03b8d680d0e02cddbdf08ab6e8e2f2c164d01f51b4b6d3e17f091fa6fa99ae"),
+    "tomogram-g0.1-coherent-optical_phi_grid-x_valid": (0, "cbd88bc9972132b5e541178afef768baf6d58bea7eb212acd2ed9b8b8dedfca7"),
     "tomogram-g0.1-coherent-phi_alone-x_missing": (2, EMPTY),
-    "tomogram-g0.1-coherent-phi_alone-x_overflow": (3, EMPTY),
+    "tomogram-g0.1-coherent-phi_alone-x_overflow": (2, EMPTY),
     "tomogram-g0.1-coherent-phi_alone-x_reversed": (2, EMPTY),
     "tomogram-g0.1-coherent-phi_alone-x_valid": (2, EMPTY),
     "tomogram-g0.1-coherent-phi_grid_alone-x_missing": (2, EMPTY),
@@ -198,27 +198,27 @@ EXPECTED: dict[str, tuple[int, str]] = {
     "tomogram-g0.1-coherent-phi_grid_alone-x_reversed": (2, EMPTY),
     "tomogram-g0.1-coherent-phi_grid_alone-x_valid": (2, EMPTY),
     "tomogram-g0.1-fock2-mu_nu-x_missing": (2, EMPTY),
-    "tomogram-g0.1-fock2-mu_nu-x_overflow": (3, EMPTY),
+    "tomogram-g0.1-fock2-mu_nu-x_overflow": (2, EMPTY),
     "tomogram-g0.1-fock2-mu_nu-x_reversed": (2, EMPTY),
     "tomogram-g0.1-fock2-mu_nu-x_valid": (0, "e256bea69745f5c11a590d6c19274b7b0ee66c53dd8d9774240f96d941d1cdf0"),
     "tomogram-g0.1-fock2-mu_nu_zero-x_missing": (2, EMPTY),
-    "tomogram-g0.1-fock2-mu_nu_zero-x_overflow": (3, EMPTY),
+    "tomogram-g0.1-fock2-mu_nu_zero-x_overflow": (2, EMPTY),
     "tomogram-g0.1-fock2-mu_nu_zero-x_reversed": (2, EMPTY),
     "tomogram-g0.1-fock2-mu_nu_zero-x_valid": (3, EMPTY),
     "tomogram-g0.1-fock2-mu_only-x_missing": (2, EMPTY),
-    "tomogram-g0.1-fock2-mu_only-x_overflow": (3, EMPTY),
+    "tomogram-g0.1-fock2-mu_only-x_overflow": (2, EMPTY),
     "tomogram-g0.1-fock2-mu_only-x_reversed": (2, EMPTY),
     "tomogram-g0.1-fock2-mu_only-x_valid": (2, EMPTY),
     "tomogram-g0.1-fock2-none-x_missing": (2, EMPTY),
-    "tomogram-g0.1-fock2-none-x_overflow": (3, EMPTY),
+    "tomogram-g0.1-fock2-none-x_overflow": (2, EMPTY),
     "tomogram-g0.1-fock2-none-x_reversed": (2, EMPTY),
     "tomogram-g0.1-fock2-none-x_valid": (2, EMPTY),
     "tomogram-g0.1-fock2-nu_only-x_missing": (2, EMPTY),
-    "tomogram-g0.1-fock2-nu_only-x_overflow": (3, EMPTY),
+    "tomogram-g0.1-fock2-nu_only-x_overflow": (2, EMPTY),
     "tomogram-g0.1-fock2-nu_only-x_reversed": (2, EMPTY),
     "tomogram-g0.1-fock2-nu_only-x_valid": (2, EMPTY),
     "tomogram-g0.1-fock2-optical_alone-x_missing": (2, EMPTY),
-    "tomogram-g0.1-fock2-optical_alone-x_overflow": (3, EMPTY),
+    "tomogram-g0.1-fock2-optical_alone-x_overflow": (2, EMPTY),
     "tomogram-g0.1-fock2-optical_alone-x_reversed": (2, EMPTY),
     "tomogram-g0.1-fock2-optical_alone-x_valid": (2, EMPTY),
     "tomogram-g0.1-fock2-optical_bad_phi_grid-x_missing": (2, EMPTY),
@@ -226,23 +226,23 @@ EXPECTED: dict[str, tuple[int, str]] = {
     "tomogram-g0.1-fock2-optical_bad_phi_grid-x_reversed": (2, EMPTY),
     "tomogram-g0.1-fock2-optical_bad_phi_grid-x_valid": (2, EMPTY),
     "tomogram-g0.1-fock2-optical_mu_nu-x_missing": (2, EMPTY),
-    "tomogram-g0.1-fock2-optical_mu_nu-x_overflow": (3, EMPTY),
+    "tomogram-g0.1-fock2-optical_mu_nu-x_overflow": (2, EMPTY),
     "tomogram-g0.1-fock2-optical_mu_nu-x_reversed": (2, EMPTY),
     "tomogram-g0.1-fock2-optical_mu_nu-x_valid": (2, EMPTY),
     "tomogram-g0.1-fock2-optical_phi-x_missing": (2, EMPTY),
-    "tomogram-g0.1-fock2-optical_phi-x_overflow": (3, EMPTY),
+    "tomogram-g0.1-fock2-optical_phi-x_overflow": (2, EMPTY),
     "tomogram-g0.1-fock2-optical_phi-x_reversed": (2, EMPTY),
     "tomogram-g0.1-fock2-optical_phi-x_valid": (0, "eb44683f308f9b2e5c31e37814cadf2fa50ab83a66506102e280a0dbe7c9285f"),
     "tomogram-g0.1-fock2-optical_phi_and_grid-x_missing": (2, EMPTY),
-    "tomogram-g0.1-fock2-optical_phi_and_grid-x_overflow": (3, EMPTY),
+    "tomogram-g0.1-fock2-optical_phi_and_grid-x_overflow": (2, EMPTY),
     "tomogram-g0.1-fock2-optical_phi_and_grid-x_reversed": (2, EMPTY),
     "tomogram-g0.1-fock2-optical_phi_and_grid-x_valid": (2, EMPTY),
     "tomogram-g0.1-fock2-optical_phi_grid-x_missing": (2, EMPTY),
-    "tomogram-g0.1-fock2-optical_phi_grid-x_overflow": (3, EMPTY),
+    "tomogram-g0.1-fock2-optical_phi_grid-x_overflow": (2, EMPTY),
     "tomogram-g0.1-fock2-optical_phi_grid-x_reversed": (2, EMPTY),
     "tomogram-g0.1-fock2-optical_phi_grid-x_valid": (0, "7badae089f6e35c53a4a14f5fd48fd5c21408efe29ee545dac6d80a4c7116332"),
     "tomogram-g0.1-fock2-phi_alone-x_missing": (2, EMPTY),
-    "tomogram-g0.1-fock2-phi_alone-x_overflow": (3, EMPTY),
+    "tomogram-g0.1-fock2-phi_alone-x_overflow": (2, EMPTY),
     "tomogram-g0.1-fock2-phi_alone-x_reversed": (2, EMPTY),
     "tomogram-g0.1-fock2-phi_alone-x_valid": (2, EMPTY),
     "tomogram-g0.1-fock2-phi_grid_alone-x_missing": (2, EMPTY),
@@ -250,27 +250,27 @@ EXPECTED: dict[str, tuple[int, str]] = {
     "tomogram-g0.1-fock2-phi_grid_alone-x_reversed": (2, EMPTY),
     "tomogram-g0.1-fock2-phi_grid_alone-x_valid": (2, EMPTY),
     "tomogram-g1.5-fock2-mu_nu-x_missing": (3, EMPTY),
-    "tomogram-g1.5-fock2-mu_nu-x_overflow": (3, EMPTY),
+    "tomogram-g1.5-fock2-mu_nu-x_overflow": (2, EMPTY),
     "tomogram-g1.5-fock2-mu_nu-x_reversed": (2, EMPTY),
     "tomogram-g1.5-fock2-mu_nu-x_valid": (3, EMPTY),
     "tomogram-g1.5-fock2-mu_nu_zero-x_missing": (3, EMPTY),
-    "tomogram-g1.5-fock2-mu_nu_zero-x_overflow": (3, EMPTY),
+    "tomogram-g1.5-fock2-mu_nu_zero-x_overflow": (2, EMPTY),
     "tomogram-g1.5-fock2-mu_nu_zero-x_reversed": (2, EMPTY),
     "tomogram-g1.5-fock2-mu_nu_zero-x_valid": (3, EMPTY),
     "tomogram-g1.5-fock2-mu_only-x_missing": (2, EMPTY),
-    "tomogram-g1.5-fock2-mu_only-x_overflow": (3, EMPTY),
+    "tomogram-g1.5-fock2-mu_only-x_overflow": (2, EMPTY),
     "tomogram-g1.5-fock2-mu_only-x_reversed": (2, EMPTY),
     "tomogram-g1.5-fock2-mu_only-x_valid": (2, EMPTY),
     "tomogram-g1.5-fock2-none-x_missing": (2, EMPTY),
-    "tomogram-g1.5-fock2-none-x_overflow": (3, EMPTY),
+    "tomogram-g1.5-fock2-none-x_overflow": (2, EMPTY),
     "tomogram-g1.5-fock2-none-x_reversed": (2, EMPTY),
     "tomogram-g1.5-fock2-none-x_valid": (2, EMPTY),
     "tomogram-g1.5-fock2-nu_only-x_missing": (2, EMPTY),
-    "tomogram-g1.5-fock2-nu_only-x_overflow": (3, EMPTY),
+    "tomogram-g1.5-fock2-nu_only-x_overflow": (2, EMPTY),
     "tomogram-g1.5-fock2-nu_only-x_reversed": (2, EMPTY),
     "tomogram-g1.5-fock2-nu_only-x_valid": (2, EMPTY),
     "tomogram-g1.5-fock2-optical_alone-x_missing": (2, EMPTY),
-    "tomogram-g1.5-fock2-optical_alone-x_overflow": (3, EMPTY),
+    "tomogram-g1.5-fock2-optical_alone-x_overflow": (2, EMPTY),
     "tomogram-g1.5-fock2-optical_alone-x_reversed": (2, EMPTY),
     "tomogram-g1.5-fock2-optical_alone-x_valid": (2, EMPTY),
     "tomogram-g1.5-fock2-optical_bad_phi_grid-x_missing": (2, EMPTY),
@@ -278,23 +278,23 @@ EXPECTED: dict[str, tuple[int, str]] = {
     "tomogram-g1.5-fock2-optical_bad_phi_grid-x_reversed": (2, EMPTY),
     "tomogram-g1.5-fock2-optical_bad_phi_grid-x_valid": (2, EMPTY),
     "tomogram-g1.5-fock2-optical_mu_nu-x_missing": (2, EMPTY),
-    "tomogram-g1.5-fock2-optical_mu_nu-x_overflow": (3, EMPTY),
+    "tomogram-g1.5-fock2-optical_mu_nu-x_overflow": (2, EMPTY),
     "tomogram-g1.5-fock2-optical_mu_nu-x_reversed": (2, EMPTY),
     "tomogram-g1.5-fock2-optical_mu_nu-x_valid": (2, EMPTY),
     "tomogram-g1.5-fock2-optical_phi-x_missing": (3, EMPTY),
-    "tomogram-g1.5-fock2-optical_phi-x_overflow": (3, EMPTY),
+    "tomogram-g1.5-fock2-optical_phi-x_overflow": (2, EMPTY),
     "tomogram-g1.5-fock2-optical_phi-x_reversed": (2, EMPTY),
     "tomogram-g1.5-fock2-optical_phi-x_valid": (3, EMPTY),
     "tomogram-g1.5-fock2-optical_phi_and_grid-x_missing": (2, EMPTY),
-    "tomogram-g1.5-fock2-optical_phi_and_grid-x_overflow": (3, EMPTY),
+    "tomogram-g1.5-fock2-optical_phi_and_grid-x_overflow": (2, EMPTY),
     "tomogram-g1.5-fock2-optical_phi_and_grid-x_reversed": (2, EMPTY),
     "tomogram-g1.5-fock2-optical_phi_and_grid-x_valid": (2, EMPTY),
     "tomogram-g1.5-fock2-optical_phi_grid-x_missing": (3, EMPTY),
-    "tomogram-g1.5-fock2-optical_phi_grid-x_overflow": (3, EMPTY),
+    "tomogram-g1.5-fock2-optical_phi_grid-x_overflow": (2, EMPTY),
     "tomogram-g1.5-fock2-optical_phi_grid-x_reversed": (2, EMPTY),
     "tomogram-g1.5-fock2-optical_phi_grid-x_valid": (3, EMPTY),
     "tomogram-g1.5-fock2-phi_alone-x_missing": (2, EMPTY),
-    "tomogram-g1.5-fock2-phi_alone-x_overflow": (3, EMPTY),
+    "tomogram-g1.5-fock2-phi_alone-x_overflow": (2, EMPTY),
     "tomogram-g1.5-fock2-phi_alone-x_reversed": (2, EMPTY),
     "tomogram-g1.5-fock2-phi_alone-x_valid": (2, EMPTY),
     "tomogram-g1.5-fock2-phi_grid_alone-x_missing": (2, EMPTY),
@@ -323,49 +323,49 @@ EXPECTED: dict[str, tuple[int, str]] = {
     "wigner-g0.1-bad_state-q_valid-p_overflow": (2, EMPTY),
     "wigner-g0.1-bad_state-q_valid-p_valid": (2, EMPTY),
     "wigner-g0.1-coherent-q_cap-p_missing": (2, EMPTY),
-    "wigner-g0.1-coherent-q_cap-p_overflow": (3, EMPTY),
+    "wigner-g0.1-coherent-q_cap-p_overflow": (2, EMPTY),
     "wigner-g0.1-coherent-q_cap-p_valid": (2, EMPTY),
     "wigner-g0.1-coherent-q_missing-p_missing": (2, EMPTY),
-    "wigner-g0.1-coherent-q_missing-p_overflow": (3, EMPTY),
+    "wigner-g0.1-coherent-q_missing-p_overflow": (2, EMPTY),
     "wigner-g0.1-coherent-q_missing-p_valid": (2, EMPTY),
-    "wigner-g0.1-coherent-q_overflow-p_missing": (3, EMPTY),
-    "wigner-g0.1-coherent-q_overflow-p_overflow": (3, EMPTY),
-    "wigner-g0.1-coherent-q_overflow-p_valid": (3, EMPTY),
+    "wigner-g0.1-coherent-q_overflow-p_missing": (2, EMPTY),
+    "wigner-g0.1-coherent-q_overflow-p_overflow": (2, EMPTY),
+    "wigner-g0.1-coherent-q_overflow-p_valid": (2, EMPTY),
     "wigner-g0.1-coherent-q_reversed-p_missing": (2, EMPTY),
     "wigner-g0.1-coherent-q_reversed-p_overflow": (2, EMPTY),
     "wigner-g0.1-coherent-q_reversed-p_valid": (2, EMPTY),
     "wigner-g0.1-coherent-q_valid-p_missing": (2, EMPTY),
-    "wigner-g0.1-coherent-q_valid-p_overflow": (3, EMPTY),
-    "wigner-g0.1-coherent-q_valid-p_valid": (0, "223aa93fc7fefed66876d1677132872ad327862a0a01cf3364d2f171832ff30e"),
+    "wigner-g0.1-coherent-q_valid-p_overflow": (2, EMPTY),
+    "wigner-g0.1-coherent-q_valid-p_valid": (0, "62cd81f2125f2d271b2dc3a58c322f90f1b3d84e950dd73e0ed80455dc0dc853"),
     "wigner-g0.1-fock2-q_cap-p_missing": (2, EMPTY),
-    "wigner-g0.1-fock2-q_cap-p_overflow": (3, EMPTY),
+    "wigner-g0.1-fock2-q_cap-p_overflow": (2, EMPTY),
     "wigner-g0.1-fock2-q_cap-p_valid": (2, EMPTY),
     "wigner-g0.1-fock2-q_missing-p_missing": (2, EMPTY),
-    "wigner-g0.1-fock2-q_missing-p_overflow": (3, EMPTY),
+    "wigner-g0.1-fock2-q_missing-p_overflow": (2, EMPTY),
     "wigner-g0.1-fock2-q_missing-p_valid": (2, EMPTY),
-    "wigner-g0.1-fock2-q_overflow-p_missing": (3, EMPTY),
-    "wigner-g0.1-fock2-q_overflow-p_overflow": (3, EMPTY),
-    "wigner-g0.1-fock2-q_overflow-p_valid": (3, EMPTY),
+    "wigner-g0.1-fock2-q_overflow-p_missing": (2, EMPTY),
+    "wigner-g0.1-fock2-q_overflow-p_overflow": (2, EMPTY),
+    "wigner-g0.1-fock2-q_overflow-p_valid": (2, EMPTY),
     "wigner-g0.1-fock2-q_reversed-p_missing": (2, EMPTY),
     "wigner-g0.1-fock2-q_reversed-p_overflow": (2, EMPTY),
     "wigner-g0.1-fock2-q_reversed-p_valid": (2, EMPTY),
     "wigner-g0.1-fock2-q_valid-p_missing": (2, EMPTY),
-    "wigner-g0.1-fock2-q_valid-p_overflow": (3, EMPTY),
+    "wigner-g0.1-fock2-q_valid-p_overflow": (2, EMPTY),
     "wigner-g0.1-fock2-q_valid-p_valid": (0, "da67fd11c6d5c54cd8406b98b9dcac5c5ca1890f1c12857dc94a174976396358"),
     "wigner-g1.5-fock2-q_cap-p_missing": (3, EMPTY),
-    "wigner-g1.5-fock2-q_cap-p_overflow": (3, EMPTY),
+    "wigner-g1.5-fock2-q_cap-p_overflow": (2, EMPTY),
     "wigner-g1.5-fock2-q_cap-p_valid": (3, EMPTY),
     "wigner-g1.5-fock2-q_missing-p_missing": (3, EMPTY),
-    "wigner-g1.5-fock2-q_missing-p_overflow": (3, EMPTY),
+    "wigner-g1.5-fock2-q_missing-p_overflow": (2, EMPTY),
     "wigner-g1.5-fock2-q_missing-p_valid": (3, EMPTY),
-    "wigner-g1.5-fock2-q_overflow-p_missing": (3, EMPTY),
-    "wigner-g1.5-fock2-q_overflow-p_overflow": (3, EMPTY),
-    "wigner-g1.5-fock2-q_overflow-p_valid": (3, EMPTY),
+    "wigner-g1.5-fock2-q_overflow-p_missing": (2, EMPTY),
+    "wigner-g1.5-fock2-q_overflow-p_overflow": (2, EMPTY),
+    "wigner-g1.5-fock2-q_overflow-p_valid": (2, EMPTY),
     "wigner-g1.5-fock2-q_reversed-p_missing": (2, EMPTY),
     "wigner-g1.5-fock2-q_reversed-p_overflow": (2, EMPTY),
     "wigner-g1.5-fock2-q_reversed-p_valid": (2, EMPTY),
     "wigner-g1.5-fock2-q_valid-p_missing": (3, EMPTY),
-    "wigner-g1.5-fock2-q_valid-p_overflow": (3, EMPTY),
+    "wigner-g1.5-fock2-q_valid-p_overflow": (2, EMPTY),
     "wigner-g1.5-fock2-q_valid-p_valid": (3, EMPTY),
     "wigner-json": (0, "6f3449cb1e22ed6cf8b5694b81828572e81d3d4cfb79b4a6ae684a24bbc4b328"),
     "wigner-mu": (2, EMPTY),
