@@ -24,7 +24,7 @@ from cktomo import (
     wigner,
     wigner_moments,
 )
-from cktomo.states import _wigner_quadrature
+from cktomo.checks import _wigner_quadrature
 
 p0 = make_params(0.0)
 

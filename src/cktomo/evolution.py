@@ -27,7 +27,7 @@ import numpy as np
 from . import _LAZY
 from .dynamics import DampingParams, epsilon, time_backward, time_forward
 from .errors import DomainError, StepTooLarge
-from .numerics import central_diff, cross_points, diff_from_values, diff_offsets
+from .numerics import _stencil_points, central_diff, diff_from_values, diff_offsets
 from .states import QuantumState
 from .tomography import TomographyFrame, frame_scale_sq, tomogram
 
@@ -61,7 +61,7 @@ def _frame_terms(state: QuantumState, x, mu, nu, t, h, params: DampingParams, ri
     if h > limit:
         raise StepTooLarge(f"h = {h} exceeds 0.1 * min(1, sqrt(s2)) = {limit}")
     e2 = epsilon(t, params).e2
-    ws = tomogram(state, TomographyFrame(x, *cross_points(mu, nu, offsets)), t, params)
+    ws = tomogram(state, TomographyFrame(x, *_stencil_points(mu, nu, offsets, 2)), t, params)
     m = offsets.size
     dw_dmu = diff_from_values(ws[1 : m + 1], h, richardson)
     dw_dnu = diff_from_values(ws[m + 1 :], h, richardson)

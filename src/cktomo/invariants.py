@@ -53,15 +53,13 @@ import numpy as np
 from . import _LAZY
 from .dynamics import DampingParams, epsilon
 from .errors import DomainError, KTooSmall
-from .numerics import _laguerre, _richardson, diff_from_values, diff_offsets, integrate
+from .numerics import _laguerre, _richardson, _stencil_points, diff_from_values, diff_offsets, integrate
 from .states import Fock, QuantumState, wigner_moments
 from .tomography import TomographyFrame, _x_window, frame_scale_sq, tomogram
 
 __all__ = list(_LAZY["invariants"])  # listed in the package, which loads this module on first use
 
 _K_MIN = 0.05
-# the stencil's directions in (mu, nu): both axes and both diagonals
-_DIRECTIONS = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [1.0, -1.0]])
 
 
 @dataclass(frozen=True)
@@ -122,10 +120,7 @@ def _stencil(state, point: DualPoint, h: float, params):
     steps (+h, -h, +h/2, -h/2) of `diff_offsets` along mu, nu and both
     diagonals, whose second differences differ by 4 d2/dmu dnu.  Every
     difference is Richardson's D4 of its steps h and h/2, O(h**4)."""
-    offsets = diff_offsets(h, richardson=True)
-    steps = _DIRECTIONS[:, None, :] * offsets[None, :, None]  # (direction, offset, mu/nu)
-    mus = np.append(point.mu, point.mu + steps[..., 0])
-    nus = np.append(point.nu, point.nu + steps[..., 1])
+    mus, nus = _stencil_points(point.mu, point.nu, diff_offsets(h, richardson=True), 4)
     w = characteristic(state, point.k, mus, nus, point.t, params)
     w00, v = w[0], w[1:].reshape(4, 4).T  # v[offset, direction]
     d1 = diff_from_values(v, h, richardson=True)

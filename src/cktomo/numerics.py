@@ -24,7 +24,6 @@ __all__ = [
     "hermite_gauss",
     "integrate",
     "central_diff",
-    "cross_points",
     "diff_from_values",
     "diff_offsets",
 ]
@@ -241,13 +240,16 @@ def _richardson(coarse, fine):
     return (4.0 * fine - coarse) / 3.0
 
 
-def cross_points(x: float, y: float, offsets):
+# a 2-D stencil's directions in (x, y): both axes, then both diagonals
+_DIRECTIONS = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [1.0, -1.0]])
+
+
+def _stencil_points(x: float, y: float, offsets, directions: int):
     """A 2-D stencil around (x, y), for callers that evaluate it in one
-    broadcast: the center, x + offsets at y, then y + offsets at x."""
-    return (
-        np.concatenate(([x], x + offsets, np.full_like(offsets, x))),
-        np.concatenate(([y], np.full_like(offsets, y), y + offsets)),
-    )
+    broadcast: the center, then (x, y) + offsets times each of the first
+    `directions` of _DIRECTIONS in turn."""
+    steps = _DIRECTIONS[:directions, None, :] * offsets[None, :, None]  # (direction, offset, x/y)
+    return np.append(x, x + steps[..., 0]), np.append(y, y + steps[..., 1])
 
 
 def central_diff(f: Callable, x, h: float, richardson: bool = False):
@@ -377,52 +379,58 @@ class ScalarGrid:
 
     @classmethod
     def from_csv(cls, text: str) -> "ScalarGrid":
+        """Read the text of `write(fh, "csv")`: a 2-D grid's rows must run
+        row-major, axis1 the outer index.  Any other text raises
+        DomainError."""
         meta: dict[str, str] = {}
-        rows: list[list[str]] = []
-        header: list[str] | None = None
+        lines: list[str] = []
         for line in text.splitlines():
             line = line.strip()
-            if not line:
-                continue
             if line.startswith("#"):
                 key, _, value = line[1:].strip().partition("=")
                 meta[key.strip()] = value
-                continue
-            if header is None:
-                header = [c.strip() for c in line.split(",")]
-                continue
-            rows.append(line.split(","))
-        if header is None or not rows:
+            elif line:
+                lines.append(line)
+        if len(lines) < 2:
             raise DomainError("CSV text contains no data rows")
-        if len(header) == 2:
-            ax1 = Axis(header[0], np.array([float(r[0]) for r in rows]))
-            values = np.array([float(r[1]) for r in rows])
-            return cls(axis1=ax1, values=values, meta=meta)
-        if len(header) != 3:
+        header = [c.strip() for c in lines[0].split(",")]
+        if len(header) not in (2, 3):
             raise DomainError(f"expected 2 or 3 CSV columns, got {len(header)}")
-        col1 = [float(r[0]) for r in rows]
-        col2 = [float(r[1]) for r in rows]
-        vals = [float(r[2]) for r in rows]
-        ax1_vals = list(dict.fromkeys(col1))
-        ax2_vals = list(dict.fromkeys(col2))
-        n1, n2 = len(ax1_vals), len(ax2_vals)
-        if n1 * n2 != len(rows):
-            raise DomainError("CSV rows do not form a complete rectangular grid")
-        values = np.array(vals).reshape(n1, n2)
+        rows = [line.split(",") for line in lines[1:]]
+        if any(len(row) != len(header) for row in rows):
+            raise DomainError(f"every CSV data row must have {len(header)} values")
+        try:
+            cols = np.array([[float(v) for v in row] for row in rows]).T
+        except ValueError as exc:
+            raise DomainError(f"CSV data row is not numeric: {exc}") from None
+        if len(header) == 2:
+            return cls(axis1=Axis(header[0], cols[0]), values=cols[1], meta=meta)
+        ax2 = np.array(list(dict.fromkeys(cols[1].tolist())))
+        ax1 = cols[0, :: ax2.size]
+        if not (
+            np.array_equal(cols[0], np.repeat(ax1, ax2.size))
+            and np.array_equal(cols[1], np.tile(ax2, ax1.size))
+        ):
+            raise DomainError("CSV rows do not form a complete row-major grid")
         return cls(
-            axis1=Axis(header[0], np.array(ax1_vals)),
-            axis2=Axis(header[1], np.array(ax2_vals)),
-            values=values,
+            axis1=Axis(header[0], ax1),
+            axis2=Axis(header[1], ax2),
+            values=cols[2].reshape(ax1.size, ax2.size),
             meta=meta,
         )
 
     @classmethod
     def from_json(cls, text: str) -> "ScalarGrid":
-        payload = json.loads(text)
-        ax1 = Axis(payload["axis1"]["name"], np.array(payload["axis1"]["values"]))
-        ax2 = None
-        if payload.get("axis2") is not None:
-            ax2 = Axis(payload["axis2"]["name"], np.array(payload["axis2"]["values"]))
-        shape = (len(ax1),) if ax2 is None else (len(ax1), len(ax2))
-        values = np.array(payload["values"], dtype=float).reshape(shape)
-        return cls(axis1=ax1, axis2=ax2, values=values, meta=payload.get("meta", {}))
+        """Read the text of `write(fh, "json")`; any other text raises
+        DomainError."""
+        try:
+            payload = json.loads(text)
+            axes = [
+                Axis(a["name"], np.array(a["values"], dtype=float))
+                for a in (payload["axis1"], payload.get("axis2"))
+                if a is not None
+            ]
+            values = np.array(payload["values"], dtype=float).reshape([len(a) for a in axes])
+            return cls(axes[0], values, *axes[1:], meta=payload.get("meta", {}))
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+            raise DomainError(f"malformed grid JSON: {exc!r}") from None

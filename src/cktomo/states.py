@@ -1,4 +1,5 @@
-"""Wave functions and Wigner functions of the damped oscillator.
+"""Wave functions and Wigner functions of the damped oscillator, in
+closed form.
 
 Every state here is a displaced number state D(alpha)|n> of the damped
 oscillator, with n = 0 (`Coherent`) or alpha = 0 (`Fock`); both classes
@@ -13,10 +14,9 @@ The Wigner function is
 which fixes the normalization Integral W dq dp = 2*pi.  That is the unique
 choice consistent with the Radon relation between W and the quadrature
 distribution together with the normalization of the latter; it is pinned by
-the frictionless ground state, W = 2 exp(-q**2 - p**2).  The public
-`wigner` is Groenewold's closed form of this integral; `_wigner_quadrature`
-evaluates the integral itself from psi and is kept only as its oracle,
-compared with it directly by the `wigner_ground_value` check.
+the frictionless ground state, W = 2 exp(-q**2 - p**2).  `wigner` is
+Groenewold's closed form of this integral; the integral itself, from psi,
+is its oracle `checks._wigner_quadrature`.
 
 Branch tracking: eps(t) = |eps| exp(i*Omega*t) with a positive modulus, so
 complex powers of eps are taken with the phase unwrapped as Omega*t rather
@@ -34,8 +34,8 @@ from typing import ClassVar, Union
 import numpy as np
 
 from .dynamics import DampingParams, epsilon
-from .errors import DomainError, NonFinite
-from .numerics import _PI_QUARTER, _gauss_legendre, _laguerre, _rung, hermite_gauss
+from .errors import DomainError
+from .numerics import _PI_QUARTER, _laguerre, hermite_gauss
 
 __all__ = [
     "Coherent",
@@ -178,53 +178,6 @@ def wigner_moments(state: QuantumState, t: float, params: DampingParams):
     return mean, cov * (2.0 * state.n + 1.0)
 
 
-def _wigner_u_rule(
-    state: QuantumState, q, p, t: float, params: DampingParams
-) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre rule for the relative-coordinate integral of W.
-
-    The |psi(q+u/2) psi*(q-u/2)| envelope is the q-envelope stretched by 2
-    in u (a displacement alpha does not move it), so the window is 8 sigma_u
-    with sigma_u = 2 sqrt(Sigma_qq), Sigma_qq from `wigner_moments` (which
-    carries the 2n+1 of Fock n).  The node count tracks the faster of the
-    phase exp(-i p u) on the points and the Hermite oscillation
-    sqrt(2n+1)/|eps| of Fock n (all there is at a lone point near the
-    origin; their sum would push Fock 7 grids at gamma = 0.9 past the node
-    cap), plus the drift of alpha, rounded up to a multiple of 16
-    (`numerics._rung`), so nearby frequencies share one cached rule.
-    """
-    es = epsilon(t, params)
-    _, cov = wigner_moments(state, t, params)
-    half_width = 16.0 * math.sqrt(cov[0, 0])
-    scale = math.sqrt(es.ee)
-    phase = float(np.max(np.abs(p))) + params.gamma * es.e2 * float(np.max(np.abs(q)))
-    freq = max(phase, math.sqrt(2.0 * state.n + 1.0) / scale) + _SQRT2 * abs(state.alpha) / scale
-    n_u = 96 + 8 * state.n + int(0.85 * half_width * freq)
-    nodes, weights = _gauss_legendre(_rung(n_u))
-    return half_width * nodes, half_width * weights
-
-
-def _half_rule(u_nodes: np.ndarray, u_weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Nonnegative half of a u-rule, weights doubled except at u = 0.
-
-    The integrand f(u) = psi(q+u/2) psi*(q-u/2) exp(-i p u) of W satisfies
-    f(-u) = conj f(u) for every state, so over a mirror-symmetric rule the
-    full sum equals 2 Re of the sum over the nonnegative nodes, with the
-    middle node of an odd rule at half weight.  W is then real by
-    construction; the identity needs the rule to be exactly symmetric, so
-    any other rule is refused.
-    """
-    if not (
-        np.array_equal(u_nodes, -u_nodes[::-1]) and np.array_equal(u_weights, u_weights[::-1])
-    ):
-        raise DomainError("the Wigner u-rule is not exactly mirror-symmetric")
-    h = u_nodes.size // 2
-    weights = 2.0 * u_weights[h:]
-    if u_nodes.size % 2:
-        weights[0] = u_weights[h]
-    return u_nodes[h:], weights
-
-
 def wigner(q, p, t: float, state: QuantumState, params: DampingParams):
     """Wigner quasidistribution W(q, p, t), normalized so its full
     phase-space integral equals 2*pi, in Groenewold's closed form
@@ -258,30 +211,3 @@ def wigner(q, p, t: float, state: QuantumState, params: DampingParams):
     out *= 2.0 * (-1.0) ** state.n
     return float(out) if out.ndim == 0 else out
 
-
-def _wigner_quadrature(q, p, t: float, state: QuantumState, params: DampingParams):
-    """The oracle of `wigner`: W by Gauss-Legendre quadrature of
-    psi(q+u/2) psi*(q-u/2) exp(-i p u) over the Gaussian support in u, from
-    the psi split of `_amplitude` alone.  The integrand at -u is the
-    conjugate of the one at u, so only the nonnegative half of the (exactly
-    symmetric) rule is summed, as 2 Re:
-    |c|**2 R(q+u/2) R(q-u/2) cos(u (2 theta q + kappa - p)), two real R
-    values and one cosine per (point, u), for a small point set as one
-    matrix.  A u-rule over the 2048-node cap raises DomainError, a
-    non-finite value NonFinite.
-    """
-    qa, pa = np.broadcast_arrays(np.asarray(q, dtype=float), np.asarray(p, dtype=float))
-    if not (np.isfinite(qa).all() and np.isfinite(pa).all()):
-        raise DomainError("q and p must be finite")
-    c, theta, kappa, r = _amplitude(state, t, params)
-    u_nodes, u_weights = _half_rule(*_wigner_u_rule(state, qa, pa, t, params))
-    half = 0.5 * u_nodes
-    qq, pp = qa.reshape(-1, 1), pa.reshape(-1, 1)
-    amp, rate = r(qq + half) * r(qq - half), 2.0 * theta * qq + kappa
-    # each point is summed on its own by einsum (BLAS gemv rounds a row by
-    # its place in the call and the thread count)
-    out = np.einsum("qu,u->q", amp * np.cos((rate - pp) * u_nodes), abs(c) ** 2 * u_weights)
-    if not np.isfinite(out).all():
-        raise NonFinite("Wigner quadrature produced non-finite values")
-    out = out.reshape(qa.shape)
-    return float(out) if out.ndim == 0 else out

@@ -42,10 +42,9 @@ from cktomo import (
     wigner,
     wigner_moments,
 )
-from cktomo.checks import _evolution_config, rk4_epsilon
+from cktomo.checks import _evolution_config, _wigner_quadrature, rk4_epsilon
 from cktomo.cli import cmd_figure1
 from cktomo.evolution import convergence_study, relative_residual
-from cktomo.states import _wigner_quadrature
 
 
 def _report(num: int, name: str, ok: bool, detail: str = "") -> None:

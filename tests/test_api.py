@@ -1,16 +1,23 @@
 """The public surface: every exported name resolves, so `from cktomo
-import *` cannot raise on a dangling `__all__` entry."""
+import *` cannot raise on a dangling `__all__` entry, and every name the
+README points at exists."""
 
+import functools
 import importlib
 import pkgutil
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 import cktomo
 
 SUBMODULES = sorted(m.name for m in pkgutil.iter_modules(cktomo.__path__) if m.name != "__main__")
+README = Path(__file__).resolve().parents[1] / "README.md"
+# `module.name` or `module.Class.attr`, optionally written `cktomo.module...`
+_REFERENCE = re.compile(r"(?<![\w./])(?:cktomo\.)?([a-z_]+)\.([A-Za-z_]\w*(?:\.[A-Za-z_]\w*)*)")
 
 
 def test_star_import():
@@ -45,3 +52,24 @@ print(sorted(set(cktomo.__all__) - namespace.keys()))
     assert res.stdout.decode().splitlines() == [
         "[]", "[] False", "True", "True cktomo.invariants", "[]"
     ]
+
+
+def _readme_references():
+    """Every dotted name inside a backticked README span whose first part
+    is a cktomo module, as `module.name`, in order of first appearance."""
+    refs = {}
+    for span in re.findall(r"`([^`\n]+)`", README.read_text(encoding="utf-8")):
+        for m in _REFERENCE.finditer(span):
+            if m.group(1) in SUBMODULES:
+                refs[f"{m.group(1)}.{m.group(2)}"] = None
+    return list(refs)
+
+
+def test_readme_references_found():
+    assert len(_readme_references()) >= 25
+
+
+@pytest.mark.parametrize("ref", _readme_references())
+def test_readme_reference_resolves(ref):
+    module, *attrs = ref.split(".")
+    functools.reduce(getattr, attrs, importlib.import_module(f"cktomo.{module}"))

@@ -26,6 +26,8 @@ from cktomo.numerics import (
     _bessel_j0_zeros,
     _gauss_legendre,
     _rung,
+    _stencil_points,
+    diff_offsets,
     tiles,
 )
 
@@ -309,6 +311,16 @@ class TestCentralDiff:
             with pytest.raises(DomainError):
                 central_diff(np.sin, 0.0, h)
 
+    def test_stencil_points_layout(self):
+        # the center, then the offsets along mu, nu and both diagonals in turn
+        offsets = diff_offsets(0.5, richardson=True)
+        steps = [0.5, -0.5, 0.25, -0.25]
+        mus, nus = _stencil_points(2.0, -1.0, offsets, 4)
+        assert mus.tolist() == [2.0] + [2.0 + s for s in steps] + [2.0] * 4 + [2.0 + s for s in steps] * 2
+        assert nus.tolist() == [-1.0] * 5 + [-1.0 + s for s in steps] * 2 + [-1.0 - s for s in steps]
+        two = _stencil_points(2.0, -1.0, offsets[:2], 2)
+        assert [a.tolist() for a in two] == [[2.0, 2.5, 1.5, 2.0, 2.0], [-1.0, -1.0, -1.0, -0.5, -1.5]]
+
 
 class TestScalarGrid:
     def _grid2d(self):
@@ -368,6 +380,49 @@ class TestScalarGrid:
         back = ScalarGrid.from_json(grid.to_json())
         assert np.array_equal(back.values, grid.values)
         assert back.meta == grid.meta
+
+    def test_csv_rows_out_of_order_refused(self):
+        # each cell must sit where row-major order puts it: read by its
+        # distinct x and y alone, (1, 0) would get the value 3
+        with pytest.raises(DomainError, match="row-major"):
+            ScalarGrid.from_csv("x,y,value\n0,0,1\n0,1,2\n1,1,3\n1,0,4\n")
+        back = ScalarGrid.from_csv("x,y,value\n0,0,1\n0,1,2\n1,0,3\n1,1,4\n")
+        assert back.values.tolist() == [[1.0, 2.0], [3.0, 4.0]]
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "",
+            "# t=0\nx,value\n",  # no data rows
+            "x,y,z,value\n0,0,0,1\n",  # four columns
+            "x,y,value\n0,0,1\n0,1\n",  # a short row
+            "x,y,value\n0,0,1\n0,1,2,3\n",  # a long row
+            "x,value\n0,one\n",  # not a number
+            "x,y,value\n0,0,1\n0,1,2\n1,0,3\n",  # an incomplete grid
+            "x,value\n1,0\n0,1\n",  # a decreasing axis
+        ],
+    )
+    def test_csv_malformed_refused(self, text):
+        with pytest.raises(DomainError):
+            ScalarGrid.from_csv(text)
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            "{",  # not JSON
+            "[]",  # not an object
+            '{"axis2": null, "values": [1.0]}',  # no axis1
+            '{"axis1": {"name": "x"}, "values": [1.0]}',  # an axis without values
+            '{"axis1": {"name": "x", "values": [0.0, 1.0]}, "values": [1.0]}',  # too few values
+            '{"axis1": {"name": "x", "values": [0.0]}, "axis2": {"name": "y", "values": [0.0, 1.0]},'
+            ' "values": [1.0, 2.0, 3.0]}',  # too many values
+            '{"axis1": {"name": "x", "values": [0.0]}, "values": ["a"]}',  # not a number
+            '{"axis1": {"name": "x", "values": [0.0]}, "values": [1.0], "meta": []}',  # meta not a map
+        ],
+    )
+    def test_json_malformed_refused(self, payload):
+        with pytest.raises(DomainError):
+            ScalarGrid.from_json(payload)
 
     def test_json_rows_equal_whole_payload(self):
         # to_json encodes the values row by row; the bytes are those of one
