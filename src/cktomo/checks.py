@@ -34,7 +34,7 @@ from .dynamics import (
     time_backward,
     time_forward,
 )
-from .errors import DomainError, NonFinite, UsageError
+from .errors import DomainError, UsageError
 from .evolution import (
     _max_step,
     _terms,
@@ -51,7 +51,7 @@ from .invariants import (
     number_apply_printed,
     tomogram_characteristic,
 )
-from .numerics import QuadratureSpec, _gauss_legendre, _rung, central_diff, hermite, hermite_gauss, integrate
+from .numerics import QuadratureSpec, central_diff, hermite, hermite_gauss, integrate
 from .states import _MAX_ALPHA, Coherent, Fock, _amplitude, coherent_psi, psi, wigner, wigner_moments
 from .tomography import (
     TomographyFrame,
@@ -188,8 +188,9 @@ def coherent_moments_from_psi(alpha: complex, t: float, params) -> tuple[float, 
     return q_mean, p_mean
 
 
-def _wigner_u_rule(state, q, p, t: float, params) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre rule for the relative-coordinate integral of W.
+def _wigner_u_window(state, q, p, t: float, params) -> QuadratureSpec:
+    """Window and node count of the relative-coordinate integral of W, one
+    for all the points (q, p) of a call.
 
     The |psi(q+u/2) psi*(q-u/2)| envelope is the q-envelope stretched by 2
     in u (a displacement alpha does not move it), so the window is 8 sigma_u
@@ -197,8 +198,8 @@ def _wigner_u_rule(state, q, p, t: float, params) -> tuple[np.ndarray, np.ndarra
     carries the 2n+1 of Fock n).  The node count tracks the faster of the
     phase exp(-i p u) on the points and the Hermite oscillation
     sqrt(2n+1)/|eps| of Fock n (all there is at a lone point near the
-    origin), plus the drift of alpha, rounded up to a multiple of 16
-    (`numerics._rung`), so nearby frequencies share one cached rule.
+    origin), plus the drift of alpha; `integrate` rounds it up to a
+    multiple of 16, so nearby frequencies share one cached rule.
     """
     es = epsilon(t, params)
     _, cov = wigner_moments(state, t, params)
@@ -206,37 +207,32 @@ def _wigner_u_rule(state, q, p, t: float, params) -> tuple[np.ndarray, np.ndarra
     scale = math.sqrt(es.ee)
     phase = float(np.max(np.abs(p))) + params.gamma * es.e2 * float(np.max(np.abs(q)))
     freq = max(phase, math.sqrt(2.0 * state.n + 1.0) / scale) + _SQRT2 * abs(state.alpha) / scale
-    n_u = 96 + 8 * state.n + int(0.85 * half_width * freq)
-    nodes, weights = _gauss_legendre(_rung(n_u))
-    return half_width * nodes, half_width * weights
+    return QuadratureSpec(0.0, half_width, 96 + 8 * state.n + int(0.85 * half_width * freq))
 
 
 def _wigner_quadrature(q, p, t: float, state, params):
-    """The oracle of `states.wigner`: W by Gauss-Legendre quadrature of
-    psi(q+u/2) psi*(q-u/2) exp(-i p u) over the Gaussian support in u, from
-    the psi split of `states._amplitude` alone.  The integrand at -u is the
-    conjugate of the one at u, and every rule is exactly mirrored (`_rung`
-    sizes are multiples of 16), so its imaginary part sums to zero and only
-    the real part is summed:
-    |c|**2 R(q+u/2) R(q-u/2) cos(u (2 theta q + kappa - p)), two real R
-    values and one cosine per (point, u), for a small point set as one
-    matrix.  A u-rule over the 2048-node cap raises DomainError, a
-    non-finite value NonFinite.
+    """The oracle of `states.wigner`: W by `numerics.integrate` of
+    psi(q+u/2) psi*(q-u/2) exp(-i p u) over the u-window, point by point,
+    from the psi split of `states._amplitude` alone.  The integrand at -u is
+    the conjugate of the one at u, and every rule `integrate` takes is
+    exactly mirrored (a multiple of 16 nodes), so its imaginary part sums to
+    zero and only the real part is integrated:
+    |c|**2 R(q+u/2) R(q-u/2) cos(u (2 theta q + kappa - p)).  A u-rule over
+    the 2048-node cap raises DomainError, a non-finite value NonFinite.
     """
     qa, pa = np.broadcast_arrays(np.asarray(q, dtype=float), np.asarray(p, dtype=float))
     if not (np.isfinite(qa).all() and np.isfinite(pa).all()):
         raise DomainError("q and p must be finite")
     c, theta, kappa, r = _amplitude(state, t, params)
-    u_nodes, u_weights = _wigner_u_rule(state, qa, pa, t, params)
-    half = 0.5 * u_nodes
-    qq, pp = qa.reshape(-1, 1), pa.reshape(-1, 1)
-    amp, rate = r(qq + half) * r(qq - half), 2.0 * theta * qq + kappa
-    # each point is summed on its own by einsum (BLAS gemv rounds a row by
-    # its place in the call and the thread count)
-    out = np.einsum("qu,u->q", amp * np.cos((rate - pp) * u_nodes), abs(c) ** 2 * u_weights)
-    if not np.isfinite(out).all():
-        raise NonFinite("Wigner quadrature produced non-finite values")
-    out = out.reshape(qa.shape)
+    spec, weight = _wigner_u_window(state, qa, pa, t, params), abs(c) ** 2
+
+    def point(qv, pv):
+        # R(q+u/2) R(q-u/2) first: the product is symmetric in the pair,
+        # so W(-q, -p) of a Fock state repeats W(q, p) bit for bit
+        rate = 2.0 * theta * qv + kappa - pv
+        return integrate(lambda us: weight * (r(qv + 0.5 * us) * r(qv - 0.5 * us) * np.cos(rate * us)), spec)
+
+    out = np.array([point(qv, pv) for qv, pv in zip(qa.ravel().tolist(), pa.ravel().tolist())]).reshape(qa.shape)
     return float(out) if out.ndim == 0 else out
 
 

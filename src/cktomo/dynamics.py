@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -51,19 +51,17 @@ _LOG_MAX = math.log(sys.float_info.max)
 
 @dataclass(frozen=True)
 class DampingParams:
-    """Friction coefficient gamma and the derived reduced frequency.
-
-    Invariants: 0 <= gamma < 1 and omega_reduced**2 + gamma**2 = 1 to
-    machine precision.  Construct via :func:`make_params`.
+    """Friction coefficient gamma, 0 <= gamma < 1, and the reduced frequency
+    Omega = sqrt(1 - gamma**2) derived from it, so the two cannot disagree.
+    Construct via :func:`make_params`.
     """
 
     gamma: float
-    omega_reduced: float
+    omega_reduced: float = field(init=False)
 
     def __post_init__(self) -> None:
-        _require_gamma(self.gamma)
-        if abs(self.omega_reduced**2 + self.gamma**2 - 1.0) > 1e-12:
-            raise DomainError("omega_reduced inconsistent with gamma")
+        g = _require_gamma(self.gamma)
+        object.__setattr__(self, "omega_reduced", math.sqrt(1.0 - g * g))
 
 
 @dataclass(frozen=True)
@@ -93,12 +91,12 @@ class FrameCoeffs:
 
 
 def make_params(gamma: float) -> DampingParams:
-    """Derive Omega = sqrt(1 - gamma**2); DampingParams refuses a gamma outside [0, 1)."""
+    """DampingParams of a real gamma; it refuses a gamma outside [0, 1)."""
     try:
         g = float(gamma)
     except (TypeError, ValueError) as exc:
         raise DomainError(f"gamma must be a real number, got {gamma!r}") from exc
-    return DampingParams(g, math.sqrt(1.0 - g * g) if abs(g) < 1.0 else math.nan)
+    return DampingParams(g)
 
 
 def _require_gamma(gamma: float) -> float:

@@ -35,7 +35,7 @@ import numpy as np
 
 from .dynamics import DampingParams, epsilon
 from .errors import DomainError
-from .numerics import _PI_QUARTER, _laguerre, hermite_gauss
+from .numerics import _laguerre, hermite_gauss
 
 __all__ = [
     "Coherent",
@@ -90,40 +90,47 @@ class Fock:
 QuantumState = Union[Coherent, Fock]
 
 
+def _mean(state: QuantumState, es) -> tuple[float, float]:
+    """The state's Wigner mean (qbar, pbar) =
+    (sqrt(2) Re(alpha eps*), sqrt(2) e^{2 gamma t} Re(alpha eps'*)), from the
+    `dynamics.EpsilonState` the caller already holds."""
+    # Re(alpha z*) = Re(alpha) Re(z) + Im(alpha) Im(z), for z = eps, eps'
+    ar, ai = state.alpha.real, state.alpha.imag
+    qbar = _SQRT2 * (ar * es.eps.real + ai * es.eps.imag)
+    return qbar, _SQRT2 * es.e2 * (ar * es.eps_dot.real + ai * es.eps_dot.imag)
+
+
 def _amplitude(state: QuantumState, t: float, params: DampingParams):
     """The one home of the wave functions: the split
     psi(q) = c R(q) exp(i (theta q**2 + kappa q)) with R real, returned as
-    (c, theta, kappa, R).  With beta = sqrt(2) alpha / eps and
-    C = -eps* alpha**2 / (2 eps) - |alpha|**2/2,
+    (c, theta, kappa, R).  The paper prints, with beta = sqrt(2) alpha / eps
+    and C = -eps* alpha**2 / (2 eps),
 
         coherent: psi = pi**(-1/4) eps**(-1/2)
-                        * exp( i eps' e^{2 gamma t} q**2 / (2 eps) + beta q + C )
+                        * exp( i eps' e^{2 gamma t} q**2 / (2 eps) + beta q + C - |alpha|**2/2 )
         Fock n:   psi = pi**(-1/4) eps**(-1/2) (eps*/(2 eps))**(n/2) / sqrt(n!)
                         * exp( i eps' e^{2 gamma t} q**2 / (2 eps) ) H_n(q / |eps|)
 
-    The q**2 coefficient is -1/(2 |eps|**2) + i theta, theta = -gamma e^{2 gamma t}/2.
-    Fock n: kappa = 0, R = phi_n(q/|eps|) (`numerics.hermite_gauss`), and
-    (eps*/eps)**(n/2) = exp(-i n Omega t) on the tracked branch goes into c.
-    Coherent: kappa = Im beta, R = exp(-q**2/(2 |eps|**2) + Re beta q + Re C),
-    exp(i Im C) goes into c.  The alpha**2 term uses eps*, not eps'*: with
-    the dotted coefficient the state is not normalized for alpha != 0.
+    Both are D(alpha)|n> (alpha = 0 or n = 0), written once: the q**2
+    coefficient is -1/(2 |eps|**2) + i theta, theta = -gamma e^{2 gamma t}/2;
+    kappa = Im beta; R = phi_n((q - qbar) / |eps|) (`numerics.hermite_gauss`)
+    with qbar of `_mean`, since the coherent real exponent is exactly
+    -(q - qbar)**2 / (2 |eps|**2); c = Omega**(1/4) e^{gamma t/2}
+    e^{-i (n + 1/2) Omega t} e^{i Im C}, with (eps*/eps)**(n/2) =
+    e^{-i n Omega t} on the tracked branch.  Fock states have qbar = 0 and
+    C = 0.  The alpha**2 term uses eps*, not eps'*: with the dotted
+    coefficient the state is not normalized for alpha != 0.
     """
     es = epsilon(t, params)
     om, theta = params.omega_reduced, -0.5 * params.gamma * es.e2
+    n, alpha, scale, qbar = state.n, state.alpha, math.sqrt(es.ee), _mean(state, es)[0]
+    beta = _SQRT2 * alpha / es.eps
+    const = -es.eps.conjugate() * alpha * alpha / (2.0 * es.eps)
     # eps**(-1/2) on the tracked branch: Omega**(1/4) exp(gamma t / 2) exp(-i Omega t / 2)
     c = om**0.25 * math.exp(0.5 * params.gamma * t) * cmath.exp(-0.5j * om * t)
-    if isinstance(state, Fock):
-        n, scale = state.n, math.sqrt(es.ee)
-        c *= cmath.exp(-1j * n * om * t)
-        return c, theta, 0.0, lambda q: hermite_gauss(n, q / scale)
-    if isinstance(state, Coherent):
-        alpha = state.alpha
-        beta = _SQRT2 * alpha / es.eps
-        const = -es.eps.conjugate() * alpha * alpha / (2.0 * es.eps) - abs(alpha) ** 2 / 2.0
-        c *= _PI_QUARTER * cmath.exp(1j * const.imag)
-        inv_2ee = 0.5 / es.ee
-        return c, theta, beta.imag, lambda q: np.exp(-inv_2ee * q * q + beta.real * q + const.real)
-    raise DomainError(f"unknown state {state!r}")
+    c *= cmath.exp(-1j * n * om * t)
+    c *= cmath.exp(1j * const.imag)
+    return c, theta, beta.imag, lambda q: hermite_gauss(n, (q - qbar) / scale)
 
 
 def _psi(state: QuantumState, q, t: float, params: DampingParams) -> complex | np.ndarray:
@@ -160,21 +167,13 @@ def wigner_moments(state: QuantumState, t: float, params: DampingParams):
 
     Every state here shares the ground-like covariance
         [[e^{-2 gamma t}, -gamma], [-gamma, e^{2 gamma t}]] / (2 Omega)
-    times 2n+1, and the mean
-    (sqrt(2) Re(alpha eps*), sqrt(2) e^{2 gamma t} Re(alpha eps'*)).
+    times 2n+1, and the mean of `_mean`.
     Every quadrature window of the library is sized from these moments.
     """
     es = epsilon(t, params)
     g, om, e2 = params.gamma, params.omega_reduced, es.e2
     cov = np.array([[1.0 / (e2 * om), -g / om], [-g / om, e2 / om]]) / 2.0
-    # Re(alpha z*) = Re(alpha) Re(z) + Im(alpha) Im(z), for z = eps, eps'
-    ar, ai = state.alpha.real, state.alpha.imag
-    mean = np.array(
-        [
-            _SQRT2 * (ar * es.eps.real + ai * es.eps.imag),
-            _SQRT2 * e2 * (ar * es.eps_dot.real + ai * es.eps_dot.imag),
-        ]
-    )
+    mean = np.array(_mean(state, es))
     return mean, cov * (2.0 * state.n + 1.0)
 
 
@@ -185,7 +184,7 @@ def wigner(q, p, t: float, state: QuantumState, params: DampingParams):
         W = 2 (-1)**n exp(-r**2) L_n(2 r**2),
         r**2 = |eps (p - pbar) - e^{2 gamma t} eps' (q - qbar)|**2,
 
-    with the mean (qbar, pbar) of `wigner_moments` and L_n the Laguerre
+    with the mean (qbar, pbar) of `_mean` and L_n the Laguerre
     polynomial (`numerics._laguerre`).  r**2 is 2 |A|**2 of the
     invariant A(t) of `cktomo.invariants`, a modulus, so it has no
     cancellation; it is clipped at _R2_TAIL, past which W is 0.0.  Accepts
@@ -195,10 +194,10 @@ def wigner(q, p, t: float, state: QuantumState, params: DampingParams):
     if not (np.isfinite(qa).all() and np.isfinite(pa).all()):
         raise DomainError("q and p must be finite")
     es = epsilon(t, params)
-    mean, _ = wigner_moments(state, t, params)
+    qbar, pbar = _mean(state, es)
     # q and p broadcast only here, so a (Q, 1) x (1, P) grid builds no
     # (Q, P) copy of either axis
-    dq, dp = qa - mean[0], pa - mean[1]
+    dq, dp = qa - qbar, pa - pbar
     eps, drift = es.eps, es.e2 * es.eps_dot
     with np.errstate(over="ignore", invalid="ignore"):
         r2 = np.square(eps.real * dp - drift.real * dq)

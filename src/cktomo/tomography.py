@@ -7,19 +7,16 @@ All tomograms share the scale
     s2(mu, nu, t) = eps eps* (a**2 + b**2)
 
 with (a, b, s2) from :func:`cktomo.dynamics.frame_quantities`, and the
-scaled variable y = X / sqrt(s2); the ground-like state is the centered
-Gaussian
+scaled variable y = X / sqrt(s2).  Every state D(alpha)|n> here has the
+one closed form
 
-    w0 = exp(-y**2) / sqrt(pi * s2),
+    w = phi_n(y - ybar)**2 / sqrt(s2),  ybar = (mu qbar + nu pbar) / sqrt(s2),
 
-and every state D(alpha)|n> here has the one closed form
-
-    w = phi_n(y - ybar)**2 / sqrt(s2),  ybar = sqrt(2) Re(alpha eps* (a - i b)) / sqrt(s2),
-
-with phi_n the orthonormal Hermite function: Fock states have alpha = 0,
-so ybar = 0 and w = w0 H_n(y)**2 / (2**n n!); coherent states have n = 0,
-a displaced Gaussian.  ybar is the mean of X / sqrt(s2); since
-|eps* (a - i b)| = sqrt(s2), |ybar| <= sqrt(2) |alpha| in every frame.
+with phi_n the orthonormal Hermite function and (qbar, pbar) the state's
+Wigner mean (`states._mean`), so ybar is the mean of X / sqrt(s2).  Fock
+states have alpha = 0, so ybar = 0 and w = exp(-y**2) H_n(y)**2 /
+(2**n n! sqrt(pi s2)); coherent states have n = 0, a displaced Gaussian.
+Since |eps* (a - i b)| = sqrt(s2), |ybar| <= sqrt(2) |alpha| in every frame.
 
 Every integral over a quadrature X = mu q + nu p (the normalization here,
 the characteristic function in :mod:`cktomo.invariants`, the q- and
@@ -38,7 +35,7 @@ import numpy as np
 from .dynamics import DampingParams, epsilon, frame_quantities
 from .errors import DegenerateFrame, DomainError
 from .numerics import QuadratureSpec, hermite_gauss, integrate
-from .states import Coherent, Fock, QuantumState, wigner, wigner_moments
+from .states import Coherent, Fock, QuantumState, _mean, wigner, wigner_moments
 
 __all__ = [
     "TomographyFrame",
@@ -52,12 +49,11 @@ __all__ = [
     "frame_scale_sq",
 ]
 
-_SQRT2 = math.sqrt(2.0)
 # every tomogram here (n <= 16, |alpha| <= 8) is exactly 0.0 from
 # |X| = 50 sqrt(s2) on; clipping X at 64 sqrt(s2) keeps y = X/sqrt(s2),
 # y - ybar and their squares from overflowing in the far tail
 _X_TAIL = 64.0
-# the largest s2 accepted: pi * s2, in every tomogram's normalization, stays finite
+# the largest s2 accepted, a quarter of the double range
 _MAX_S2 = sys.float_info.max / 4.0
 
 
@@ -108,39 +104,41 @@ def optical_frame(phi):
 
 
 def frame_scale_sq(mu, nu, t: float, params: DampingParams):
-    """Tomogram Gaussian scale s2 = eps eps* (a**2 + b**2); the variance of
-    the ground-like quadrature distribution is s2 / 2.  An s2 outside
-    [smallest normal double, largest double / 4] raises DomainError."""
-    if ((np.asarray(mu) == 0.0) & (np.asarray(nu) == 0.0)).any():
-        raise DegenerateFrame("frame direction (mu, nu) = (0, 0) is degenerate")
-    return _frame_quantities_in_range(mu, nu, epsilon(t, params))[2]
+    """Tomogram Gaussian scale s2 = eps eps* (a**2 + b**2), twice the variance
+    of the ground-like quadrature distribution.  (mu, nu) = (0, 0) raises
+    DegenerateFrame, any other s2 out of `_frame_scale_in_range` DomainError."""
+    return _frame_scale_in_range(mu, nu, epsilon(t, params))
 
 
-def _frame_quantities_in_range(mu, nu, es):
-    """`frame_quantities`, refusing an s2 outside [smallest normal double,
-    _MAX_S2]: an overflowed s2 or pi * s2 would turn every tomogram into 0
-    and an underflowed s2 into 0/0, though the true values are finite."""
+def _frame_scale_in_range(mu, nu, es):
+    """s2 of `frame_quantities`, refusing an s2 outside [smallest normal
+    double, _MAX_S2]: an overflowed s2 would turn every tomogram into 0 and
+    an underflowed s2 into 0/0, though the true values are finite.  A valid
+    frame pays for the range check only: (mu, nu) = (0, 0), whose s2 is 0,
+    is told apart once it fails."""
     with np.errstate(all="ignore"):
-        a, b, s2 = frame_quantities(mu, nu, es)
+        s2 = frame_quantities(mu, nu, es)[2]
     if not ((s2 >= sys.float_info.min) & (s2 <= _MAX_S2)).all():
+        if ((np.asarray(mu) == 0.0) & (np.asarray(nu) == 0.0)).any():
+            raise DegenerateFrame("frame direction (mu, nu) = (0, 0) is degenerate")
         raise DomainError(
             "frame scale s2 leaves the supported double range "
             f"(min {float(np.min(s2))!r}, max {float(np.max(s2))!r})"
         )
-    return a, b, s2
+    return s2
 
 
 def _scaled_frame(frame: TomographyFrame, es):
-    """(a, b, s2) of a validated frame and y = X / sqrt(s2), with X clipped
-    at _X_TAIL sqrt(s2).  Every tomogram's exponent is written in y, so no
+    """s2 of a validated frame and y = X / sqrt(s2), with X clipped at
+    _X_TAIL sqrt(s2).  Every tomogram's exponent is written in y, so no
     intermediate grows with the frame: X*X alone overflows once |X| passes
     1.3e154, which a frame with s2 near _MAX_S2 reaches at |y| ~ 2."""
-    a, b, s2 = _frame_quantities_in_range(frame.mu, frame.nu, es)
+    s2 = _frame_scale_in_range(frame.mu, frame.nu, es)
     x = np.asarray(frame.x, dtype=float)
     root = np.sqrt(s2)
     lim = _X_TAIL * root
     x = x if (abs(x) <= lim).all() else np.clip(x, -lim, lim)
-    return a, b, s2, x / root
+    return s2, x / root
 
 
 def ground_tomogram(frame: TomographyFrame, t: float, params: DampingParams):
@@ -149,35 +147,30 @@ def ground_tomogram(frame: TomographyFrame, t: float, params: DampingParams):
     return fock_tomogram(frame, t, 0, params)
 
 
-def _displaced_tomogram(frame: TomographyFrame, t: float, n: int, alpha: complex, params: DampingParams):
-    """phi_n(y - ybar)**2 / sqrt(s2) of the module docstring.  n = 0 is
-    written as the Gaussian exp(-(y - ybar)**2) / sqrt(pi * s2) itself;
-    alpha = 0 leaves y as it is, so Fock states and coherent alpha = 0
-    share their bits."""
+def _displaced_tomogram(frame: TomographyFrame, t: float, state: QuantumState, params: DampingParams):
+    """phi_n(y - ybar)**2 / sqrt(s2) of the module docstring, for every n;
+    a Fock state's ybar is 0, so its y is used as it is."""
     es = epsilon(t, params)
-    a, b, s2, y = _scaled_frame(frame, es)
+    s2, y = _scaled_frame(frame, es)
+    qbar, pbar = _mean(state, es)
     root = np.sqrt(s2)
-    if alpha:
-        z = alpha * es.eps.conjugate()
-        y = y - _SQRT2 * (z.real * (a / root) + z.imag * (b / root))
-    if n == 0:
-        out = np.exp(-y * y) / np.sqrt(math.pi * s2)
-    else:
-        out = hermite_gauss(n, y) ** 2 / root
+    y -= (frame.mu * qbar + frame.nu * pbar) / root
+    out = hermite_gauss(state.n, y)
+    out *= out  # in place: no further tile-sized array
+    out /= root
     return float(out) if np.ndim(out) == 0 else out
 
 
 def fock_tomogram(frame: TomographyFrame, t: float, n: int, params: DampingParams):
     """Quadrature distribution of the Fock state |n>: phi_n(y)**2 / sqrt(s2)
-    with y = X/sqrt(s2), i.e. w0 * H_n(y)**2 / (2**n n!).  Nonnegative."""
-    return _displaced_tomogram(frame, t, Fock(n).n, 0j, params)
+    with y = X/sqrt(s2), the module docstring's ybar = 0.  Nonnegative."""
+    return _displaced_tomogram(frame, t, Fock(n), params)
 
 
 def coherent_tomogram(frame: TomographyFrame, t: float, alpha: complex, params: DampingParams):
     """Quadrature distribution of the coherent state |alpha>: the Gaussian
-    exp(-(y - ybar)**2) / sqrt(pi * s2) displaced to ybar of the module
-    docstring; alpha = 0 is the ground tomogram bit for bit."""
-    return _displaced_tomogram(frame, t, 0, Coherent(alpha).alpha, params)
+    phi_0(y - ybar)**2 / sqrt(s2) displaced to ybar of the module docstring."""
+    return _displaced_tomogram(frame, t, Coherent(alpha), params)
 
 
 def tomogram(state: QuantumState, frame: TomographyFrame, t: float, params: DampingParams):

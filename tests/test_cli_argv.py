@@ -148,7 +148,7 @@ EXPECTED: dict[str, tuple[int, str]] = {
     "tomogram-g0.1-coherent-mu_nu-x_missing": (2, EMPTY),
     "tomogram-g0.1-coherent-mu_nu-x_overflow": (2, EMPTY),
     "tomogram-g0.1-coherent-mu_nu-x_reversed": (2, EMPTY),
-    "tomogram-g0.1-coherent-mu_nu-x_valid": (0, "2db9d60caf66304a0749b78406c3a7d7b746dbc59b3fa057ce702cc56682327e"),
+    "tomogram-g0.1-coherent-mu_nu-x_valid": (0, "38be11ed67b8eaf1a9b64b9374e6c78a695f32e60774d88ae525cb74f8c1a17b"),
     "tomogram-g0.1-coherent-mu_nu_zero-x_missing": (2, EMPTY),
     "tomogram-g0.1-coherent-mu_nu_zero-x_overflow": (2, EMPTY),
     "tomogram-g0.1-coherent-mu_nu_zero-x_reversed": (2, EMPTY),
@@ -180,7 +180,7 @@ EXPECTED: dict[str, tuple[int, str]] = {
     "tomogram-g0.1-coherent-optical_phi-x_missing": (2, EMPTY),
     "tomogram-g0.1-coherent-optical_phi-x_overflow": (2, EMPTY),
     "tomogram-g0.1-coherent-optical_phi-x_reversed": (2, EMPTY),
-    "tomogram-g0.1-coherent-optical_phi-x_valid": (0, "6796189f22cf05138b4cf3f03e12f774e2e4e98985afed067b9bd041adccce0f"),
+    "tomogram-g0.1-coherent-optical_phi-x_valid": (0, "fcbff96a0793260432918fb662aef0d053bfc5cb90e61b8dcdd18ad0539b1f33"),
     "tomogram-g0.1-coherent-optical_phi_and_grid-x_missing": (2, EMPTY),
     "tomogram-g0.1-coherent-optical_phi_and_grid-x_overflow": (2, EMPTY),
     "tomogram-g0.1-coherent-optical_phi_and_grid-x_reversed": (2, EMPTY),
@@ -188,7 +188,7 @@ EXPECTED: dict[str, tuple[int, str]] = {
     "tomogram-g0.1-coherent-optical_phi_grid-x_missing": (2, EMPTY),
     "tomogram-g0.1-coherent-optical_phi_grid-x_overflow": (2, EMPTY),
     "tomogram-g0.1-coherent-optical_phi_grid-x_reversed": (2, EMPTY),
-    "tomogram-g0.1-coherent-optical_phi_grid-x_valid": (0, "cbd88bc9972132b5e541178afef768baf6d58bea7eb212acd2ed9b8b8dedfca7"),
+    "tomogram-g0.1-coherent-optical_phi_grid-x_valid": (0, "e63a62332da8f018eabb9304faff5b71d6294a867fa6df6e247d9299ffbcf057"),
     "tomogram-g0.1-coherent-phi_alone-x_missing": (2, EMPTY),
     "tomogram-g0.1-coherent-phi_alone-x_overflow": (2, EMPTY),
     "tomogram-g0.1-coherent-phi_alone-x_reversed": (2, EMPTY),
@@ -304,7 +304,7 @@ EXPECTED: dict[str, tuple[int, str]] = {
     "tomogram-gamma-1.5-value-cap": (3, EMPTY),
     "tomogram-grid-count": (2, EMPTY),
     "tomogram-grid-text": (2, EMPTY),
-    "tomogram-json": (0, "3bd584a559b38c87553a1d54e3b44d412769de8e7c70e5aad070fe5e0034936b"),
+    "tomogram-json": (0, "e42fb66bd8c1af6ce25947d7fb28491f9669ce0580bf5749b4c5bd9571cd4d0f"),
     "tomogram-seed": (2, EMPTY),
     "tomogram-value-cap": (2, EMPTY),
     "wigner-g0.1-bad_state-q_cap-p_missing": (2, EMPTY),

@@ -4,6 +4,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cktomo import checks, states
 from cktomo import (
@@ -21,7 +23,7 @@ from cktomo import (
     wigner,
 )
 from cktomo.checks import _check_wigner_marginal
-from cktomo.numerics import hermite_gauss
+from cktomo.numerics import _gauss_legendre, _rung, hermite_gauss
 from cktomo.tomography import _x_window
 
 SQRT2 = math.sqrt(2.0)
@@ -153,6 +155,35 @@ class TestPsiSplit:
             assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref)), state
 
 
+@st.composite
+def _envelope_points(draw):
+    """A state D(alpha)|n> with Fock n <= 16 or coherent |alpha| <= 8, and a
+    (gamma, t) with gamma < 0.9 and t <= min(5, 2 / max(gamma, 0.4))."""
+    if draw(st.booleans()):
+        state = Fock(draw(st.integers(min_value=0, max_value=16)))
+    else:
+        r = draw(st.floats(min_value=0.0, max_value=8.0))
+        state = Coherent(cmath.rect(r, draw(st.floats(min_value=0.0, max_value=2.0 * math.pi))))
+    gamma = draw(st.floats(min_value=0.0, max_value=0.9, exclude_max=True))
+    t = draw(st.floats(min_value=0.0, max_value=min(5.0, 2.0 / max(gamma, 0.4))))
+    return state, gamma, t
+
+
+class TestPsiEnvelope:
+    @given(_envelope_points())
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    def test_norm_and_mean(self, point):
+        # over the window every X-integral of the library takes, |psi|**2
+        # integrates to 1 and q |psi|**2 to the Wigner mean qbar
+        state, gamma, t = point
+        p = make_params(gamma)
+        spec = _x_window(state, 1.0, 0.0, t, p)
+        mean, cov = states.wigner_moments(state, t, p)
+        dens = lambda qs: np.abs(psi(state, qs, t, p)) ** 2
+        assert abs(integrate(dens, spec) - 1.0) <= 1e-12
+        assert abs(integrate(lambda qs: qs * dens(qs), spec) - mean[0]) <= 1e-11 * math.sqrt(cov[0, 0])
+
+
 class TestWigner:
     def test_ground_closed_form(self):
         p = make_params(0.0)
@@ -208,7 +239,7 @@ class TestWigner:
 
     def test_realness_random_points(self):
         # the quadrature sums the real part of the integrand; the complex sum
-        # it stands for is real to 1e-9 (TestHalfRule); values must be finite
+        # it stands for is real to 1e-9 (TestRealSumMatchesComplexSum); values must be finite
         p = make_params(0.3)
         rng = np.random.default_rng(4)
         for state in (Fock(2), Coherent(1.0 - 0.7j)):
@@ -364,10 +395,18 @@ def _full_rule_pointwise(state, q, p, t, params, u_nodes, u_weights):
     return (left * np.conj(right) * phase) @ u_weights
 
 
+def _u_rule(state, q, p, t, params):
+    """Nodes and weights on u of the rule `integrate` takes for the
+    quadrature's u-window at the points (q, p)."""
+    spec = checks._wigner_u_window(state, q, p, t, params)
+    nodes, weights = _gauss_legendre(_rung(spec.points))
+    return spec.half_width * nodes, spec.half_width * weights
+
+
 def _full_rule_grid(state, qs, ps, t, params):
     """The complex full-rule sum over the product grid qs x ps, on the
     u-rule the quadrature picks for that grid."""
-    u_nodes, u_weights = checks._wigner_u_rule(state, qs, ps, t, params)
+    u_nodes, u_weights = _u_rule(state, qs, ps, t, params)
     left = psi(state, qs[:, None] + 0.5 * u_nodes, t, params)
     right = psi(state, qs[:, None] - 0.5 * u_nodes, t, params)
     kernel = left * np.conj(right) * u_weights
@@ -387,7 +426,7 @@ def _alpha_mean_p_zero(r, gamma, t):
     return 1j * r * d / abs(d)
 
 
-class TestHalfRule:
+class TestRealSumMatchesComplexSum:
     """The quadrature's real sum over its whole u-rule against the complex
     psi-product sum over the same rule."""
 
@@ -419,7 +458,7 @@ class TestHalfRule:
         rng = np.random.default_rng(5)
         q = rng.uniform(-4.0, 4.0, size=150)
         pp = rng.uniform(-4.0, 4.0, size=150)
-        u_nodes, u_weights = checks._wigner_u_rule(state, q, pp, t, p)
+        u_nodes, u_weights = _u_rule(state, q, pp, t, p)
         point = checks._wigner_quadrature(q, pp, t, state, p)
         full = _full_rule_pointwise(state, q, pp, t, p, u_nodes, u_weights)
         _assert_real(full)
