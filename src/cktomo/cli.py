@@ -14,8 +14,8 @@ domain error, 141 the reader of stdout went away (`ck-tomo figure1 | head
 -1`): the command stops there without a traceback, and 141 = 128 + SIGPIPE
 is the status a shell shows for a writer that a closed pipe stopped; an
 output that cannot be written (no such directory, a full disk) is exit 2.
-Optical `tomogram` and `wigner` grids are evaluated, and every grid is
-written, one fixed tile at a time, so memory is set by the values array.
+Every grid holds at most _MAX_GRID_VALUES values and is evaluated (`_fill`)
+and written one fixed tile at a time, so memory is set by the values array.
 """
 
 from __future__ import annotations
@@ -35,10 +35,7 @@ from .tomography import TomographyFrame, optical_frame, tomogram
 
 __all__ = ["main", "UsageError", "parse_state", "parse_grid"]
 
-_MAX_GRID_POINTS = 100_000
-# bounds the values array: peak RSS at the cap is in the README
-_MAX_TOMOGRAM_VALUES = 1_000_000
-_MAX_WIGNER_AXIS = 401
+_MAX_GRID_VALUES = 1_000_000  # values per grid: peak RSS at the cap is in the README
 _BLOCK = 1 << 15  # values per evaluated tile: bounds the broadcast temporaries
 
 EXIT_OK = 0
@@ -76,8 +73,8 @@ def parse_grid(name: str, text: str) -> Axis:
         lo, hi, count = float(parts[0]), float(parts[1]), int(parts[2])
     except ValueError as exc:
         raise UsageError(f"grid spec {text!r}: {exc}") from exc
-    if not (2 <= count <= _MAX_GRID_POINTS):
-        raise UsageError(f"grid counts must lie in [2, {_MAX_GRID_POINTS}], got {count}")
+    if not (2 <= count <= _MAX_GRID_VALUES):  # so linspace never holds more than one grid
+        raise UsageError(f"grid counts must lie in [2, {_MAX_GRID_VALUES}], got {count}")
     if not (lo < hi and math.isfinite(hi - lo)):  # false for a nan, an inf or an overflowing span
         raise UsageError(f"grid spec {text!r} must have min < max and a finite max - min")
     return Axis(name, np.linspace(lo, hi, count))
@@ -102,18 +99,25 @@ def _parse_tol(items) -> dict[str, float]:
 
 def _map_rows(fn, row_args, threads: int):
     """fn over row_args, in order.  perfbench's `cli.rows` hook counts the
-    blocks (tiles of a 2-D grid) and passes `threads`, which is unused."""
+    blocks (the tiles of `_fill`) and passes `threads`, which is unused."""
     return [fn(arg) for arg in row_args]
 
 
-def _fill(a: np.ndarray, b: np.ndarray, f) -> np.ndarray:
-    """f(a[:, None], b[None, :]), evaluated one tile of at most _BLOCK values
-    at a time.  Every tomogram and Wigner operation is elementwise, so the
-    tiles hold the bits of one whole-grid broadcast."""
-    values = np.empty((len(a), len(b)))
-    blocks = tiles(len(a), len(b), _BLOCK)
-    _map_rows(lambda tile: np.copyto(values[tile], f(a[tile[0], None], b[None, tile[1]])), blocks, 0)
-    return values
+def _fill(rows: Axis | None, cols: Axis, kernel, meta: dict[str, str]) -> ScalarGrid:
+    """The one grid path: kernel(r[:, None], c[None, :]) over rows x cols, or
+    over cols alone with a dummy r = 0.0 when rows is None.  A grid of more
+    than _MAX_GRID_VALUES values is refused before anything is allocated; the
+    rest is evaluated one tile of at most _BLOCK values at a time, and every
+    kernel is elementwise, so the tiles hold the bits of one broadcast."""
+    r = np.zeros(1) if rows is None else rows.values
+    if len(r) * len(cols) > _MAX_GRID_VALUES:
+        raise UsageError(f"grids are capped at {_MAX_GRID_VALUES} values")
+    c, values = cols.values, np.empty((len(r), len(cols)))
+    blocks = tiles(len(r), len(c), _BLOCK)
+    _map_rows(lambda tile: np.copyto(values[tile], kernel(r[tile[0], None], c[None, tile[1]])), blocks, 0)
+    if rows is None:
+        return ScalarGrid(axis1=cols, values=values[0], meta=meta)
+    return ScalarGrid(axis1=rows, axis2=cols, values=values, meta=meta)
 
 
 def _emit(grid: ScalarGrid, fmt: str, output: str | None) -> None:
@@ -159,23 +163,17 @@ def cmd_tomogram(args: argparse.Namespace) -> ScalarGrid:
     params = make_params(args.gamma)
     if x_axis is None:
         raise UsageError("tomogram requires --x-grid")
-    xs = x_axis.values
     meta = _meta(args, state, "fock-tomogram" if isinstance(state, Fock) else "coherent-tomogram")
-    if phi_axis is not None:
-        meta["frame"] = "optical"
-        if len(phi_axis) * len(xs) > _MAX_TOMOGRAM_VALUES:
-            raise UsageError(f"tomogram grids are capped at {_MAX_TOMOGRAM_VALUES} values")
-        block = lambda phis, x: tomogram(state, TomographyFrame(x, *optical_frame(phis)), args.t, params)
-        values = _fill(phi_axis.values, xs, block)
-        return ScalarGrid(axis1=phi_axis, axis2=x_axis, values=values, meta=meta)
-    if args.optical:
-        mu, nu = optical_frame(args.phi)
+    if phi_axis is not None:  # one row, and one frame, per angle
+        meta["frame"], frame = "optical", optical_frame
+    elif args.optical:
         meta.update(frame="optical", phi=_FMT % args.phi)
+        frame = lambda _: optical_frame(args.phi)
     else:
-        mu, nu = args.mu, args.nu
-        meta.update(frame="symplectic", mu=_FMT % mu, nu=_FMT % nu)
-    values = np.asarray(tomogram(state, TomographyFrame(xs, mu, nu), args.t, params))
-    return ScalarGrid(axis1=x_axis, values=values, meta=meta)
+        meta.update(frame="symplectic", mu=_FMT % args.mu, nu=_FMT % args.nu)
+        frame = lambda _: (args.mu, args.nu)
+    block = lambda r, x: tomogram(state, TomographyFrame(x, *frame(r)), args.t, params)
+    return _fill(phi_axis, x_axis, block, meta)
 
 
 def cmd_wigner(args: argparse.Namespace) -> ScalarGrid:
@@ -186,10 +184,7 @@ def cmd_wigner(args: argparse.Namespace) -> ScalarGrid:
     params = make_params(args.gamma)
     if q_axis is None or p_axis is None:
         raise UsageError("wigner requires --q-grid and --p-grid")
-    if len(q_axis) > _MAX_WIGNER_AXIS or len(p_axis) > _MAX_WIGNER_AXIS:
-        raise UsageError(f"wigner grids are capped at {_MAX_WIGNER_AXIS} points per axis")
-    values = _fill(q_axis.values, p_axis.values, lambda q, p: wigner(q, p, args.t, state, params))
-    return ScalarGrid(axis1=q_axis, axis2=p_axis, values=values, meta=_meta(args, state, "wigner"))
+    return _fill(q_axis, p_axis, lambda q, p: wigner(q, p, args.t, state, params), _meta(args, state, "wigner"))
 
 
 def cmd_figure1() -> ScalarGrid:

@@ -51,12 +51,10 @@ def _max_step(s2: float) -> float:
 
 
 def _frame_terms(state: QuantumState, x, mu, nu, t, h, params: DampingParams, richardson=False):
-    """Step guards and the (mu, nu) stencil shared by both residual forms,
+    """Step guard and the (mu, nu) stencil shared by both residual forms,
     as one tomogram broadcast: returns w, exp(2 gamma t) and the frame terms
     (-mu dw/dnu, e^{4gt} nu dw/dmu), each from the first-difference rule."""
     offsets = diff_offsets(h, richardson)
-    if t - h < 0.0:
-        raise DomainError(f"t - h = {t - h} < 0: backward time node leaves the domain")
     limit = _max_step(frame_scale_sq(mu, nu, t, params))
     if h > limit:
         raise StepTooLarge(f"h = {h} exceeds 0.1 * min(1, sqrt(s2)) = {limit}")

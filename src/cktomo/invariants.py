@@ -54,8 +54,8 @@ from . import _LAZY
 from .dynamics import DampingParams, epsilon
 from .errors import DomainError, KTooSmall
 from .numerics import _laguerre, _richardson, _stencil_points, diff_from_values, diff_offsets, integrate
-from .states import Fock, QuantumState, wigner_moments
-from .tomography import TomographyFrame, _x_window, frame_scale_sq, tomogram
+from .states import Fock, QuantumState, _mean
+from .tomography import TomographyFrame, _frame_scale_in_range, _x_window, tomogram
 
 __all__ = list(_LAZY["invariants"])  # listed in the package, which loads this module on first use
 
@@ -85,15 +85,16 @@ def characteristic(state: QuantumState, k: float, mu, nu, t: float, params: Damp
         w~(k, mu, nu, t) = exp(i k Xbar - kappa**2 / 4) L_n(kappa**2 / 2),
 
     kappa**2 = k**2 s2 (`frame_scale_sq`), Xbar = mu qbar + nu pbar
-    (`wigner_moments`): the transform of the one tomogram
+    (`states._mean`): the transform of the one tomogram
     phi_n(y - ybar)**2 / sqrt(s2).  mu and nu are scalars or arrays of one
     shape; `tomogram_characteristic` is its quadrature oracle.
     """
     if not math.isfinite(k):
         raise DomainError("k must be finite")
-    mean, _ = wigner_moments(state, t, params)
-    kappa2 = k * k * frame_scale_sq(mu, nu, t, params)
-    out = np.exp(1j * k * (mu * mean[0] + nu * mean[1]) - 0.25 * kappa2)
+    es = epsilon(t, params)
+    qbar, pbar = _mean(state, es)
+    kappa2 = k * k * _frame_scale_in_range(mu, nu, es)
+    out = np.exp(1j * k * (mu * qbar + nu * pbar) - 0.25 * kappa2)
     out = out * _laguerre(state.n, 0.5 * kappa2)
     return complex(out) if np.ndim(out) == 0 else out
 

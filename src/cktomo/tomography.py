@@ -186,17 +186,18 @@ def _x_window(
     state: QuantumState, mu: float, nu: float, t: float, params: DampingParams
 ) -> QuadratureSpec:
     """Window for integrals over X = mu q + nu p of the state's distribution:
-    centered on its mean mu <q> + nu <p> from `wigner_moments`, half-width
+    centered on its mean mu <q> + nu <p> from `states._mean`, half-width
     8 sigma with sigma**2 = (2n+1) s2/2 for Fock n and s2/2 for coherent
     states, the variance of X under the Wigner covariance (s2 is its
     cancellation-free form).  The node floor 220 + 16 n + 110 (sqrt(2n+1) - 1)
     follows the Hermite oscillations of Fock n; `integrate` rounds it up to
     the next multiple of 16."""
-    mean, _ = wigner_moments(state, t, params)
+    es = epsilon(t, params)
+    qbar, pbar = _mean(state, es)
     root = math.sqrt(2.0 * state.n + 1.0)
-    sigma = math.sqrt(frame_scale_sq(mu, nu, t, params) / 2.0) * root
+    sigma = math.sqrt(_frame_scale_in_range(mu, nu, es) / 2.0) * root
     return QuadratureSpec(
-        center=float(mu * mean[0] + nu * mean[1]),
+        center=float(mu * qbar + nu * pbar),
         half_width=8.0 * sigma,
         points=220 + 16 * state.n + int(110.0 * (root - 1.0)),
     )

@@ -1,12 +1,16 @@
 import contextlib
 import hashlib
+import io
 import math
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cktomo import ScalarGrid
 from cktomo.checks import SUITES, _wigner_quadrature, run_checks
@@ -59,9 +63,11 @@ class TestParsing:
     def test_bad_grid_spec(self):
         from cktomo.cli import UsageError
 
-        for bad in ("1:2", "2:1:5", "1:2:1", "1:2:200001", "a:b:c", "-1e308:1e308:3", "0:inf:3", "nan:1:3"):
+        for bad in ("1:2", "2:1:5", "1:2:1", "1:2:1000001", "a:b:c", "-1e308:1e308:3", "0:inf:3", "nan:1:3"):
             with pytest.raises(UsageError):
                 parse_grid("x", bad)
+        # one axis may hold a whole grid's values, no more
+        assert len(parse_grid("x", "1:2:1000000")) == 10**6
 
 
 class TestTomogramCommand:
@@ -278,16 +284,17 @@ class TestWignerCommand:
         ref = wigner(qs[:, None], ps[None, :], 1.7, state, make_params(0.13))
         assert cmd_wigner(args).values.tobytes() == ref.tobytes()
 
-    def test_axis_cap(self):
-        code = main(
-            [
-                "wigner",
-                "--state", "fock:0",
-                "--q-grid=-1:1:402",
-                "--p-grid=-1:1:5",
-            ]
-        )
-        assert code == 2
+    def test_value_cap_boundary(self, tmp_path, capsys):
+        # the one cap counts values, not points per axis
+        out = tmp_path / "w.csv"
+        argv = ["wigner", "--state", "fock:3", "--q-grid=-4:4:1000", "--output", str(out)]
+        assert main([*argv, "--p-grid=-4:4:1000"]) == 0
+        assert capsys.readouterr().err == ""
+        out.unlink()
+        assert main([*argv, "--p-grid=-4:4:1001"]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: grids are capped at 1000000 values\n"
+        assert not out.exists()
 
 
 @pytest.fixture(scope="module")
@@ -606,8 +613,12 @@ class TestExitCodes:
         assert "Traceback" not in err
         assert err.startswith("error: cannot write ") and err.count("\n") == 1, err
 
-    @pytest.mark.parametrize("fmt", ["csv", "json"])
-    def test_peak_memory_at_the_cap(self, fmt, tmp_path):
+    @pytest.mark.parametrize(
+        "fmt, command",
+        [("csv", "tomogram"), ("json", "tomogram"), ("csv", "wigner"), ("json", "wigner")],
+        ids=["csv", "json", "wigner-csv", "wigner-json"],
+    )
+    def test_peak_memory_at_the_cap(self, fmt, command, tmp_path):
         # 10**6 values: the values array is 8 MB; tiled evaluation and
         # writing keep the rest to a few MB over what the imports cost
         if not _has_vmhwm():
@@ -624,10 +635,11 @@ class TestExitCodes:
             "print(hwm() - base)\n"
         )
         out = tmp_path / f"cap.{fmt}"
-        argv = [
-            "tomogram", "--state", "fock:16", "--optical", "--phi-grid", "0:6.283:1000",
-            "--x-grid=-9:9:1000", "--format", fmt, "--output", str(out),
-        ]
+        grid = {
+            "tomogram": ["--optical", "--phi-grid", "0:6.283:1000", "--x-grid=-9:9:1000"],
+            "wigner": ["--gamma", "0.3", "--t", "1", "--q-grid=-9:9:1000", "--p-grid=-9:9:1000"],
+        }[command]
+        argv = [command, "--state", "fock:16", *grid, "--format", fmt, "--output", str(out)]
         res = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, timeout=300)
         assert res.returncode == 0, res.stderr.decode()
         assert out.stat().st_size > 10**7
@@ -640,6 +652,41 @@ def _has_vmhwm() -> bool:
             return any(line.startswith("VmHWM:") for line in fh)
     except OSError:
         return False
+
+
+# lo and hi anywhere in the double range, near the origin, or inf/nan
+# text, put in order half of the time; counts around both ends of
+# parse_grid's range
+_GRID_ENDS = st.one_of(
+    st.floats(-1e308, 1e308), st.floats(-10.0, 10.0), st.sampled_from([math.inf, -math.inf, math.nan])
+)
+_GRID_COUNTS = st.integers(-1, 2001).map(lambda n: 1000001 if n == 2001 else n)
+
+
+@st.composite
+def _grid_specs(draw):
+    ends = [draw(_GRID_ENDS), draw(_GRID_ENDS)]
+    lo, hi = sorted(ends) if draw(st.booleans()) else ends
+    return f"{lo!r}:{hi!r}:{draw(_GRID_COUNTS)}"
+
+
+class TestFuzzedGrids:
+    @given(st.sampled_from(["tomogram", "wigner"]), _grid_specs(), _grid_specs())
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    def test_every_grid_spec_ends_cleanly(self, command, first, second):
+        if command == "tomogram":
+            argv = ["tomogram", "--state", "fock:3", "--mu", "0.8", "--nu=-0.6", f"--x-grid={first}"]
+        else:
+            argv = ["wigner", "--gamma", "0.3", "--state", "coherent:1,1", f"--q-grid={first}", f"--p-grid={second}"]
+        err = io.StringIO()
+        with warnings.catch_warnings(record=True) as caught, contextlib.redirect_stderr(err):
+            warnings.simplefilter("always")
+            code = main([*argv, "--output", os.devnull])
+        assert code in (0, 2, 3), err.getvalue()
+        assert not caught, [str(w.message) for w in caught]
+        assert "Traceback" not in err.getvalue()
+        # a refusal is one line, and a grid that was written says nothing
+        assert err.getvalue().count("\n") == (0 if code == 0 else 1), err.getvalue()
 
 
 class TestDeterminism:

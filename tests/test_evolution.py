@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -15,9 +16,11 @@ from cktomo import (
     evolution_terms,
     frame_scale_sq,
     make_params,
+    normalization,
     relative_residual,
 )
 from cktomo import evolution
+from cktomo.cli import main
 from cktomo.checks import _evolution_config, run_checks
 from cktomo.evolution import _max_step
 
@@ -67,9 +70,18 @@ class TestResidual:
             _, _, mu, nu, t, p = _evolution_config(rng, [0.0, 0.3, 0.7], 0.05)
             assert 0.05 <= _max_step(frame_scale_sq(mu, nu, t, p))
 
-    def test_backward_time_guard(self):
-        with pytest.raises(DomainError):
-            evolution_residual(Fock(1), 0.5, 1.0, 0.0, 0.0005, 1e-3, make_params(0.1))
+    def test_negative_times(self, capsys):
+        # every closed form accepts t < 0, and so do the residuals: their
+        # backward node t - h is one more time of the same closed form
+        for t, gamma in itertools.product((-1.0, -0.0005), (0.0, 0.1, 0.5)):
+            p = make_params(gamma)
+            assert relative_residual(Fock(1), 0.5, 1.0, 0.0, t, 1e-3, p) < 1e-5
+            assert relative_residual(Coherent(1.0 + 1.0j), 0.4, 1.1, 0.5, t, 1e-3, p) < 1e-5
+            assert abs(evolution_residual_tprime(Fock(2), 0.3, 0.8, -0.6, t, 1e-3, p)) < 1e-5
+        assert normalization(Fock(2), 0.8, -0.6, -1.0, make_params(0.1)) == pytest.approx(1.0, abs=1e-9)
+        argv = ["tomogram", "--gamma", "0.1", "--t", "-1", "--state", "fock:1", "--mu", "1", "--nu", "0.5"]
+        assert main([*argv, "--x-grid=-4:4:9"]) == 0
+        assert capsys.readouterr().err == ""
 
     def test_degenerate_frame(self):
         with pytest.raises(DegenerateFrame):
