@@ -1,13 +1,14 @@
-"""SHA-256 pins of the raw bytes of Fock wave functions, Fock tomograms and
-Wigner grids, so a refactor of the closed forms that is meant to keep
-their bits is proven to keep them."""
+"""SHA-256 pins of the raw bytes of Fock wave functions, Fock tomograms,
+Wigner grids and the Gauss-Legendre rule ladder, so a refactor of the
+closed forms or of the rule builder that is meant to keep their bits is
+proven to keep them."""
 
 import hashlib
 
 import numpy as np
 import pytest
 
-from cktomo import Coherent, Fock, TomographyFrame, fock_psi, fock_tomogram, make_params, optical_frame, wigner
+from cktomo import Coherent, Fock, TomographyFrame, fock_psi, fock_tomogram, make_params, numerics, optical_frame, wigner
 
 
 def _digest(arrays):
@@ -54,3 +55,12 @@ def test_wigner_grid_bits(state, pin):
     ps = np.linspace(-4.5, 4.0, 57)
     w = wigner(qs[:, None], ps[None, :], 2.0, state, make_params(0.2))
     assert _digest([w]) == pin
+
+
+def test_gauss_legendre_rung_bits():
+    # every rung 16, 32, ..., 2048 the library's quadratures can ask for,
+    # nodes then weights, built afresh (not from the rule cache)
+    rules = (numerics._gauss_legendre.__wrapped__(n) for n in range(16, 2049, 16))
+    assert _digest(a for rule in rules for a in rule) == (
+        "89f92dbe25e2b88242ca0810d7f84ba6e5c6eab8e4d9ce04baa6e3f8eddce390"
+    )

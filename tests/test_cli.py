@@ -700,6 +700,21 @@ class TestDeterminism:
         digest = hashlib.sha256(a.stdout).hexdigest()
         assert digest == "caea5428471e6af0b7ea14bf325e3a9a48ae4712f8a8330a8b35826d582ef9ee"
 
+    @pytest.mark.parametrize(
+        "seed, pin",
+        [
+            ("0", "82090a9f6632b5f9836fdb85bb7da4a313bbc9be37b478c2fed9e67c034b6361"),
+            ("1", "576f79a6efee59f64770b11b08b72435306e72dc5b751d689e926062251445ec"),
+            ("2", "6ce0f992fabe5839b055c91f81e51a25f9a79a6ca1ed88c2b41f1a613d59d28d"),
+            ("3", "138511f8926fda9eba9c3b99edeeb557e8630460f33f4337e4083034d7e3c80b"),
+            ("4", "b282c005b022d4843f29db7a9857cce40dd08ae53224542b882b10946cb3b294"),
+        ],
+    )
+    def test_benchmark_seeds_sha256(self, seed, pin, capsys):
+        # the seeds of perfbench's check_cli workload, in-process
+        assert main(["check", "all", "--seed", seed]) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == pin
+
     @pytest.mark.parametrize("seed", ["0", "17", "42"])
     def test_suite_lines_match_check_all(self, seed, capsys):
         # a suite run draws the same samples as `check all`, so a FAIL in
