@@ -55,6 +55,7 @@ from .numerics import QuadratureSpec, central_diff, hermite, hermite_gauss, inte
 from .states import _MAX_ALPHA, Coherent, Fock, _amplitude, coherent_psi, psi, wigner, wigner_moments
 from .tomography import (
     TomographyFrame,
+    _frame_scale_in_range,
     _x_window,
     coherent_tomogram,
     fock_tomogram,
@@ -275,7 +276,7 @@ def _random_damping(rng):
     return make_params(g), rng.uniform(0.0, min(5.0, 2.0 / max(g, 0.4)))
 
 
-def _fd_direction_scales(mu, nu, t, params, s2):
+def _fd_direction_scales(mu, nu, es, params, s2):
     """Log-variation scales of the tomogram width s2 along t, mu, nu.
 
     Central differences at step h are trustworthy only when h is far below
@@ -283,8 +284,7 @@ def _fd_direction_scales(mu, nu, t, params, s2):
     damping exponentials make any direction scale too short for the pinned
     step (the same idea as the StepTooLarge guard, extended beyond X).
     """
-    g, om = params.gamma, params.omega_reduced
-    e2 = epsilon(t, params).e2
+    g, om, e2 = params.gamma, params.omega_reduced, es.e2
     d_mu = (2.0 * mu / e2 - 2.0 * g * nu) / om
     d_nu = (-2.0 * g * mu + 2.0 * e2 * nu) / om
     d_t = 2.0 * g * (e2 * nu * nu - mu * mu / e2) / om
@@ -296,18 +296,21 @@ def _fd_direction_scales(mu, nu, t, params, s2):
     )
 
 
+_EVOLUTION_STATES = (Fock(0), Fock(1), Fock(2), Coherent(1.0 + 1.0j), Coherent(0.7 - 0.4j))
+
+
 def _evolution_config(rng, gammas, h):
     """Draw (state, x, mu, nu, t, params) admissible for step h."""
-    states = [Fock(0), Fock(1), Fock(2), Coherent(1.0 + 1.0j), Coherent(0.7 - 0.4j)]
     while True:
         params = make_params(_pick(rng, gammas))
         t = rng.uniform(0.1, 8.0)
         mu, nu = _random_frame(rng)
-        s2 = frame_scale_sq(mu, nu, t, params)
-        if _fd_direction_scales(mu, nu, t, params, s2) < 0.5 or h > _max_step(s2):
+        es = epsilon(t, params)
+        s2 = _frame_scale_in_range(mu, nu, es)
+        if _fd_direction_scales(mu, nu, es, params, s2) < 0.5 or h > _max_step(s2):
             continue
         x = rng.uniform(-2.0, 2.0) * math.sqrt(s2 / 2.0)
-        state = _pick(rng, states)
+        state = _pick(rng, _EVOLUTION_STATES)
         return state, x, mu, nu, t, params
 
 

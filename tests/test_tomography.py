@@ -447,3 +447,96 @@ class TestStructuralProperties:
             spec,
         )
         assert m2 == pytest.approx(s2 / 2.0, rel=1e-8)
+
+
+def _outcome(f, *args):
+    """("value", the raw bytes of f's result) or ("raises", class, message),
+    with every warning an error."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            return ("value", np.asarray(f(*args), dtype=float).tobytes())
+        except Exception as exc:  # noqa: BLE001 - the class is the outcome
+            return ("raises", type(exc), str(exc))
+
+
+def _both_paths(state, x, mu, nu, t, p):
+    """The outcomes of tomogram and frame_scale_sq on the scalar point as
+    given (the math lane for Python floats), then on one-element arrays."""
+    lane = (
+        _outcome(lambda: tomogram(state, TomographyFrame(x, mu, nu), t, p)),
+        _outcome(frame_scale_sq, mu, nu, t, p),
+    )
+    one = [np.array([v], dtype=float) for v in (x, mu, nu)]
+    arrays = (
+        _outcome(lambda: tomogram(state, TomographyFrame(*one), t, p)),
+        _outcome(frame_scale_sq, one[1], one[2], t, p),
+    )
+    return lane, arrays
+
+
+@st.composite
+def _lane_points(draw):
+    """Fock n <= 16 or coherent |alpha| <= 8, 0 <= gamma < 1, t in [-2, 8],
+    |mu| and |nu| in 10**[-3, 3] with either sign, and X out to 70 sqrt(s2),
+    past the _X_TAIL clip."""
+    if draw(st.booleans()):
+        state = Fock(draw(st.integers(min_value=0, max_value=16)))
+    else:
+        r = draw(st.floats(min_value=0.0, max_value=8.0))
+        state = Coherent(cmath.rect(r, draw(st.floats(min_value=0.0, max_value=2.0 * math.pi))))
+    p = make_params(draw(st.floats(min_value=0.0, max_value=1.0, exclude_max=True)))
+    t = draw(st.floats(min_value=-2.0, max_value=8.0))
+    mu, nu = (
+        draw(st.sampled_from([-1.0, 1.0])) * 10.0 ** draw(st.floats(min_value=-3.0, max_value=3.0))
+        for _ in range(2)
+    )
+    x = draw(st.floats(min_value=-70.0, max_value=70.0)) * math.sqrt(frame_scale_sq(mu, nu, t, p))
+    return state, x, mu, nu, t, p
+
+
+class TestMathLane:
+    """A scalar point of Python floats takes the math lane of
+    TomographyFrame, `_frame_scale_in_range` and `_scaled_frame`; it must
+    give the bits, or the exception, of the numpy path."""
+
+    @given(_lane_points())
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_same_bits_as_one_element_arrays(self, point):
+        state, x, mu, nu, t, p = point
+        lane, arrays = _both_paths(state, x, mu, nu, t, p)
+        assert lane[0][0] == "value" and lane == arrays
+        assert type(tomogram(state, TomographyFrame(x, mu, nu), t, p)) is float
+
+    @pytest.mark.parametrize(
+        "x, mu, nu",
+        [
+            (math.nan, 0.8, -0.6),
+            (math.inf, 0.8, -0.6),
+            (-math.inf, 0.8, -0.6),
+            (0.3, math.nan, -0.6),
+            (0.3, 0.8, math.inf),
+            (0.3, 0.0, 0.0),
+            (0.3, -0.0, 0.0),
+            (0.3, 1e200, 0.5),  # s2 overflows
+            (0.3, -1e200, 1e200),
+            (1e-200, 1e-200, 1e-200),  # s2 underflows
+            (1e-200, 0.0, -1e-200),
+            (1e300, 0.8, -0.6),  # |X| > 64 sqrt(s2): clipped
+            (-100.0, 0.8, -0.6),
+            (-0.0, 0.8, -0.6),
+            (np.float64(0.3), np.float64(0.8), np.float64(-0.6)),
+            (1, 1, 0),
+            (np.float64(-1.5), 2, 0.25),
+        ],
+    )
+    @pytest.mark.parametrize("state", [Fock(0), Fock(7), Coherent(1.3 - 0.4j)])
+    def test_edges_match_one_element_arrays(self, x, mu, nu, state):
+        p = make_params(0.3)
+        lane, arrays = _both_paths(state, x, mu, nu, 1.7, p)
+        assert lane == arrays
+
+    def test_scalar_inputs_are_stored_as_python_floats(self):
+        frame = TomographyFrame(np.float64(0.3), 1, 0.5)
+        assert all(type(v) is float for v in (frame.x, frame.mu, frame.nu))
+        assert (frame.x, frame.mu, frame.nu) == (0.3, 1.0, 0.5)
