@@ -53,7 +53,7 @@ import numpy as np
 from . import _LAZY
 from .dynamics import DampingParams, epsilon
 from .errors import DomainError, KTooSmall
-from .numerics import _laguerre, _richardson, _stencil_points, diff_from_values, diff_offsets, integrate
+from .numerics import _laguerre, _richardson, _stencil_points, _worst, diff_from_values, diff_offsets, integrate
 from .states import Fock, QuantumState, _mean
 from .tomography import TomographyFrame, _frame_scale_in_range, _x_window, tomogram
 
@@ -223,18 +223,21 @@ def eigen_residual(n: int, sample, h: float, params: DampingParams) -> float:
 
         max |N w~ - n w~| / max(|w~|, 1e-3),
 
-    w~ the center value of the point's own `_stencil`.
+    w~ the center value of the point's own `_stencil`; a NaN defect makes
+    it nan (`numerics._worst`).
     """
     state = Fock(n)
     points = list(sample)
     if not points:
         raise DomainError("eigen_residual needs a nonempty sample")
-    worst = 0.0
-    for point in points:
-        _validate_apply("direct", state, point)
-        stencil = _stencil(state, point, h, params)
-        w00 = stencil[0]
-        denom = max(abs(w00), 1e-3)
-        for value in _apply_to_stencil(point, params, stencil):
-            worst = max(worst, abs(value - n * w00) / denom)
-    return worst
+
+    def defects():
+        for point in points:
+            _validate_apply("direct", state, point)
+            stencil = _stencil(state, point, h, params)
+            w00 = stencil[0]
+            denom = max(abs(w00), 1e-3)
+            for value in _apply_to_stencil(point, params, stencil):
+                yield abs(value - n * w00) / denom
+
+    return _worst(defects())

@@ -247,6 +247,16 @@ def _richardson(coarse, fine):
     return (4.0 * fine - coarse) / 3.0
 
 
+def _worst(residuals):
+    """The largest residual, folded by Python's max from +0.0 (so -0.0 never
+    shows and ties keep the first value), except that any NaN makes it nan:
+    max alone drops a NaN that is not its first argument."""
+    worst = 0.0
+    for r in residuals:
+        worst = max(worst, r) if r == r else math.nan  # max(nan, x) stays nan
+    return worst
+
+
 # a 2-D stencil's directions in (x, y): both axes, then both diagonals
 _DIRECTIONS = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [1.0, -1.0]])
 

@@ -1,6 +1,7 @@
 import contextlib
 import hashlib
 import io
+import itertools
 import math
 import os
 import subprocess
@@ -695,7 +696,7 @@ class TestDeterminism:
         b = run_cli(["check", "all", "--seed", "42"])
         assert a.returncode == 0 and b.returncode == 0
         assert a.stdout == b.stdout
-        assert a.stdout.count(b"\n") >= 26  # >= 25 checks plus the summary
+        assert a.stdout.count(b"\n") == 44  # 41 scored lines, 2 INFO and the summary
         # pinned, so a refactor meant to be behaviour-neutral is proven so
         digest = hashlib.sha256(a.stdout).hexdigest()
         assert digest == "caea5428471e6af0b7ea14bf325e3a9a48ae4712f8a8330a8b35826d582ef9ee"
@@ -793,3 +794,45 @@ class TestDeterminism:
         text = out.read_text()
         grid = ScalarGrid.from_csv(text)
         assert grid.to_csv() == text
+
+
+def _nan_once(fn, nth, when=lambda *args: True):
+    """fn, except that the nth of its calls whose arguments satisfy `when`
+    returns nan at one sample: in place of a scalar, or at one array element."""
+    calls = itertools.count(1)
+
+    def wrapped(*args, **kwargs):
+        out = fn(*args, **kwargs)
+        if when(*args) and next(calls) == nth:
+            if np.ndim(out) == 0:
+                return math.nan
+            out = np.array(out)
+            out.flat[out.size // 2] = math.nan
+        return out
+
+    return wrapped
+
+
+class TestNaNFails:
+    # a NaN at one sample makes its line FAIL with value=nan, and `check`
+    # exit 1, in each suite; Python's max(worst, nan) alone would drop it
+    @pytest.mark.parametrize(
+        "suite, module, name, nth, when, line",
+        [
+            ("dynamics", "cktomo.checks", "epsilon_residual", 7, None, "ode_residual"),
+            # the one check that evaluates tomogram grids over X
+            ("tomography", "cktomo.checks", "tomogram", 5, lambda state, frame, *_: np.ndim(frame.x) > 0, "nonnegativity"),
+            ("evolution", "cktomo.checks", "relative_residual", 7, None, "evolution_residual_rel"),
+            # one w~ of a Fock 2 stencil, read by `invariants.eigen_residual`
+            ("invariants", "cktomo.invariants", "characteristic", 4, lambda state, *_: state.n == 2, "eigen_n2"),
+        ],
+    )
+    def test_nan_sample_fails_its_line(self, suite, module, name, nth, when, line, monkeypatch, capsys):
+        target = sys.modules[module]
+        wrapped = _nan_once(getattr(target, name), nth, *([when] if when else []))
+        monkeypatch.setattr(target, name, wrapped)
+        assert main(["check", suite, "--seed", "0"]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        failed = [text for text in lines if text.startswith("FAIL")]
+        assert len(failed) == 1 and failed[0].split()[1] == line, lines
+        assert " value=nan " in failed[0]

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from cktomo import invariants
 from cktomo import (
     Coherent,
     DegenerateFrame,
@@ -20,6 +21,7 @@ from cktomo import (
 )
 from cktomo.checks import _check_variant_agreement, _eigen_sample, run_checks
 from cktomo.invariants import _apply_to_stencil, _stencil
+from cktomo.numerics import _worst
 
 
 def _sample(rng, n_points, ts):
@@ -215,7 +217,7 @@ class TestNumberApply:
             b = number_apply("conjugate", Fock(1), point, 1e-3, p)
             w00 = _stencil(Fock(1), point, 1e-3, p)[0]  # the stencil's own w~
             worst = max(worst, abs(a - b) / max(abs(w00), 1e-3))
-        assert _check_variant_agreement(np.random.default_rng(seed)) == worst
+        assert _worst(_check_variant_agreement(np.random.default_rng(seed))) == worst
 
 
 class TestStencil:
@@ -304,6 +306,25 @@ class TestEigenResidual:
         point = DualPoint(k=0.01, mu=1.0, nu=0.0, t=0.0)
         with pytest.raises(KTooSmall):
             eigen_residual(1, [point], 1e-3, make_params(0.0))
+
+    @pytest.mark.parametrize("index", [0, 9])
+    def test_nan_characteristic_makes_it_nan(self, index, monkeypatch):
+        # one NaN w~ (the center, or one step) in the second point's stencil:
+        # a fold by Python's max alone would drop it behind the first point
+        calls = []
+
+        def nan_in_second_stencil(state, k, mus, nus, t, params):
+            w = characteristic(state, k, mus, nus, t, params)
+            calls.append(k)
+            if len(calls) == 2:
+                w = np.array(w)
+                w[index] = math.nan
+            return w
+
+        monkeypatch.setattr(invariants, "characteristic", nan_in_second_stencil)
+        sample = _sample(np.random.default_rng(3), 3, [0.0, 1.0])
+        assert math.isnan(eigen_residual(1, sample, 1e-3, make_params(0.05)))
+        assert len(calls) == 3
 
 
 def test_seed_26_passes():

@@ -27,6 +27,7 @@ from cktomo.numerics import (
     _gauss_legendre,
     _rung,
     _stencil_points,
+    _worst,
     diff_offsets,
     tiles,
 )
@@ -98,17 +99,18 @@ class TestHermite:
     def test_checks_measure_the_library_path(self, monkeypatch):
         # the three Hermite checks evaluate hermite_gauss, the function every
         # Fock state goes through: a defect in it shows in each of them
+        # (each check yields residuals; `_worst` folds them as `run_checks` does)
         hermite_checks = (
             checks._check_hermite_match,
             checks._check_hermite_parity,
             checks._check_hermite_orthonormal,
         )
         for check in hermite_checks:
-            assert check(np.random.default_rng(0)) <= 1e-12
+            assert _worst(check(np.random.default_rng(0))) <= 1e-12
         defect = lambda n, x: hermite_gauss(n, x) * (1.0 + 1e-6 * (x + x * x))
         monkeypatch.setattr(checks, "hermite_gauss", defect)
         for check in hermite_checks:
-            assert check(np.random.default_rng(0)) > 1e-8
+            assert _worst(check(np.random.default_rng(0))) > 1e-8
 
 
 class TestIntegrate:
@@ -320,6 +322,17 @@ class TestCentralDiff:
         assert nus.tolist() == [-1.0] * 5 + [-1.0 + s for s in steps] * 2 + [-1.0 - s for s in steps]
         two = _stencil_points(2.0, -1.0, offsets[:2], 2)
         assert [a.tolist() for a in two] == [[2.0, 2.5, 1.5, 2.0, 2.0], [-1.0, -1.0, -1.0, -0.5, -1.5]]
+
+
+class TestWorst:
+    def test_python_max_from_zero(self):
+        assert _worst([]) == 0.0
+        assert math.copysign(1.0, _worst([-0.0, -1.0])) == 1.0  # never -0.0
+        assert _worst([1e-3, np.float64(2e-3), 5e-4]) == 2e-3
+
+    @pytest.mark.parametrize("residuals", [[math.nan, 1.0], [1.0, math.nan], [1.0, math.nan, 2.0], [np.float64("nan")]])
+    def test_any_nan_makes_it_nan(self, residuals):
+        assert math.isnan(_worst(residuals))
 
 
 class TestScalarGrid:
