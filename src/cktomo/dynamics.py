@@ -47,6 +47,8 @@ __all__ = [
 
 # largest x with exp(x) finite in double precision
 _LOG_MAX = math.log(sys.float_info.max)
+# below this |2*gamma*t|, the time maps are the identity to the last bit
+_IDENTITY = 2.0**-54
 
 
 @dataclass(frozen=True)
@@ -154,14 +156,27 @@ def epsilon_residual(t: float, params: DampingParams) -> float:
 def time_forward(t: float, gamma: float) -> float:
     """Reparameterized time t' = (1 - exp(-2*gamma*t)) / (2*gamma).
 
-    gamma = 0 is handled as an exact identity branch (the removable limit),
-    not by thresholded division.
+    Where |2*gamma*t| < 2**-54, gamma = 0 included, t' = t (1 - gamma*t + ...)
+    rounds to t, which is returned: no thresholded division, and a
+    subnormal 2*gamma*t loses no digits.  A t < 0 with exp(-2*gamma*t)
+    outside the double range raises DomainError.  For t > 0 the expm1 value
+    takes one Newton step on time_backward(t') = t, with dt'/dt =
+    exp(-2*gamma*t), so the round trip holds to the rounding of t' itself;
+    at t < 0 that factor exceeds 1 and would amplify the rounding of the
+    backward map instead.
     """
     t = _require_finite("t", t)
     gamma = _require_gamma(float(gamma))
-    if gamma == 0.0:
+    y = 2.0 * gamma * t
+    if abs(y) < _IDENTITY:
         return t
-    return -math.expm1(-2.0 * gamma * t) / (2.0 * gamma)
+    if -y > _LOG_MAX:
+        raise DomainError(f"2*gamma*t = {y!r} puts exp(-2*gamma*t) outside the double range")
+    t_prime = -math.expm1(-y) / (2.0 * gamma)
+    x = 2.0 * gamma * t_prime
+    if t <= 0.0 or x >= 1.0:  # x >= 1: t' saturated at 1/(2 gamma)
+        return t_prime
+    return t_prime + (t - _backward(x, t_prime, gamma)) * math.exp(-2.0 * gamma * t)
 
 
 def time_backward(t_prime: float, gamma: float) -> float:
@@ -169,19 +184,48 @@ def time_backward(t_prime: float, gamma: float) -> float:
 
     The forward map takes every real t onto (-inf, 1/(2*gamma)), with t < 0
     onto t' < 0; outside that image the logarithm has no real branch and a
-    DomainError is raised.
+    DomainError is raised.  Where |2*gamma*t'| < 2**-54, gamma = 0 included,
+    t rounds to t', which is returned.
     """
     t_prime = _require_finite("t_prime", t_prime)
     gamma = _require_gamma(float(gamma))
-    if gamma == 0.0:
-        return t_prime
     x = 2.0 * gamma * t_prime
+    if abs(x) < _IDENTITY:
+        return t_prime
     if x >= 1.0:
         raise DomainError(
             f"t_prime={t_prime} outside the image of the forward map "
             f"(-inf, 1/(2*gamma)) = (-inf, {1.0 / (2.0 * gamma)})"
         )
-    return -math.log1p(-x) / (2.0 * gamma)
+    return _backward(x, t_prime, gamma)
+
+
+def _backward(x: float, t_prime: float, gamma: float) -> float:
+    """time_backward for 0 < gamma < 1 and x = 2*gamma*t' (rounded) < 1.
+    From x >= 1/2 on, 1 - 2*gamma*t' cancels: it is formed from the exact
+    product hi + lo = 2*gamma*t' as (1 - hi) - lo, where 1 - hi is exact
+    (Sterbenz), so the logarithm's argument carries one rounding."""
+    if x < 0.5:
+        return -math.log1p(-x) / (2.0 * gamma)
+    hi, lo = _two_product(2.0 * gamma, t_prime)
+    return -math.log((1.0 - hi) - lo) / (2.0 * gamma)
+
+
+_SPLIT = 134217729.0  # 2**27 + 1: Veltkamp's split of 53 bits into 26 + 27
+
+
+def _two_product(a: float, b: float) -> tuple[float, float]:
+    """hi + lo = a*b exactly, hi the rounded product (Dekker, Numer. Math. 18
+    (1971) 224).  The factors are split at their frexp mantissas, so no
+    partial product overflows or underflows; scaling hi and lo back by a
+    power of two is exact while they stay normal doubles."""
+    (ma, ea), (mb, eb) = math.frexp(a), math.frexp(b)
+    ca, cb = _SPLIT * ma, _SPLIT * mb
+    a1, b1 = ca - (ca - ma), cb - (cb - mb)
+    a2, b2 = ma - a1, mb - b1
+    hi = ma * mb
+    lo = ((a1 * b1 - hi) + a1 * b2 + a2 * b1) + a2 * b2
+    return math.ldexp(hi, ea + eb), math.ldexp(lo, ea + eb)
 
 
 def frame_quantities(mu, nu, es: EpsilonState):

@@ -1,5 +1,6 @@
 import math
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -16,8 +17,8 @@ from cktomo import (
     time_backward,
     time_forward,
 )
-from cktomo.checks import rk4_epsilon
-from cktomo.dynamics import frame_quantities
+from cktomo.checks import rk4_epsilon, run_checks
+from cktomo.dynamics import _two_product, frame_quantities
 
 
 def _rk4_stagewise(gamma, t_end, dt):
@@ -185,6 +186,47 @@ class TestTimeMaps:
     @settings(max_examples=60, deadline=None, derandomize=True)
     def test_roundtrip_property(self, t, g):
         assert abs(time_backward(time_forward(t, g), g) - t) < 1e-12
+
+    def test_check_roundtrip_seed_85(self):
+        # the worst sample of `time_roundtrip` at seed 85, t' near 1/(2 gamma):
+        # 1.28e-12 with the plain expm1 / log1p maps
+        g, t = 0.33062028641898744, 13.308926336657416
+        assert abs(time_backward(time_forward(t, g), g) - t) <= 1e-12
+        line = next(r for r in run_checks("dynamics", 85) if r.name == "time_roundtrip")
+        assert line.passed and line.value <= 1e-12
+
+    @given(st.floats(min_value=0.0, max_value=0.9), st.floats(min_value=0.0, max_value=1.0))
+    @settings(max_examples=2000, deadline=None, derandomize=True)
+    def test_roundtrip_property_over_the_check_domain(self, g, u):
+        # the sample domain of `checks._check_time_roundtrip`, 2 gamma t <= 9,
+        # where the round trip has the floor 1/2 ulp(t') exp(2 gamma t) < 1e-12
+        t = u * min(15.0, 4.5 / max(g, 1e-9))
+        assert abs(time_backward(time_forward(t, g), g) - t) <= 1e-12
+
+    @given(
+        st.floats(min_value=-2.0, max_value=2.0), st.integers(-500, 500),
+        st.floats(min_value=-2.0, max_value=2.0), st.integers(-500, 500),
+    )
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_two_product_exact(self, ma, ea, mb, eb):
+        # factors of any magnitude; exact wherever the product's error term
+        # (down to 2**-106 of it) is a normal double
+        a, b = math.ldexp(ma, ea), math.ldexp(mb, eb)
+        hi, lo = _two_product(a, b)
+        assert hi == a * b
+        if abs(hi) >= 2.0**-900:
+            assert Fraction(hi) + Fraction(lo) == Fraction(a) * Fraction(b)
+
+    @pytest.mark.parametrize("g", [5e-324, 1e-310, 1e-300])
+    def test_tiny_gamma_roundtrip(self, g):
+        # 2 gamma t subnormal or tiny: each map is the identity to the last bit
+        for t in (11.25, -3.5, 1e-3):
+            assert time_forward(t, g) == t and time_backward(t, g) == t
+
+    def test_forward_overflow_domain_error(self):
+        # exp(-2 gamma t) = exp(800) overflows: a typed error, not OverflowError
+        with pytest.raises(DomainError, match="outside the double range"):
+            time_forward(-800.0, 0.5)
 
     @pytest.mark.parametrize("bad", [-0.1, 1.0, math.inf, math.nan])
     def test_gamma_domain_error(self, bad):
