@@ -369,7 +369,8 @@ def _not_increasing(values):
 
 def _check_time_monotone(rng):
     for g in (0.0, 0.05, 0.3, 0.7):
-        yield _not_increasing([time_forward(t, g) for t in np.linspace(0.0, 20.0, 200)])
+        ts = np.linspace(0.0, 20.0, 200)
+        yield _not_increasing([time_forward(t, g) for t in ts])
         if g > 0.0:
             tps = np.linspace(0.0, (1.0 / (2.0 * g)) * 0.999, 200)
             yield _not_increasing([time_backward(tp, g) for tp in tps])
@@ -379,7 +380,8 @@ def _check_frame_gamma0(rng):
     p = make_params(0.0)
     for _ in range(50):
         mu, nu = _random_frame(rng)
-        fc = frame_coeffs(mu, nu, rng.uniform(0.0, 10.0), p)
+        t = rng.uniform(0.0, 10.0)
+        fc = frame_coeffs(mu, nu, t, p)
         yield abs(fc.a - mu)
         yield abs(fc.b - nu)
 
@@ -469,7 +471,8 @@ def _check_wigner_ground(rng):
     qs = rng.uniform(-1.5, 1.5, size=12)
     ps = rng.uniform(-1.5, 1.5, size=12)
     got = _wigner_quadrature(qs, ps, 0.0, Fock(0), p)
-    yield float(np.max(np.abs(got - 2.0 * np.exp(-qs * qs - ps * ps))))
+    expected = 2.0 * np.exp(-qs * qs - ps * ps)
+    yield float(np.max(np.abs(got - expected)))
     yield abs(_wigner_quadrature(0.0, 0.0, 0.0, Fock(0), p) - 2.0)
     for _ in range(12):
         state = (_random_fock if rng.uniform() < 0.5 else _random_coherent)(rng)
@@ -513,7 +516,8 @@ def _check_radon_ground(rng):
     p = make_params(0.0)
     for _ in range(6):
         mu, nu = _random_frame(rng)
-        frame = TomographyFrame(rng.uniform(-1.5, 1.5), mu, nu)
+        x = rng.uniform(-1.5, 1.5)
+        frame = TomographyFrame(x, mu, nu)
         yield abs(radon_tomogram(Fock(0), frame, 0.0, p) - ground_tomogram(frame, 0.0, p))
 
 
@@ -545,7 +549,7 @@ def _check_homogeneity(rng):
 
 
 def _check_nonnegativity(rng):
-    # the residual is the depth of the grid's lowest value below zero
+    # each grid's residual is how far its lowest value falls below zero
     for _ in range(40):
         g = rng.uniform(0.0, 0.7)
         t = rng.uniform(0.0, 6.0)
@@ -593,8 +597,9 @@ def _check_gamma0_reduction(rng):
         t = rng.uniform(0.0, 6.0)
         x = rng.uniform(-2.0, 2.0)
         ss = mu * mu + nu * nu
+        w0 = ground_tomogram(TomographyFrame(x, mu, nu), t, p)
         exact0 = math.exp(-x * x / ss) / math.sqrt(math.pi * ss)
-        yield abs(ground_tomogram(TomographyFrame(x, mu, nu), t, p) - exact0)
+        yield abs(w0 - exact0)
         n = int(rng.integers(0, 4))
         wn = fock_tomogram(TomographyFrame(x, mu, nu), t, n, p)
         y = x / math.sqrt(ss)
@@ -663,15 +668,18 @@ def _check_tprime_consistency(rng):
         # both forms approximate the same identity: the t-form replaces
         # d/dt' by e^{2 gamma t} d/dt via the chain rule; both take D4
         _, terms = _terms(state, x, mu, nu, t, h, p, richardson=True)
+        r_t = sum(terms)
         r_tp = evolution_residual_tprime(state, x, mu, nu, t, h, p)
-        yield abs(sum(terms) - r_tp) / max(1.0, *[abs(term) for term in terms])
+        scale = max(1.0, *[abs(term) for term in terms])
+        yield abs(r_t - r_tp) / scale
 
 
 def _check_characteristic_gauss(rng):
     # quadrature w~ against exp(-k**2/4), then against `characteristic`
     p = make_params(0.0)
     for k in (0.3, 1.0, 2.0):
-        yield abs(tomogram_characteristic(Fock(0), k, 1.0, 0.0, 0.0, p) - math.exp(-k * k / 4.0))
+        got = tomogram_characteristic(Fock(0), k, 1.0, 0.0, 0.0, p)
+        yield abs(got - math.exp(-k * k / 4.0))
     for _ in range(12):
         p, t, (mu, nu) = make_params(rng.uniform(0.0, 0.5)), rng.uniform(0.0, 4.0), _random_frame(rng)
         k, state = rng.uniform(0.1, 4.0), _random_state(rng)
@@ -693,6 +701,7 @@ def _check_characteristic_unit(rng):
 
 
 def _check_characteristic_bound(rng):
+    # each sample's residual is how far |w~| exceeds 1
     for _ in range(10):
         g = rng.uniform(0.0, 0.5)
         t = rng.uniform(0.0, 4.0)
@@ -734,7 +743,8 @@ def _check_variant_agreement(rng):
     first-order brackets must cancel identically."""
     p = make_params(0.3)
     for point in _eigen_sample(rng, 5, [0.0, 2.0]):
-        stencil = _stencil(Fock(1), point, 1e-3, p)
+        state = Fock(1)
+        stencil = _stencil(state, point, 1e-3, p)
         a, b = _apply_to_stencil(point, p, stencil)
         yield abs(a - b) / max(abs(stencil[0]), 1e-3)
 

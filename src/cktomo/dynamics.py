@@ -156,14 +156,12 @@ def epsilon_residual(t: float, params: DampingParams) -> float:
 def time_forward(t: float, gamma: float) -> float:
     """Reparameterized time t' = (1 - exp(-2*gamma*t)) / (2*gamma).
 
-    Where |2*gamma*t| < 2**-54, gamma = 0 included, t' = t (1 - gamma*t + ...)
-    rounds to t, which is returned: no thresholded division, and a
-    subnormal 2*gamma*t loses no digits.  A t < 0 with exp(-2*gamma*t)
-    outside the double range raises DomainError.  For t > 0 the expm1 value
-    takes one Newton step on time_backward(t') = t, with dt'/dt =
-    exp(-2*gamma*t), so the round trip holds to the rounding of t' itself;
-    at t < 0 that factor exceeds 1 and would amplify the rounding of the
-    backward map instead.
+    Where |2*gamma*t| < 2**-54 (gamma = 0 included) t' rounds to t, which is
+    returned.  For t > 0 the expm1 value takes one Newton step on
+    time_backward(t') = t, with dt'/dt = exp(-2*gamma*t), so the round trip
+    holds to the rounding of t' alone; at t < 0 that factor exceeds 1 and
+    would amplify the rounding of time_backward instead.  A t < 0 with
+    exp(-2*gamma*t) outside the double range raises DomainError.
     """
     t = _require_finite("t", t)
     gamma = _require_gamma(float(gamma))
@@ -173,10 +171,9 @@ def time_forward(t: float, gamma: float) -> float:
     if -y > _LOG_MAX:
         raise DomainError(f"2*gamma*t = {y!r} puts exp(-2*gamma*t) outside the double range")
     t_prime = -math.expm1(-y) / (2.0 * gamma)
-    x = 2.0 * gamma * t_prime
-    if t <= 0.0 or x >= 1.0:  # x >= 1: t' saturated at 1/(2 gamma)
+    if t <= 0.0 or 2.0 * gamma * t_prime >= 1.0:  # or t' saturated at 1/(2 gamma)
         return t_prime
-    return t_prime + (t - _backward(x, t_prime, gamma)) * math.exp(-2.0 * gamma * t)
+    return t_prime + (t - time_backward(t_prime, gamma)) * math.exp(-y)
 
 
 def time_backward(t_prime: float, gamma: float) -> float:
@@ -184,8 +181,10 @@ def time_backward(t_prime: float, gamma: float) -> float:
 
     The forward map takes every real t onto (-inf, 1/(2*gamma)), with t < 0
     onto t' < 0; outside that image the logarithm has no real branch and a
-    DomainError is raised.  Where |2*gamma*t'| < 2**-54, gamma = 0 included,
-    t rounds to t', which is returned.
+    DomainError is raised.  Where |2*gamma*t'| < 2**-54 (gamma = 0 included)
+    t rounds to t', which is returned.  From 2*gamma*t' = 1/2 on, 1 - 2*gamma*t'
+    cancels: it is formed from the exact product hi + lo = 2*gamma*t' as
+    (1 - hi) - lo, with 1 - hi exact (Sterbenz), so it carries one rounding.
     """
     t_prime = _require_finite("t_prime", t_prime)
     gamma = _require_gamma(float(gamma))
@@ -197,14 +196,8 @@ def time_backward(t_prime: float, gamma: float) -> float:
             f"t_prime={t_prime} outside the image of the forward map "
             f"(-inf, 1/(2*gamma)) = (-inf, {1.0 / (2.0 * gamma)})"
         )
-    return _backward(x, t_prime, gamma)
-
-
-def _backward(x: float, t_prime: float, gamma: float) -> float:
-    """time_backward for 0 < gamma < 1 and x = 2*gamma*t' (rounded) < 1.
-    From x >= 1/2 on, 1 - 2*gamma*t' cancels: it is formed from the exact
-    product hi + lo = 2*gamma*t' as (1 - hi) - lo, where 1 - hi is exact
-    (Sterbenz), so the logarithm's argument carries one rounding."""
+    if x == -math.inf:  # 2*gamma*|t'| overflows; the 1 is far below its last digit
+        return -(math.log(2.0 * gamma) + math.log(-t_prime)) / (2.0 * gamma)
     if x < 0.5:
         return -math.log1p(-x) / (2.0 * gamma)
     hi, lo = _two_product(2.0 * gamma, t_prime)
@@ -216,9 +209,8 @@ _SPLIT = 134217729.0  # 2**27 + 1: Veltkamp's split of 53 bits into 26 + 27
 
 def _two_product(a: float, b: float) -> tuple[float, float]:
     """hi + lo = a*b exactly, hi the rounded product (Dekker, Numer. Math. 18
-    (1971) 224).  The factors are split at their frexp mantissas, so no
-    partial product overflows or underflows; scaling hi and lo back by a
-    power of two is exact while they stay normal doubles."""
+    (1971) 224), split at the frexp mantissas so no partial product over- or
+    underflows; exact while hi and lo are normal doubles."""
     (ma, ea), (mb, eb) = math.frexp(a), math.frexp(b)
     ca, cb = _SPLIT * ma, _SPLIT * mb
     a1, b1 = ca - (ca - ma), cb - (cb - mb)

@@ -230,14 +230,11 @@ def eigen_residual(n: int, sample, h: float, params: DampingParams) -> float:
     points = list(sample)
     if not points:
         raise DomainError("eigen_residual needs a nonempty sample")
-
-    def defects():
-        for point in points:
-            _validate_apply("direct", state, point)
-            stencil = _stencil(state, point, h, params)
-            w00 = stencil[0]
-            denom = max(abs(w00), 1e-3)
-            for value in _apply_to_stencil(point, params, stencil):
-                yield abs(value - n * w00) / denom
-
-    return _worst(defects())
+    defects = []
+    for point in points:
+        _validate_apply("direct", state, point)
+        stencil = _stencil(state, point, h, params)
+        w00 = stencil[0]
+        denom = max(abs(w00), 1e-3)
+        defects += [abs(value - n * w00) / denom for value in _apply_to_stencil(point, params, stencil)]
+    return _worst(defects)

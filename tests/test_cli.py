@@ -1,5 +1,6 @@
 import contextlib
 import hashlib
+import importlib
 import io
 import itertools
 import math
@@ -797,7 +798,7 @@ class TestDeterminism:
         assert grid.to_csv() == text
 
 
-def _nan_once(fn, nth, when=lambda *args: True):
+def _nan_once(fn, nth, when):
     """fn, except that the nth of its calls whose arguments satisfy `when`
     returns nan at one sample: in place of a scalar, or at one array element."""
     calls = itertools.count(1)
@@ -820,18 +821,17 @@ class TestNaNFails:
     @pytest.mark.parametrize(
         "suite, module, name, nth, when, line",
         [
-            ("dynamics", "cktomo.checks", "epsilon_residual", 7, None, "ode_residual"),
+            ("dynamics", "cktomo.checks", "epsilon_residual", 7, lambda *_: True, "ode_residual"),
             # the one check that evaluates tomogram grids over X
             ("tomography", "cktomo.checks", "tomogram", 5, lambda state, frame, *_: np.ndim(frame.x) > 0, "nonnegativity"),
-            ("evolution", "cktomo.checks", "relative_residual", 7, None, "evolution_residual_rel"),
+            ("evolution", "cktomo.checks", "relative_residual", 7, lambda *_: True, "evolution_residual_rel"),
             # one w~ of a Fock 2 stencil, read by `invariants.eigen_residual`
             ("invariants", "cktomo.invariants", "characteristic", 4, lambda state, *_: state.n == 2, "eigen_n2"),
         ],
     )
     def test_nan_sample_fails_its_line(self, suite, module, name, nth, when, line, monkeypatch, capsys):
-        target = sys.modules[module]
-        wrapped = _nan_once(getattr(target, name), nth, *([when] if when else []))
-        monkeypatch.setattr(target, name, wrapped)
+        target = importlib.import_module(module)
+        monkeypatch.setattr(target, name, _nan_once(getattr(target, name), nth, when))
         assert main(["check", suite, "--seed", "0"]) == 1
         lines = capsys.readouterr().out.splitlines()
         failed = [text for text in lines if text.startswith("FAIL")]
