@@ -1,12 +1,16 @@
 """Seeded property-check suites behind the `check` CLI command.
 
-Every check draws its sample from a generator seeded by (seed, its
-position in the full SUITES order), so a suite run alone draws the samples
-of `check all`.  It yields its residuals, one per sample or the largest of
-an array; the line's value is the largest of them, folded from 0.0
-(`numerics._worst`), or nan if any residual is NaN, and the line passes iff
-that value is at or below its named tolerance (a nan never is).  The
-tolerance names in :data:`TOLERANCES` can be overridden from the command
+Every check draws its sample from its own stream of the standard library's
+Mersenne Twister, `random.Random(seed * 64 + index)` with index its
+position in the full SUITES order (43 lines), so a suite run alone draws
+the samples of `check all`.  It draws only through `random()` and
+`uniform(a, b)`, whose streams Python keeps for a given seed, so a report
+does not depend on the numpy version; an array of draws is `_uniforms`, n
+`uniform` draws in order.  A check yields its residuals, one per sample or
+the largest of an array; the line's value is the largest of them, folded
+from 0.0 (`numerics._worst`), or nan if any residual is NaN, and the line
+passes iff that value is at or below its named tolerance (a nan never is).
+The tolerance names in :data:`TOLERANCES` can be overridden from the command
 line (`--tol name=value`).
 
 Tolerances follow the error-budget tiering of the library: 1e-10 for
@@ -23,6 +27,7 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
+import random
 from dataclasses import dataclass
 from functools import partial
 
@@ -243,9 +248,24 @@ def _wigner_quadrature(q, p, t: float, state, params):
 # sampling helpers
 
 
+# streams per seed: seed * _STREAMS + index is one-to-one while the suites
+# hold at most _STREAMS lines
+_STREAMS = 64
+
+
+def _sampler(seed: int, index: int) -> random.Random:
+    """The stream of line `index` (its position in the full SUITES order)
+    of `check all --seed seed`."""
+    return random.Random(seed * _STREAMS + index)
+
+
+def _uniforms(rng, lo, hi, n):
+    """n `uniform(lo, hi)` draws, in order, as an array."""
+    return np.array([rng.uniform(lo, hi) for _ in range(n)])
+
+
 def _pick(rng, items):
-    # rng.choice(items)'s draw, without the array conversion that costs 5x
-    return items[int(rng.integers(0, len(items)))]
+    return items[int(len(items) * rng.random())]
 
 
 def _random_frame(rng, lo=0.4, hi=1.6):
@@ -255,9 +275,9 @@ def _random_frame(rng, lo=0.4, hi=1.6):
 
 
 def _random_state(rng):
-    kind = rng.integers(0, 3)
+    kind = int(3 * rng.random())
     if kind == 0:
-        return Fock(int(rng.integers(0, 4)))
+        return Fock(int(4 * rng.random()))
     if kind == 1:
         return Coherent(complex(rng.uniform(-1.5, 1.5), rng.uniform(-1.5, 1.5)))
     return Coherent(0.0)
@@ -266,7 +286,7 @@ def _random_state(rng):
 # the oracle checks draw Fock 0-2 (each order sets its oracle's rule sizes),
 # coherent |alpha| <= _MAX_ALPHA, gamma in [0, 0.9] and t in [0, 5], 2 gamma t <= 4
 def _random_fock(rng):
-    return Fock(int(rng.integers(0, 3)))
+    return Fock(int(3 * rng.random()))
 
 
 def _random_coherent(rng):
@@ -321,14 +341,14 @@ def _evolution_config(rng, gammas, h):
 
 
 def _check_ode_residual(rng):
-    ts = rng.uniform(0.0, 20.0, size=200)
-    gs = rng.uniform(0.0, 0.9, size=200)
+    ts = _uniforms(rng, 0.0, 20.0, 200)
+    gs = _uniforms(rng, 0.0, 0.9, 200)
     for t, g in zip(ts, gs):
         yield epsilon_residual(t, make_params(g))
 
 
 def _check_initial_conditions(rng):
-    for g in rng.uniform(0.0, 0.999, size=20):
+    for g in _uniforms(rng, 0.0, 0.999, 20):
         p = make_params(g)
         es = epsilon(0.0, p)
         om = p.omega_reduced
@@ -337,7 +357,7 @@ def _check_initial_conditions(rng):
 
 
 def _check_wronskian(rng):
-    for t, g in zip(rng.uniform(0.0, 20.0, size=200), rng.uniform(0.0, 0.9, size=200)):
+    for t, g in zip(_uniforms(rng, 0.0, 20.0, 200), _uniforms(rng, 0.0, 0.9, 200)):
         es = epsilon(t, make_params(g))
         yield abs(es.e2 * es.ce.imag - 1.0)
 
@@ -408,7 +428,7 @@ _EXPLICIT_HERMITE = (
 
 def _check_hermite_match(rng):
     """`hermite_gauss` against the explicit H_n exp(-x**2/2) / sqrt(2**n n! sqrt(pi))."""
-    xs = rng.uniform(-5.0, 5.0, size=100)
+    xs = _uniforms(rng, -5.0, 5.0, 100)
     for n, explicit in enumerate(_EXPLICIT_HERMITE):
         norm = math.sqrt(2.0**n * math.factorial(n) * math.sqrt(math.pi))
         expected = explicit(xs) * np.exp(-0.5 * xs * xs) / norm
@@ -416,7 +436,7 @@ def _check_hermite_match(rng):
 
 
 def _check_hermite_parity(rng):
-    xs = rng.uniform(-5.0, 5.0, size=50)
+    xs = _uniforms(rng, -5.0, 5.0, 50)
     for n in range(0, 9):
         yield float(np.max(np.abs(hermite_gauss(n, -xs) - (-1.0) ** n * hermite_gauss(n, xs))))
 
@@ -468,17 +488,17 @@ def _check_psi_moments(rng):
 def _check_wigner_ground(rng):
     # psi-quadrature W against 2 exp(-q**2 - p**2), then `wigner` within 2 sigma
     p = make_params(0.0)
-    qs = rng.uniform(-1.5, 1.5, size=12)
-    ps = rng.uniform(-1.5, 1.5, size=12)
+    qs = _uniforms(rng, -1.5, 1.5, 12)
+    ps = _uniforms(rng, -1.5, 1.5, 12)
     got = _wigner_quadrature(qs, ps, 0.0, Fock(0), p)
     expected = 2.0 * np.exp(-qs * qs - ps * ps)
     yield float(np.max(np.abs(got - expected)))
     yield abs(_wigner_quadrature(0.0, 0.0, 0.0, Fock(0), p) - 2.0)
     for _ in range(12):
-        state = (_random_fock if rng.uniform() < 0.5 else _random_coherent)(rng)
+        state = (_random_fock if rng.random() < 0.5 else _random_coherent)(rng)
         p, t = _random_damping(rng)
         mean, cov = wigner_moments(state, t, p)
-        q, pv = mean + np.sqrt(np.diag(cov)) * rng.uniform(-2.0, 2.0, size=2)
+        q, pv = mean + np.sqrt(np.diag(cov)) * _uniforms(rng, -2.0, 2.0, 2)
         yield abs(_wigner_quadrature(q, pv, t, state, p) - wigner(q, pv, t, state, p))
 
 
@@ -487,7 +507,7 @@ def _check_wigner_marginal(rng):
     t = 5.0
     state = Fock(1)
     spec = _x_window(state, 0.0, 1.0, t, p)
-    qs = rng.uniform(-1.0, 1.0, size=20) * math.sqrt(epsilon(t, p).ee)
+    qs = _uniforms(rng, -1.0, 1.0, 20) * math.sqrt(epsilon(t, p).ee)
     # the p-integral of the closed-form W at each q
     marg = np.array([integrate(lambda ps: wigner(q, ps, t, state, p), spec) for q in qs]) / (2.0 * math.pi)
     yield float(np.max(np.abs(marg - np.abs(psi(state, qs, t, p)) ** 2)))
@@ -496,8 +516,8 @@ def _check_wigner_marginal(rng):
 def _check_wigner_parity(rng):
     p = make_params(0.05)
     for n in (0, 1, 2):
-        qs = rng.uniform(-1.5, 1.5, size=8)
-        ps = rng.uniform(-1.5, 1.5, size=8)
+        qs = _uniforms(rng, -1.5, 1.5, 8)
+        ps = _uniforms(rng, -1.5, 1.5, 8)
         a = _wigner_quadrature(qs, ps, 2.0, Fock(n), p)
         b = _wigner_quadrature(-qs, -ps, 2.0, Fock(n), p)
         yield float(np.max(np.abs(a - b)))
@@ -565,7 +585,7 @@ def _check_parity(rng):
     p = make_params(0.3)
     t = 2.0
     mu, nu = 0.8, -0.7
-    xs = rng.uniform(0.1, 2.5, size=10)
+    xs = _uniforms(rng, 0.1, 2.5, 10)
     for n in (0, 1, 2, 3):
         a = fock_tomogram(TomographyFrame(xs, mu, nu), t, n, p)
         b = fock_tomogram(TomographyFrame(-xs, mu, nu), t, n, p)
@@ -600,7 +620,7 @@ def _check_gamma0_reduction(rng):
         w0 = ground_tomogram(TomographyFrame(x, mu, nu), t, p)
         exact0 = math.exp(-x * x / ss) / math.sqrt(math.pi * ss)
         yield abs(w0 - exact0)
-        n = int(rng.integers(0, 4))
+        n = int(4 * rng.random())
         wn = fock_tomogram(TomographyFrame(x, mu, nu), t, n, p)
         y = x / math.sqrt(ss)
         yield abs(wn - exact0 * hermite(n, y) ** 2 / (2.0**n * math.factorial(n)))
@@ -727,7 +747,7 @@ def _check_dual_homogeneity(rng):
 def _eigen_sample(rng, n_points, ts):
     pts = []
     for _ in range(n_points):
-        k = rng.uniform(0.2, 2.0) * (1.0 if rng.uniform() < 0.5 else -1.0)
+        k = rng.uniform(0.2, 2.0) * (1.0 if rng.random() < 0.5 else -1.0)
         mu, nu = _random_frame(rng, 0.4, 1.5)
         pts.append(DualPoint(k=k, mu=mu, nu=nu, t=_pick(rng, ts)))
     return pts
@@ -851,15 +871,14 @@ def run_checks(
             raise UsageError(f"unknown tolerance name {name!r}")
         if not tol >= 0.0:  # nan too: no residual would ever pass it
             raise UsageError(f"tolerance {name}={tol!r} must be a number >= 0")
-    if int(seed) < 0:  # numpy's SeedSequence takes only nonnegative entropy
+    if int(seed) < 0:  # Random seeds an int by its magnitude: -s would repeat another seed's draws
         raise UsageError(f"seed must be a nonnegative integer, got {seed}")
     results: list[CheckResult] = []
     for suite in suites:
         if suite not in SUITES:
             raise UsageError(f"unknown suite {suite!r}")
         for index, (name, fn, tol_name, info) in enumerate(SUITES[suite], _FIRST_INDEX[suite]):
-            rng = np.random.default_rng([int(seed), index])
-            value = float(fn(rng))
+            value = float(fn(_sampler(int(seed), index)))
             tol = math.nan if info else overrides.get(tol_name, TOLERANCES[tol_name])
             results.append(CheckResult(name, value, tol, passed=info or value <= tol, info=info))
     return results

@@ -160,8 +160,11 @@ def time_forward(t: float, gamma: float) -> float:
     returned.  For t > 0 the expm1 value takes one Newton step on
     time_backward(t') = t, with dt'/dt = exp(-2*gamma*t), so the round trip
     holds to the rounding of t' alone; at t < 0 that factor exceeds 1 and
-    would amplify the rounding of time_backward instead.  A t < 0 with
-    exp(-2*gamma*t) outside the double range raises DomainError.
+    would amplify the rounding of time_backward instead.  Where
+    exp(-2*gamma*t) overflows, t' = -exp(-2*gamma*t) / (2*gamma) (the 1 of
+    expm1 is below its last digit) is formed as a product of two halves, and
+    is finite up to -2*gamma*t = ln(max double) + ln(2*gamma); a t' outside
+    the double range raises DomainError.
     """
     t = _require_finite("t", t)
     gamma = _require_gamma(float(gamma))
@@ -169,7 +172,11 @@ def time_forward(t: float, gamma: float) -> float:
     if abs(y) < _IDENTITY:
         return t
     if -y > _LOG_MAX:
-        raise DomainError(f"2*gamma*t = {y!r} puts exp(-2*gamma*t) outside the double range")
+        half = math.exp(min(-0.5 * y, _LOG_MAX))
+        t_prime = -(half / (2.0 * gamma)) * half
+        if math.isinf(t_prime):
+            raise DomainError(f"2*gamma*t = {y!r} puts t' outside the double range")
+        return t_prime
     t_prime = -math.expm1(-y) / (2.0 * gamma)
     if t <= 0.0 or 2.0 * gamma * t_prime >= 1.0:  # or t' saturated at 1/(2 gamma)
         return t_prime

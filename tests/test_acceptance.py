@@ -291,14 +291,18 @@ def test_criterion_8_determinism():
     a = _run(["check", "all", "--seed", "42"], threads=1)
     b = _run(["check", "all", "--seed", "42"], threads=2)
     reports_equal = a.stdout == b.stdout and a.returncode == 0 == b.returncode
-    n_checks = a.stdout.count(b"\n") - 1
+    # the whole report: 41 scored lines, 2 INFO lines and the summary
+    lines = a.stdout.decode().splitlines()
+    scored = sum(line.startswith("PASS ") for line in lines)
+    info = sum(line.startswith("INFO ") for line in lines)
+    complete = (scored, info, len(lines)) == (41, 2, 44) and lines[-1].startswith("41/41 checks passed")
     fig_args = ["figure1", "--format", "csv"]
     grids = [_run(fig_args, threads=n).stdout for n in (1, 2)]
     grids_equal = grids[0] == grids[1] and len(grids[0]) > 0
-    ok = reports_equal and grids_equal and n_checks >= 25
+    ok = reports_equal and grids_equal and complete
     _report(
         8,
         "determinism",
         ok,
-        f"report_identical={reports_equal} grid_identical={grids_equal} checks={n_checks}",
+        f"report_identical={reports_equal} grid_identical={grids_equal} scored={scored} info={info} lines={len(lines)}",
     )

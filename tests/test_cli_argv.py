@@ -90,8 +90,8 @@ EMPTY = hashlib.sha256(b"").hexdigest()
 # exit code and SHA-256 of stdout; a refused request writes nothing
 EXPECTED: dict[str, tuple[int, str]] = {
     "check-bad-tol": (2, EMPTY),
-    "check-dynamics": (0, "93258c235b4c22651fe65c4b7821bdcd57f9fc6176819e45d820c530c9be0623"),
-    "check-failed": (1, "24813c060a326daa675831b2842e0c7d28e400620dd392e466a531ba73d3c0b4"),
+    "check-dynamics": (0, "05c0b8904779183a86f0ff8713e6876a7e468b91a8126da48265ecc58569ee91"),
+    "check-failed": (1, "95ccfef42dc0babccb1dd15ece7e30a843e97e01f3d8cfcc618a98192ee0479c"),
     "figure1-json": (0, "400b36fe6502320d2e7650ceed11ebc1515def3295cf94822837c8fa38ea4e68"),
     "tomogram-g0.1-bad_state-mu_nu-x_missing": (2, EMPTY),
     "tomogram-g0.1-bad_state-mu_nu-x_overflow": (2, EMPTY),

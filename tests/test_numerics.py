@@ -99,18 +99,19 @@ class TestHermite:
     def test_checks_measure_the_library_path(self, monkeypatch):
         # the three Hermite checks evaluate hermite_gauss, the function every
         # Fock state goes through: a defect in it shows in each of them
-        # (each check yields residuals; `_worst` folds them as `run_checks` does)
+        # (each check yields residuals; `_worst` folds them as `run_checks`
+        # does, which draws each on the sampler of its line in `check all`)
         hermite_checks = (
-            checks._check_hermite_match,
-            checks._check_hermite_parity,
-            checks._check_hermite_orthonormal,
+            (checks._check_hermite_match, 8),
+            (checks._check_hermite_parity, 9),
+            (checks._check_hermite_orthonormal, 12),
         )
-        for check in hermite_checks:
-            assert _worst(check(np.random.default_rng(0))) <= 1e-12
+        for check, index in hermite_checks:
+            assert _worst(check(checks._sampler(0, index))) <= 1e-12
         defect = lambda n, x: hermite_gauss(n, x) * (1.0 + 1e-6 * (x + x * x))
         monkeypatch.setattr(checks, "hermite_gauss", defect)
-        for check in hermite_checks:
-            assert _worst(check(np.random.default_rng(0))) > 1e-8
+        for check, index in hermite_checks:
+            assert _worst(check(checks._sampler(0, index))) > 1e-8
 
 
 class TestIntegrate:

@@ -476,7 +476,7 @@ def _marginal_check_per_q(rng):
     es = epsilon(t, p)
     spec = _x_window(state, 0.0, 1.0, t, p)
     margs = []
-    for q in rng.uniform(-1.0, 1.0, size=20) * math.sqrt(es.ee):
+    for q in checks._uniforms(rng, -1.0, 1.0, 20) * math.sqrt(es.ee):
         marg = integrate(lambda ps: checks._wigner_quadrature(q, ps, t, state, p), spec) / (2.0 * math.pi)
         margs.append(marg)
         worst = max(worst, abs(marg - abs(psi(state, q, t, p)) ** 2))
@@ -486,13 +486,14 @@ def _marginal_check_per_q(rng):
 class TestMarginalCheck:
     @pytest.mark.parametrize("seed", [0, 1, 42])
     def test_one_grid_matches_per_q(self, seed):
-        old, per_q = _marginal_check_per_q(np.random.default_rng([seed, 16]))
-        new = _worst(_check_wigner_marginal(np.random.default_rng([seed, 16])))
+        # line 16 of `check all`, on the sampler `run_checks` gives it
+        old, per_q = _marginal_check_per_q(checks._sampler(seed, 16))
+        new = _worst(_check_wigner_marginal(checks._sampler(seed, 16)))
         assert abs(new - old) <= 1e-15
         # the same marginals from the closed-form W, as the check computes them
         p = make_params(0.05)
         es = epsilon(5.0, p)
-        qs = np.random.default_rng([seed, 16]).uniform(-1.0, 1.0, size=20) * math.sqrt(es.ee)
+        qs = checks._uniforms(checks._sampler(seed, 16), -1.0, 1.0, 20) * math.sqrt(es.ee)
         spec = _x_window(Fock(1), 0.0, 1.0, 5.0, p)
         closed = np.array([integrate(lambda ps: wigner(q, ps, 5.0, Fock(1), p), spec) for q in qs]) / (2.0 * math.pi)
         assert np.max(np.abs(closed - per_q)) <= 1e-15
