@@ -71,6 +71,21 @@ class TestParsing:
         # one axis may hold a whole grid's values, no more
         assert len(parse_grid("x", "1:2:1000000")) == 10**6
 
+    @pytest.mark.parametrize("descriptor", ["coherent:0", "coherent:0,0"])
+    @pytest.mark.parametrize(
+        "argv, command, equation",
+        [
+            (["tomogram", "--mu", "1", "--nu", "0", "--x-grid=-1:1:3"], cmd_tomogram, "coherent-tomogram"),
+            (["wigner", "--q-grid=-1:1:3", "--p-grid=-1:1:3"], cmd_wigner, "wigner"),
+        ],
+    )
+    def test_alpha_zero_keeps_its_coherent_metadata(self, descriptor, argv, command, equation):
+        # coherent:0 is the same state as fock:0, but its grid is labelled
+        # by the family that was asked for
+        args = _build_parser().parse_args([*argv, "--gamma", "0.1", "--t", "1", "--state", descriptor])
+        meta = command(args).meta
+        assert (meta["state"], meta["equation"]) == ("coherent:0,0", equation)
+
 
 class TestTomogramCommand:
     def test_phi_independence_frictionless_ground(self, tmp_path):
