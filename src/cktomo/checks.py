@@ -665,12 +665,12 @@ def _check_characteristic_gauss(rng):
 def _check_characteristic_unit(rng):
     # w~(k -> 0) -> 1 (normalization); at finite small k a displaced state
     # keeps a genuine linear term i k <X>, so test |w~ - 1| for Fock states
-    # (<X> = 0 by parity) and the k-even real part for coherent ones
+    # (<X> = 0 by parity) and the k-even real part for displaced ones
     for _ in range(5):
         p, t, mu, nu = _random_setting(rng, 0.5, 4.0)
         state = _random_state(rng)
         got = tomogram_characteristic(state, 1e-6, mu, nu, t, p)
-        yield abs(got - 1.0) if isinstance(state, Fock) else abs(got.real - 1.0)
+        yield abs(got - 1.0) if state.alpha == 0 else abs(got.real - 1.0)
 
 
 def _check_characteristic_bound(rng):

@@ -32,7 +32,7 @@ import numpy as np
 from .dynamics import make_params
 from .errors import CkTomoError, DomainError, NonFinite, UsageError
 from .numerics import _FMT, Axis, ScalarGrid, tiles
-from .states import Coherent, Fock, QuantumState, wigner
+from .states import Coherent, Fock, State, wigner
 from .tomography import TomographyFrame, optical_frame, tomogram
 
 __all__ = ["main", "UsageError", "parse_state", "parse_grid"]
@@ -47,7 +47,7 @@ EXIT_NUMERIC = 3
 EXIT_BROKEN_PIPE = 141
 
 
-def parse_state(text: str) -> QuantumState:
+def parse_state(text: str) -> State:
     """Parse a state descriptor: 'fock:N' or 'coherent:RE,IM'."""
     kind, _, rest = text.partition(":")
     kind = kind.strip().lower()
@@ -118,11 +118,13 @@ def _emit(grid: ScalarGrid, fmt: str, output: str | None) -> None:
         grid.write(fh, fmt)
 
 
-def _meta(args: argparse.Namespace, state: QuantumState, equation: str) -> dict[str, str]:
-    """gamma, t and the state's parameters with 17 digits, as the grid's numbers."""
-    alpha = state.alpha
-    desc = f"fock:{state.n}" if isinstance(state, Fock) else f"coherent:{_FMT % alpha.real},{_FMT % alpha.imag}"
-    return dict(gamma=_FMT % args.gamma, t=_FMT % args.t, state=desc, equation=equation)
+def _meta(args: argparse.Namespace, state: State, equation: str) -> dict[str, str]:
+    """gamma, t and the state's parameters with 17 digits, as the grid's
+    numbers.  The family is the descriptor's kind, which `equation` may name
+    as {kind}: coherent:0 stays coherent, though it is the state fock:0."""
+    kind, alpha = args.state.partition(":")[0].strip().lower(), state.alpha
+    desc = f"fock:{state.n}" if kind == "fock" else f"coherent:{_FMT % alpha.real},{_FMT % alpha.imag}"
+    return dict(gamma=_FMT % args.gamma, t=_FMT % args.t, state=desc, equation=equation.format(kind=kind))
 
 
 # --------------------------------------------------------------------------
@@ -152,7 +154,7 @@ def cmd_tomogram(args: argparse.Namespace) -> ScalarGrid:
     params = make_params(args.gamma)
     if x_axis is None:
         raise UsageError("tomogram requires --x-grid")
-    meta = _meta(args, state, "fock-tomogram" if isinstance(state, Fock) else "coherent-tomogram")
+    meta = _meta(args, state, "{kind}-tomogram")
     if phi_axis is not None:  # one row, and one frame, per angle
         meta["frame"], frame = "optical", optical_frame
     elif args.optical:

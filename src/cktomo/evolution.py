@@ -28,7 +28,7 @@ from . import _LAZY
 from .dynamics import DampingParams, epsilon, time_backward, time_forward
 from .errors import DomainError, StepTooLarge
 from .numerics import _stencil_points, central_diff, diff_from_values, diff_offsets
-from .states import QuantumState
+from .states import State
 from .tomography import TomographyFrame, frame_scale_sq, tomogram
 
 __all__ = list(_LAZY["evolution"])  # listed in the package, which loads this module on first use
@@ -50,7 +50,7 @@ def _max_step(s2: float) -> float:
     return 0.1 * min(1.0, math.sqrt(s2))
 
 
-def _frame_terms(state: QuantumState, x, mu, nu, t, h, params: DampingParams, richardson=False):
+def _frame_terms(state: State, x, mu, nu, t, h, params: DampingParams, richardson=False):
     """Step guard and the (mu, nu) stencil shared by both residual forms,
     as one tomogram broadcast: returns w, exp(2 gamma t) and the frame terms
     (-mu dw/dnu, e^{4gt} nu dw/dmu), each from the first-difference rule."""
@@ -66,7 +66,7 @@ def _frame_terms(state: QuantumState, x, mu, nu, t, h, params: DampingParams, ri
     return ws[0], e2, -mu * dw_dnu, e2 * e2 * nu * dw_dmu
 
 
-def _terms(state: QuantumState, x, mu, nu, t, h, params: DampingParams, richardson):
+def _terms(state: State, x, mu, nu, t, h, params: DampingParams, richardson):
     """w and the three residual terms (e^{2gt} dw/dt, -mu dw/dnu,
     e^{4gt} nu dw/dmu), from one first-difference rule."""
     w, e2, mu_term, nu_term = _frame_terms(state, x, mu, nu, t, h, params, richardson)
@@ -78,7 +78,7 @@ def _terms(state: QuantumState, x, mu, nu, t, h, params: DampingParams, richards
 
 
 def evolution_terms(
-    state: QuantumState,
+    state: State,
     x: float,
     mu: float,
     nu: float,
@@ -92,7 +92,7 @@ def evolution_terms(
 
 
 def evolution_residual(
-    state: QuantumState,
+    state: State,
     x: float,
     mu: float,
     nu: float,
@@ -105,7 +105,7 @@ def evolution_residual(
 
 
 def relative_residual(
-    state: QuantumState,
+    state: State,
     x: float,
     mu: float,
     nu: float,
@@ -127,7 +127,7 @@ def relative_residual(
 
 
 def evolution_residual_tprime(
-    state: QuantumState,
+    state: State,
     x: float,
     mu: float,
     nu: float,
@@ -154,7 +154,7 @@ def evolution_residual_tprime(
 
 
 def convergence_study(
-    state: QuantumState,
+    state: State,
     point: tuple[float, float, float, float],
     steps,
     params: DampingParams,

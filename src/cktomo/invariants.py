@@ -54,7 +54,7 @@ from . import _LAZY
 from .dynamics import DampingParams, epsilon
 from .errors import DomainError, KTooSmall
 from .numerics import _laguerre, _richardson, _stencil_points, _worst, diff_from_values, diff_offsets, integrate
-from .states import Fock, QuantumState, _mean
+from .states import Fock, State, _mean
 from .tomography import TomographyFrame, _frame_scale_in_range, _x_window, tomogram
 
 __all__ = list(_LAZY["invariants"])  # listed in the package, which loads this module on first use
@@ -79,7 +79,7 @@ class DualPoint:
             raise DomainError("k = 0 is excluded from the dual representation")
 
 
-def characteristic(state: QuantumState, k: float, mu, nu, t: float, params: DampingParams):
+def characteristic(state: State, k: float, mu, nu, t: float, params: DampingParams):
     """X-Fourier transform of the tomogram, kernel exp(+i k X), in closed form:
 
         w~(k, mu, nu, t) = exp(i k Xbar - kappa**2 / 4) L_n(kappa**2 / 2),
@@ -100,7 +100,7 @@ def characteristic(state: QuantumState, k: float, mu, nu, t: float, params: Damp
 
 
 def tomogram_characteristic(
-    state: QuantumState, k: float, mu: float, nu: float, t: float, params: DampingParams
+    state: State, k: float, mu: float, nu: float, t: float, params: DampingParams
 ) -> complex:
     """Quadrature oracle of `characteristic`: Gauss-Legendre over the
     tomogram's X-window, plus nodes for the kernel's k * half_width.
@@ -129,17 +129,17 @@ def _stencil(state, point: DualPoint, h: float, params):
     return complex(w00), *d1[:2].tolist(), *d2[:2].tolist(), complex(0.25 * (d2[2] - d2[3]))
 
 
-def _validate_apply(variant: str, state: Fock, point: DualPoint):
+def _validate_apply(variant: str, state: State, point: DualPoint):
     if variant not in ("direct", "conjugate"):
         raise DomainError(f"variant must be 'direct' or 'conjugate', got {variant!r}")
-    if not isinstance(state, Fock):
+    if state.alpha != 0:
         raise DomainError("number invariants act on Fock tomograms")
     if abs(point.k) < _K_MIN:
         raise KTooSmall(f"|k| = {abs(point.k)} below floor {_K_MIN}")
 
 
 def number_apply(
-    variant: str, state: Fock, point: DualPoint, h: float, params: DampingParams
+    variant: str, state: State, point: DualPoint, h: float, params: DampingParams
 ) -> complex:
     """Apply the number invariant (or its conjugate) to w~ at a dual point.
 
@@ -174,7 +174,7 @@ def _apply_to_stencil(point: DualPoint, params: DampingParams, stencil) -> tuple
 
 
 def number_apply_printed(
-    variant: str, state: Fock, point: DualPoint, h: float, params: DampingParams
+    variant: str, state: State, point: DualPoint, h: float, params: DampingParams
 ) -> complex:
     """Verbatim evaluation of the *printed* operator forms (diagnostic).
 

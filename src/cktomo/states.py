@@ -2,8 +2,9 @@
 closed form.
 
 Every state here is a displaced number state D(alpha)|n> of the damped
-oscillator, with n = 0 (`Coherent`) or alpha = 0 (`Fock`); both classes
-carry both numbers, so one closed form covers each observable.
+oscillator, one `State(n, alpha)`; `Fock(n)` (alpha = 0) and
+`Coherent(alpha)` (n = 0) construct the paper's two families, and one
+closed form covers each observable.
 
 Conventions
 -----------
@@ -29,7 +30,6 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import ClassVar, Union
 
 import numpy as np
 
@@ -40,7 +40,7 @@ from .numerics import _laguerre, hermite_gauss
 __all__ = [
     "Coherent",
     "Fock",
-    "QuantumState",
+    "State",
     "coherent_psi",
     "fock_psi",
     "psi",
@@ -57,40 +57,45 @@ _R2_TAIL = 1.0e3
 
 
 @dataclass(frozen=True)
-class Coherent:
-    """Coherent state |alpha> of the damped oscillator."""
+class State:
+    """Displaced number state D(alpha)|n> of the damped oscillator."""
 
-    alpha: complex
-    n: ClassVar[int] = 0
-
-    def __post_init__(self) -> None:
-        a = complex(self.alpha)
-        if not (math.isfinite(a.real) and math.isfinite(a.imag)):
-            raise DomainError(f"alpha must be finite, got {a!r}")
-        if abs(a) > _MAX_ALPHA:
-            raise DomainError(f"|alpha| <= {_MAX_ALPHA} required, got |{a}| = {abs(a)}")
-        object.__setattr__(self, "alpha", a)
-
-
-@dataclass(frozen=True)
-class Fock:
-    """Number (loss-energy) state |n> of the damped oscillator."""
-
-    n: int
-    alpha: ClassVar[complex] = 0j
+    n: int = 0
+    alpha: complex = 0j
 
     def __post_init__(self) -> None:
         if not isinstance(self.n, (int, np.integer)) or isinstance(self.n, bool):
             raise DomainError(f"Fock index must be an integer, got {self.n!r}")
         if not (0 <= self.n <= _MAX_FOCK):
             raise DomainError(f"Fock index must lie in [0, {_MAX_FOCK}], got {self.n}")
+        a = complex(self.alpha)
+        if not (math.isfinite(a.real) and math.isfinite(a.imag)):
+            raise DomainError(f"alpha must be finite, got {a!r}")
+        if abs(a) > _MAX_ALPHA:
+            raise DomainError(f"|alpha| <= {_MAX_ALPHA} required, got |{a}| = {abs(a)}")
         object.__setattr__(self, "n", int(self.n))
+        object.__setattr__(self, "alpha", a)
+
+    def __repr__(self) -> str:
+        # the call that builds the state, by its family where it has one
+        if self.alpha == 0:
+            return f"Fock(n={self.n})"
+        if self.n == 0:
+            return f"Coherent(alpha={self.alpha!r})"
+        return f"State(n={self.n}, alpha={self.alpha!r})"
 
 
-QuantumState = Union[Coherent, Fock]
+def Fock(n: int) -> State:
+    """Number (loss-energy) state |n> of the damped oscillator."""
+    return State(n=n)
 
 
-def _mean(state: QuantumState, es) -> tuple[float, float]:
+def Coherent(alpha: complex) -> State:
+    """Coherent state |alpha> of the damped oscillator."""
+    return State(alpha=alpha)
+
+
+def _mean(state: State, es) -> tuple[float, float]:
     """The state's Wigner mean (qbar, pbar) =
     (sqrt(2) Re(alpha eps*), sqrt(2) e^{2 gamma t} Re(alpha eps'*)), from the
     `dynamics.EpsilonState` the caller already holds."""
@@ -100,7 +105,7 @@ def _mean(state: QuantumState, es) -> tuple[float, float]:
     return qbar, _SQRT2 * es.e2 * (ar * es.eps_dot.real + ai * es.eps_dot.imag)
 
 
-def _amplitude(state: QuantumState, t: float, params: DampingParams):
+def _amplitude(state: State, t: float, params: DampingParams):
     """The one home of the wave functions: the split
     psi(q) = c R(q) exp(i (theta q**2 + kappa q)) with R real, returned as
     (c, theta, kappa, R).  The paper prints, with beta = sqrt(2) alpha / eps
@@ -111,8 +116,9 @@ def _amplitude(state: QuantumState, t: float, params: DampingParams):
         Fock n:   psi = pi**(-1/4) eps**(-1/2) (eps*/(2 eps))**(n/2) / sqrt(n!)
                         * exp( i eps' e^{2 gamma t} q**2 / (2 eps) ) H_n(q / |eps|)
 
-    Both are D(alpha)|n> (alpha = 0 or n = 0), written once: the q**2
-    coefficient is -1/(2 |eps|**2) + i theta, theta = -gamma e^{2 gamma t}/2;
+    Both are D(alpha)|n> (alpha = 0 or n = 0), written once for every n and
+    alpha: the q**2 coefficient is -1/(2 |eps|**2) + i theta,
+    theta = -gamma e^{2 gamma t}/2;
     kappa = Im beta; R = phi_n((q - qbar) / |eps|) (`numerics.hermite_gauss`)
     with qbar of `_mean`, since the coherent real exponent is exactly
     -(q - qbar)**2 / (2 |eps|**2); c = Omega**(1/4) e^{gamma t/2}
@@ -133,7 +139,9 @@ def _amplitude(state: QuantumState, t: float, params: DampingParams):
     return c, theta, beta.imag, lambda q: hermite_gauss(n, (q - qbar) / scale)
 
 
-def _psi(state: QuantumState, q, t: float, params: DampingParams) -> complex | np.ndarray:
+def psi(state: State, q, t: float, params: DampingParams) -> complex | np.ndarray:
+    """Wave function of the state at position(s) q and time t (formula in
+    `_amplitude`)."""
     c, theta, kappa, r = _amplitude(state, t, params)
     qa = np.asarray(q, dtype=float)
     out = c * r(qa) * np.exp(1j * (theta * qa + kappa) * qa)
@@ -141,27 +149,16 @@ def _psi(state: QuantumState, q, t: float, params: DampingParams) -> complex | n
 
 
 def coherent_psi(q, t: float, alpha: complex, params: DampingParams) -> complex | np.ndarray:
-    """Coherent-state wave function at position(s) q and time t (formula in
-    `_amplitude`)."""
-    return _psi(Coherent(alpha), q, t, params)
+    """`psi` of `Coherent(alpha)`."""
+    return psi(Coherent(alpha), q, t, params)
 
 
 def fock_psi(q, t: float, n: int, params: DampingParams) -> complex | np.ndarray:
-    """Fock-state wave function at position(s) q and time t (formula in
-    `_amplitude`)."""
-    return _psi(Fock(n), q, t, params)
+    """`psi` of `Fock(n)`."""
+    return psi(Fock(n), q, t, params)
 
 
-def psi(state: QuantumState, q, t: float, params: DampingParams):
-    """Wave function of either state family."""
-    if isinstance(state, Fock):
-        return fock_psi(q, t, state.n, params)
-    if isinstance(state, Coherent):
-        return coherent_psi(q, t, state.alpha, params)
-    raise DomainError(f"unknown state {state!r}")
-
-
-def wigner_moments(state: QuantumState, t: float, params: DampingParams):
+def wigner_moments(state: State, t: float, params: DampingParams):
     """Phase-space mean (q, p) and symmetrized covariance of the state's
     Wigner function, in closed form.
 
@@ -177,7 +174,7 @@ def wigner_moments(state: QuantumState, t: float, params: DampingParams):
     return mean, cov * (2.0 * state.n + 1.0)
 
 
-def wigner(q, p, t: float, state: QuantumState, params: DampingParams):
+def wigner(q, p, t: float, state: State, params: DampingParams):
     """Wigner quasidistribution W(q, p, t), normalized so its full
     phase-space integral equals 2*pi, in Groenewold's closed form
 

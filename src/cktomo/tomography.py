@@ -35,7 +35,7 @@ import numpy as np
 from .dynamics import DampingParams, epsilon, frame_quantities
 from .errors import DegenerateFrame, DomainError
 from .numerics import QuadratureSpec, hermite_gauss, integrate
-from .states import Coherent, Fock, QuantumState, _mean, wigner, wigner_moments
+from .states import Coherent, Fock, State, _mean, wigner, wigner_moments
 
 __all__ = [
     "TomographyFrame",
@@ -160,15 +160,10 @@ def _scaled_frame(frame: TomographyFrame, es):
     return root, x / root
 
 
-def ground_tomogram(frame: TomographyFrame, t: float, params: DampingParams):
-    """Quadrature distribution of the ground-like state: a centered
-    Gaussian in X with variance s2/2.  Positive up to its underflow."""
-    return fock_tomogram(frame, t, 0, params)
-
-
-def _displaced_tomogram(frame: TomographyFrame, t: float, state: QuantumState, params: DampingParams):
-    """phi_n(y - ybar)**2 / sqrt(s2) of the module docstring, for every n;
-    a Fock state's ybar is 0, so its y is used as it is."""
+def tomogram(state: State, frame: TomographyFrame, t: float, params: DampingParams):
+    """Analytic tomogram phi_n(y - ybar)**2 / sqrt(s2) of the module
+    docstring, for every state; a Fock state's ybar is 0, so its y is used
+    as it is.  Nonnegative."""
     es = epsilon(t, params)
     root, y = _scaled_frame(frame, es)
     qbar, pbar = _mean(state, es)
@@ -179,37 +174,30 @@ def _displaced_tomogram(frame: TomographyFrame, t: float, state: QuantumState, p
     return float(out) if np.ndim(out) == 0 else out
 
 
+def ground_tomogram(frame: TomographyFrame, t: float, params: DampingParams):
+    """`tomogram` of `Fock(0)`: a centered Gaussian in X with variance s2/2."""
+    return tomogram(Fock(0), frame, t, params)
+
+
 def fock_tomogram(frame: TomographyFrame, t: float, n: int, params: DampingParams):
-    """Quadrature distribution of the Fock state |n>: phi_n(y)**2 / sqrt(s2)
-    with y = X/sqrt(s2), the module docstring's ybar = 0.  Nonnegative."""
-    return _displaced_tomogram(frame, t, Fock(n), params)
+    """`tomogram` of `Fock(n)`: phi_n(y)**2 / sqrt(s2), y = X / sqrt(s2)."""
+    return tomogram(Fock(n), frame, t, params)
 
 
 def coherent_tomogram(frame: TomographyFrame, t: float, alpha: complex, params: DampingParams):
-    """Quadrature distribution of the coherent state |alpha>: the Gaussian
-    phi_0(y - ybar)**2 / sqrt(s2) displaced to ybar of the module docstring."""
-    return _displaced_tomogram(frame, t, Coherent(alpha), params)
-
-
-def tomogram(state: QuantumState, frame: TomographyFrame, t: float, params: DampingParams):
-    """Analytic tomogram of either state family."""
-    if isinstance(state, Fock):
-        return fock_tomogram(frame, t, state.n, params)
-    if isinstance(state, Coherent):
-        return coherent_tomogram(frame, t, state.alpha, params)
-    raise DomainError(f"unknown state {state!r}")
+    """`tomogram` of `Coherent(alpha)`: the Gaussian phi_0(y - ybar)**2 / sqrt(s2)."""
+    return tomogram(Coherent(alpha), frame, t, params)
 
 
 def _x_window(
-    state: QuantumState, mu: float, nu: float, t: float, params: DampingParams
+    state: State, mu: float, nu: float, t: float, params: DampingParams
 ) -> QuadratureSpec:
     """Window for integrals over X = mu q + nu p of the state's distribution:
     centered on its mean mu <q> + nu <p> from `states._mean`, half-width
-    8 sigma with sigma**2 = (2n+1) s2/2 for Fock n and s2/2 for coherent
-    states, the variance of X under the Wigner covariance (s2 is its
-    cancellation-free form).  The node floor 220 + 16 n + 110 (sqrt(2n+1) - 1)
-    follows the Hermite oscillations of Fock n; `integrate` rounds it up to
-    the next multiple of 16."""
+    8 sigma with sigma**2 = (2n+1) s2/2, the variance of X under the Wigner
+    covariance (s2 is its cancellation-free form).  The node floor
+    220 + 16 n + 110 (sqrt(2n+1) - 1) follows the Hermite oscillations of
+    Fock n; `integrate` rounds it up to the next multiple of 16."""
     es = epsilon(t, params)
     qbar, pbar = _mean(state, es)
     root = math.sqrt(2.0 * state.n + 1.0)
@@ -221,14 +209,14 @@ def _x_window(
     )
 
 
-def normalization(state: QuantumState, mu: float, nu: float, t: float, params: DampingParams) -> float:
+def normalization(state: State, mu: float, nu: float, t: float, params: DampingParams) -> float:
     """Quadrature estimate of Integral w dX for the given frame direction;
     equals 1 for every state, frame, and time."""
     spec = _x_window(state, mu, nu, t, params)
     return integrate(lambda xs: tomogram(state, TomographyFrame(xs, mu, nu), t, params), spec)
 
 
-def radon_tomogram(state: QuantumState, frame: TomographyFrame, t: float, params: DampingParams) -> float:
+def radon_tomogram(state: State, frame: TomographyFrame, t: float, params: DampingParams) -> float:
     """Oracle: the tomogram as a line integral of the Wigner function.
 
     With s = sqrt(mu**2 + nu**2) the line mu q + nu p = X is parametrized

@@ -73,3 +73,16 @@ def test_readme_references_found():
 def test_readme_reference_resolves(ref):
     module, *attrs = ref.split(".")
     functools.reduce(getattr, attrs, importlib.import_module(f"cktomo.{module}"))
+
+
+def test_readme_library_tour_runs():
+    # the tour's Python block runs as printed, and each `# -> value` comment
+    # is what its line's expression returns
+    tour = README.read_text(encoding="utf-8").split("## Library tour", 1)[1]
+    block = re.search(r"```python\n(.*?)```", tour, re.S).group(1)
+    namespace = {}
+    exec(compile(block, "README.md", "exec"), namespace)
+    claims = re.findall(r"^(.+?)#\s*->\s*(\S+)\s*$", block, re.M)
+    assert len(claims) == 3
+    for expression, value in claims:
+        assert eval(expression, namespace) == pytest.approx(float(value), abs=1e-9), expression

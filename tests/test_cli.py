@@ -173,7 +173,7 @@ class TestTomogramCommand:
 
 
 def _descriptor(state) -> str:
-    if isinstance(state, Fock):
+    if state.alpha == 0:
         return f"fock:{state.n}"
     return f"coherent:{state.alpha.real!r},{state.alpha.imag!r}"
 

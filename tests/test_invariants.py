@@ -12,6 +12,7 @@ from cktomo import (
     DualPoint,
     Fock,
     KTooSmall,
+    State,
     characteristic,
     eigen_residual,
     make_params,
@@ -183,6 +184,14 @@ class TestNumberApply:
             number_apply(
                 "sideways", Fock(1), DualPoint(k=1.0, mu=1.0, nu=0.0, t=0.0), 1e-3, make_params(0.0)
             )
+
+    @pytest.mark.parametrize("apply", [number_apply, number_apply_printed])
+    def test_acts_on_alpha_zero_only(self, apply):
+        # Coherent(0) is the state Fock(0); a displaced state is no eigenstate
+        p, point = make_params(0.3), DualPoint(k=0.8, mu=1.0, nu=0.4, t=2.0)
+        assert apply("direct", Coherent(0), point, 1e-3, p) == apply("direct", Fock(0), point, 1e-3, p)
+        with pytest.raises(DomainError, match="number invariants act on Fock tomograms"):
+            apply("direct", State(1, 0.5), point, 1e-3, p)
 
     def test_n_cap(self):
         # every Fock order the states accept, and no other

@@ -14,12 +14,17 @@ from cktomo import (
     Fock,
     NonFinite,
     QuadratureSpec,
+    State,
+    TomographyFrame,
     coherent_psi,
     epsilon,
     fock_psi,
     integrate,
     make_params,
+    normalization,
     psi,
+    radon_tomogram,
+    tomogram,
     wigner,
 )
 from cktomo.checks import _check_wigner_marginal
@@ -48,6 +53,50 @@ class TestStateValidation:
         with pytest.raises(DomainError):
             Coherent(9.0)
         assert Coherent(1 + 2j).alpha == 1 + 2j
+
+    @pytest.mark.parametrize(
+        "make, message",
+        [
+            (lambda: Fock(17), "Fock index must lie in [0, 16], got 17"),
+            (lambda: Fock(-1), "Fock index must lie in [0, 16], got -1"),
+            (lambda: Fock(1.5), "Fock index must be an integer, got 1.5"),
+            (lambda: Fock(True), "Fock index must be an integer, got True"),
+            (lambda: Coherent(9.0), "|alpha| <= 8.0 required, got |(9+0j)| = 9.0"),
+            (lambda: Coherent(complex(math.nan, 1.0)), "alpha must be finite, got (nan+1j)"),
+            (lambda: Coherent(complex(1.0, math.inf)), "alpha must be finite, got (1+infj)"),
+        ],
+    )
+    def test_messages(self, make, message):
+        with pytest.raises(DomainError) as info:
+            make()
+        assert str(info.value) == message
+
+
+class TestOneStateType:
+    # Fock(n) and Coherent(alpha) construct the one State(n, alpha)
+    def test_families_are_constructors(self):
+        assert Fock(3) == State(3) == State(n=3, alpha=0j)
+        assert Coherent(1 + 2j) == State(0, 1 + 2j)
+        assert (Fock(np.int64(2)).n, type(Fock(np.int64(2)).n)) == (2, int)
+        assert Coherent(1).alpha == 1 + 0j and type(Coherent(1).alpha) is complex
+
+    def test_repr_is_the_constructor_call(self):
+        for state in (Fock(3), Coherent(1.2 - 0.7j), State(2, 0.5 - 0.5j), Coherent(0)):
+            assert eval(repr(state), {"Fock": Fock, "Coherent": Coherent, "State": State}) == state
+        assert (repr(Fock(3)), repr(Coherent(8)), repr(State(2, 0.5 - 0.5j))) == (
+            "Fock(n=3)", "Coherent(alpha=(8+0j))", "State(n=2, alpha=(0.5-0.5j))"
+        )
+
+    def test_alpha_zero_is_fock_zero(self):
+        assert Coherent(0) == Fock(0) == State()
+        assert hash(Coherent(0)) == hash(Fock(0)) == hash(Coherent(-0.0))
+
+    def test_bounds_hold_together(self):
+        with pytest.raises(DomainError, match="Fock index"):
+            State(17, 1.0)
+        with pytest.raises(DomainError, match="alpha"):
+            State(16, 8.5j)
+        assert State(16, 8.0j) == State(n=16, alpha=8j)
 
 
 class TestCoherentPsi:
@@ -127,7 +176,7 @@ def _psi_complex_exponent(state, q, t, params):
     om = params.omega_reduced
     c2 = 0.5j * es.eps_dot * es.e2 / es.eps  # i eps' e^{2 gamma t} / (2 eps)
     inv_sqrt_eps = om**0.25 * math.exp(0.5 * params.gamma * t) * cmath.exp(-0.5j * om * t)
-    if isinstance(state, Fock):
+    if state.alpha == 0:
         y = q / math.sqrt(es.ee)
         prefactor = inv_sqrt_eps * cmath.exp(-1j * state.n * om * t)
         return prefactor * np.exp(c2 * q * q + 0.5 * y * y) * hermite_gauss(state.n, y)
@@ -182,6 +231,59 @@ class TestPsiEnvelope:
         dens = lambda qs: np.abs(psi(state, qs, t, p)) ** 2
         assert abs(integrate(dens, spec) - 1.0) <= 1e-12
         assert abs(integrate(lambda qs: qs * dens(qs), spec) - mean[0]) <= 1e-11 * math.sqrt(cov[0, 0])
+
+
+@st.composite
+def _displaced_points(draw):
+    """A displaced number state State(n, alpha) with n <= 16 and |alpha| <= 8,
+    a gamma in [0, 0.9), a t in [-0.5, min(3, 1.5 / max(gamma, 0.4))], and a
+    frame angle."""
+    n = draw(st.integers(min_value=0, max_value=16))
+    r = draw(st.floats(min_value=0.0, max_value=8.0))
+    state = State(n, cmath.rect(r, draw(st.floats(min_value=0.0, max_value=2.0 * math.pi))))
+    gamma = draw(st.floats(min_value=0.0, max_value=0.9, exclude_max=True))
+    t = draw(st.floats(min_value=-0.5, max_value=min(3.0, 1.5 / max(gamma, 0.4))))
+    return state, gamma, t, draw(st.floats(min_value=0.0, max_value=math.pi))
+
+
+class TestDisplacedNumberStates:
+    """D(alpha)|n> with both n and alpha set, which neither paper family
+    reaches, against every oracle under the tiers of `checks.TOLERANCES`:
+    psi's norm, W from the psi-quadrature, w as a Radon line integral of W,
+    and the X-normalization of w."""
+
+    @given(_displaced_points())
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    def test_oracles(self, point):
+        state, gamma, t, phi = point
+        p = make_params(gamma)
+        mu, nu = math.cos(phi), -math.sin(phi)
+        spec = _x_window(state, 1.0, 0.0, t, p)
+        assert abs(integrate(lambda qs: np.abs(psi(state, qs, t, p)) ** 2, spec) - 1.0) <= 1e-9
+
+        # W at the mean and at points a sigma or so from it; the oracle's
+        # u-rule outgrows the 2048-node cap only where n, |alpha| and gamma
+        # are all large (bounds from a grid scan of the whole domain)
+        mean, cov = states.wigner_moments(state, t, p)
+        sq, sp = math.sqrt(cov[0, 0]), math.sqrt(cov[1, 1])
+        qs = mean[0] + sq * np.array([0.0, 0.7, -1.1, 0.3])
+        ps = mean[1] + sp * np.array([0.0, -0.4, 0.9, 1.3])
+        try:
+            oracle = checks._wigner_quadrature(qs, ps, t, state, p)
+        except DomainError as exc:
+            assert "exceeds the cap" in str(exc)
+            assert state.n >= 4 and abs(state.alpha) >= 1.5 and gamma >= 0.35, point
+        else:
+            assert np.max(np.abs(wigner(qs, ps, t, state, p) - oracle)) <= 1e-8
+
+        # w over its window, and the Radon line integral at three of its points
+        xspec = _x_window(state, mu, nu, t, p)
+        xs = xspec.center + xspec.half_width * np.linspace(-1.0, 1.0, 801)
+        peak = np.max(tomogram(state, TomographyFrame(xs, mu, nu), t, p))
+        for x in xs[[300, 400, 520]].tolist():
+            frame = TomographyFrame(x, mu, nu)
+            assert abs(tomogram(state, frame, t, p) - radon_tomogram(state, frame, t, p)) <= 1e-5 * peak
+        assert abs(normalization(state, mu, nu, t, p) - 1.0) <= 1e-9
 
 
 class TestWigner:
@@ -310,7 +412,7 @@ class TestWignerClosedForm:
             try:
                 oracle = checks._wigner_quadrature(qq, pp, t, state, p)
             except DomainError:
-                assert isinstance(state, Fock) and state.n >= 8 and gamma == 0.9
+                assert state.alpha == 0 and state.n >= 8 and gamma == 0.9
                 continue
             accepted += 1
             w = wigner(qs[:, None], ps[None, :], t, state, p)
