@@ -56,11 +56,9 @@ def parse_state(text: str) -> State:
             return Fock(int(rest))
         if kind == "coherent":
             parts = rest.split(",")
-            if len(parts) == 1:
-                return Coherent(complex(float(parts[0]), 0.0))
-            if len(parts) == 2:
-                return Coherent(complex(float(parts[0]), float(parts[1])))
-            raise ValueError("expected RE or RE,IM")
+            if len(parts) > 2:
+                raise ValueError("expected RE or RE,IM")
+            return Coherent(complex(*map(float, parts)))  # IM defaults to 0
     except (ValueError, DomainError) as exc:
         raise UsageError(f"invalid state descriptor {text!r}: {exc}") from exc
     raise UsageError(f"invalid state descriptor {text!r}: unknown kind {kind!r}")
@@ -136,21 +134,11 @@ def cmd_tomogram(args: argparse.Namespace) -> ScalarGrid:
     its X grid, in one frame: --mu/--nu, --optical --phi, or an
     --optical --phi-grid of angles, one row per angle."""
     state = parse_state(args.state)
-    if args.phi_grid is not None and not args.optical:
-        raise UsageError("--phi-grid requires --optical")
+    symplectic = args.mu is not None and args.nu is not None and args.phi is None and args.phi_grid is None
+    homodyne = args.mu is None and args.nu is None and (args.phi is None) != (args.phi_grid is None)
+    if not (homodyne if args.optical else symplectic):
+        raise UsageError("a tomogram takes one frame: --mu with --nu, or --optical with one of --phi and --phi-grid")
     phi_axis, x_axis = _axis("phi", args.phi_grid), _axis("x", args.x_grid)
-    if args.phi is not None and not args.optical:
-        raise UsageError("--phi requires --optical")
-    if args.phi is not None and phi_axis is not None:
-        raise UsageError("--phi and --phi-grid conflict: give one")
-    if args.optical and args.phi is None and phi_axis is None:
-        raise UsageError("--optical requires --phi or --phi-grid")
-    if args.optical and (args.mu is not None or args.nu is not None):
-        raise UsageError("--mu/--nu conflict with --optical")
-    if not args.optical and (args.mu is None) != (args.nu is None):
-        raise UsageError("--mu and --nu must be given together")
-    if not args.optical and args.mu is None:
-        raise UsageError("choose a frame: --mu/--nu or --optical")
     params = make_params(args.gamma)
     if x_axis is None:
         raise UsageError("tomogram requires --x-grid")

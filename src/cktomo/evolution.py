@@ -29,7 +29,7 @@ from .dynamics import DampingParams, epsilon, time_backward, time_forward
 from .errors import DomainError, StepTooLarge
 from .numerics import _stencil_points, central_diff, diff_from_values, diff_offsets
 from .states import State
-from .tomography import TomographyFrame, frame_scale_sq, tomogram
+from .tomography import TomographyFrame, _frame_scale_in_range, tomogram
 
 __all__ = list(_LAZY["evolution"])  # listed in the package, which loads this module on first use
 
@@ -55,15 +55,15 @@ def _frame_terms(state: State, x, mu, nu, t, h, params: DampingParams, richardso
     as one tomogram broadcast: returns w, exp(2 gamma t) and the frame terms
     (-mu dw/dnu, e^{4gt} nu dw/dmu), each from the first-difference rule."""
     offsets = diff_offsets(h, richardson)
-    limit = _max_step(frame_scale_sq(mu, nu, t, params))
+    es = epsilon(t, params)
+    limit = _max_step(_frame_scale_in_range(mu, nu, es))
     if h > limit:
         raise StepTooLarge(f"h = {h} exceeds 0.1 * min(1, sqrt(s2)) = {limit}")
-    e2 = epsilon(t, params).e2
     ws = tomogram(state, TomographyFrame(x, *_stencil_points(mu, nu, offsets, 2)), t, params)
     m = offsets.size
     dw_dmu = diff_from_values(ws[1 : m + 1], h, richardson)
     dw_dnu = diff_from_values(ws[m + 1 :], h, richardson)
-    return ws[0], e2, -mu * dw_dnu, e2 * e2 * nu * dw_dmu
+    return ws[0], es.e2, -mu * dw_dnu, es.e2 * es.e2 * nu * dw_dmu
 
 
 def _terms(state: State, x, mu, nu, t, h, params: DampingParams, richardson):

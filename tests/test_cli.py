@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import hashlib
 import importlib
@@ -32,6 +33,11 @@ from cktomo.errors import DomainError
 from cktomo.numerics import tiles
 from cktomo.states import Coherent, Fock, wigner
 from cktomo.tomography import TomographyFrame, optical_frame, tomogram
+from test_cli_argv import _FRAMES
+
+# the frames of the argv matrix that the frame rule accepts; a bad grid or a
+# zero frame is refused after it
+_LEGAL_FRAMES = {"mu_nu", "mu_nu_zero", "optical_phi", "optical_phi_grid", "optical_bad_phi_grid"}
 
 
 def run_cli(args, env_extra=None, timeout=300):
@@ -369,17 +375,18 @@ class TestExitCodes:
     @pytest.mark.parametrize(
         "frame",
         [
-            ["--phi", "1", "--mu", "1", "--nu", "0"],
-            ["--optical", "--phi", "1", "--phi-grid", "0:1:3"],
+            *(pytest.param(_FRAMES[name], id=name) for name in sorted(set(_FRAMES) - _LEGAL_FRAMES)),
+            pytest.param(["--phi", "1", "--mu", "1", "--nu", "0"], id="phi_mu_nu"),
         ],
     )
-    def test_usage_error_phi_not_used(self, frame):
-        # --phi selects the frame only as the single angle of --optical
+    def test_usage_error_one_frame_rule(self, frame):
+        # one rule refuses every other mix of the frame options, with one message
         res = run_cli(["tomogram", *frame, "--x-grid=-1:1:3"])
         assert res.returncode == 2
         assert res.stdout == b""
-        lines = res.stderr.decode().splitlines()
-        assert len(lines) == 1 and lines[0].startswith("error: --phi")
+        assert res.stderr.decode().splitlines() == [
+            "error: a tomogram takes one frame: --mu with --nu, or --optical with one of --phi and --phi-grid"
+        ]
 
     def test_usage_error_unknown_tol(self):
         # each line's bound is fixed in `checks`: argparse refuses --tol
@@ -752,6 +759,13 @@ class TestDeterminism:
             main(["check", suite, "--seed", seed])
             suite_lines += capsys.readouterr().out.splitlines()[:-1]
         assert suite_lines == all_lines
+
+    def test_parser_suites_are_checks_suites(self):
+        # the parser names the suites by hand, so parsing never loads
+        # `checks`; a suite added in one place only fails here
+        commands = next(a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+        suite = next(a for a in commands.choices["check"]._actions if a.dest == "suite")
+        assert tuple(suite.choices) == ("all", *SUITES)
 
     @pytest.mark.parametrize(
         "seed, index, draws",
