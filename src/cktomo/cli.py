@@ -190,17 +190,14 @@ def cmd_check(suite: str, seed: int) -> int:
     results = checks.run_checks(suite, seed)
     n_pass = n_scored = 0
     for res in results:
-        if res.info:
-            status = "INFO"
-            tol_text = "-"
-        else:
-            n_scored += 1
-            n_pass += int(res.passed)
-            status = "PASS" if res.passed else "FAIL"
-            tol_text = "%.1e" % res.tol
+        n_scored += not res.info
+        n_pass += res.passed and not res.info
+        # an INFO line fails only when its check raised
+        status = "FAIL" if not res.passed else "INFO" if res.info else "PASS"
+        tol_text = "-" if res.info else "%.1e" % res.tol
         sys.stdout.write(f"{status} {res.name:<28s} value={res.value:.6e} tol={tol_text}\n")
     sys.stdout.write(f"{n_pass}/{n_scored} checks passed (suite={suite}, seed={seed})\n")
-    return EXIT_OK if n_pass == n_scored else EXIT_CHECK_FAILED
+    return EXIT_OK if all(res.passed for res in results) else EXIT_CHECK_FAILED
 
 
 # --------------------------------------------------------------------------

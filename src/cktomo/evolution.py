@@ -22,12 +22,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import _LAZY
 from .dynamics import DampingParams, epsilon, time_backward, time_forward
 from .errors import DomainError, StepTooLarge
-from .numerics import _stencil_points, central_diff, diff_from_values, diff_offsets
+from .numerics import _loglog_slope, _stencil_points, central_diff, diff_from_values, diff_offsets
 from .states import State
 from .tomography import TomographyFrame, _frame_scale_in_range, tomogram
 
@@ -176,7 +174,7 @@ def convergence_study(
     ]
     if any(r == 0.0 for r in residuals):
         raise DomainError("zero residual in ladder; cannot fit a convergence order")
-    slope = float(np.polyfit(np.log(hs), np.log(residuals), 1)[0])
+    slope = _loglog_slope(hs, residuals)
     return ResidualReport(
         point=(x, mu, nu, t),
         step=hs[-1],

@@ -6,7 +6,6 @@ container used for all file output.
 from __future__ import annotations
 
 import io
-import json
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -36,10 +35,10 @@ _PHI_B = [math.sqrt(k / (k + 1)) for k in range(_MAX_HERMITE)]
 _PI_QUARTER = math.pi ** (-0.25)
 # over 3x the largest rule the library's own windows ask for (~600 nodes);
 # bounds the O(n**2) build time (about 6 ms at the cap, one recurrence pass)
-# and the rule cache.  A multiple of _RUNG, so the ladder below ends on it:
-# the library's own quadratures use at most 2048/16 = 128 rules (~2 MB)
+# and the rule cache.  A rung of the ladder {8, 10, 12, 14} 2**j of `_rung`,
+# so the ladder ends on it: the library's own quadratures use at most its
+# 29 rules of 16 to 2048 nodes (~0.2 MB)
 _MAX_RULE_POINTS = 2048
-_RUNG = 16
 # recurrence rows `_gauss_legendre` precomputes at a time (8 KB each at the cap)
 _RULE_BLOCK = 64
 
@@ -155,8 +154,8 @@ def _gauss_legendre(n: int):
     Every rule is built here, so one cap bounds the build time and the
     cache: all 2048 rules together hold about 33 MB, so no rule is ever
     evicted and rebuilt in a long-lived process.  The library's own
-    quadratures ask through `_rung`, so they use at most the 128 rules of
-    16, 32, ..., 2048 nodes (about 2 MB)."""
+    quadratures ask through `_rung`, so they use at most the 29 rules of
+    16, 20, 24, 28, 32, 40, ..., 1792, 2048 nodes (about 0.2 MB)."""
     if n > _MAX_RULE_POINTS:
         raise DomainError(f"quadrature rule of {n} nodes exceeds the cap {_MAX_RULE_POINTS}")
     v = n + 0.5
@@ -189,21 +188,27 @@ def _gauss_legendre(n: int):
 
 def _rung(points: int) -> int:
     """Node count of the rule a quadrature asking for `points` nodes gets:
-    `points` rounded up to the next multiple of _RUNG, so the many node
-    counts the windows ask for share a few cached rules.  Never fewer nodes
-    than asked; a request above _MAX_RULE_POINTS is passed on unchanged,
-    for `_gauss_legendre` to refuse."""
+    the smallest of {8, 10, 12, 14} 2**j, from 16 to _MAX_RULE_POINTS, that
+    is at least `points`, so the many node counts the windows ask for share
+    a few cached rules.  Never fewer nodes than asked and at most 25 % more;
+    every rung is even, so every rule is exactly mirrored.  A request above
+    _MAX_RULE_POINTS is passed on unchanged, for `_gauss_legendre` to
+    refuse."""
     if points > _MAX_RULE_POINTS:
         return points
-    return -(-points // _RUNG) * _RUNG
+    points = max(points, 16)
+    # the rungs in (8 2**j, 16 2**j] are the multiples of 2**(j+1)
+    step = 1 << ((points - 1).bit_length() - 3)
+    return -(-points // step) * step
 
 
 def integrate(f: Callable, spec: QuadratureSpec):
     """Gauss-Legendre estimate of the integral of f over the window.
 
-    The rule has `spec.points` nodes rounded up to the next multiple of 16
-    (`_rung`).  f must be vectorized (called once with the full node array)
-    and return one real or complex value per node.  For Gaussian-tailed
+    The rule has `spec.points` nodes rounded up to the next rung of the
+    ladder {8, 10, 12, 14} 2**j (`_rung`), at most 25 % more.  f must be
+    vectorized (called once with the full node array) and return one real
+    or complex value per node.  For Gaussian-tailed
     integrands with half_width >= 8 sigma, doubling `points` moves the
     result by < 1e-10.
     """
@@ -245,6 +250,15 @@ def diff_from_values(values, h: float, richardson: bool = False):
 def _richardson(coarse, fine):
     """O(h**4) from two O(h**2) estimates at steps h (coarse) and h/2 (fine)."""
     return (4.0 * fine - coarse) / 3.0
+
+
+def _loglog_slope(xs, ys) -> float:
+    """Least-squares slope of log y against log x, in closed form:
+    sum((u - mean u)(v - mean v)) / sum((u - mean u)**2) with u = log x,
+    v = log y; the fitted order of a truncation error y(x)."""
+    u, v = np.log(xs), np.log(ys)
+    u = u - u.mean()
+    return float(np.sum(u * (v - v.mean())) / np.sum(u * u))
 
 
 def _worst(residuals):
@@ -361,6 +375,8 @@ class ScalarGrid:
         blocks = tiles(*values.shape, _WRITE_BLOCK)
         axes = [self.axis1] + ([] if self.axis2 is None else [self.axis2])
         if fmt == "json":
+            import json  # only JSON grids use it, so a CSV or check process never loads it
+
             dumps = json.JSONEncoder(separators=(",", ":")).encode
             head = {"meta": self.meta, "axis1": None, "axis2": None}
             for key, axis in zip(("axis1", "axis2"), axes):
@@ -440,6 +456,8 @@ class ScalarGrid:
     def from_json(cls, text: str) -> "ScalarGrid":
         """Read the text of `write(fh, "json")`; any other text raises
         DomainError."""
+        import json
+
         try:
             payload = json.loads(text)
             axes = [

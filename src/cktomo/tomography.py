@@ -197,7 +197,7 @@ def _x_window(
     8 sigma with sigma**2 = (2n+1) s2/2, the variance of X under the Wigner
     covariance (s2 is its cancellation-free form).  The node floor
     220 + 16 n + 110 (sqrt(2n+1) - 1) follows the Hermite oscillations of
-    Fock n; `integrate` rounds it up to the next multiple of 16."""
+    Fock n; `integrate` rounds it up to the next rung of `numerics._rung`."""
     es = epsilon(t, params)
     qbar, pbar = _mean(state, es)
     root = math.sqrt(2.0 * state.n + 1.0)
@@ -228,23 +228,27 @@ def radon_tomogram(state: State, frame: TomographyFrame, t: float, params: Dampi
     the line: centered on its conditional mean, with sigma**2 = 1/(d Sigma^-1 d)
     from the covariance Sigma of `wigner_moments` (which carries the 2n+1 of
     Fock n), which stays correct for the strongly squeezed blobs that damping
-    produces.  The line takes 220 + 60 n tau nodes, rounded up to a multiple
-    of 16 by `integrate`, and each W on it is the closed form `states.wigner`:
+    produces.  Sigma^-1 is the adjugate over det Sigma = (2n+1)**2/4, the
+    determinant of every state's covariance in closed form.  The line takes
+    220 + 60 n tau nodes, rounded up to the next rung of `numerics._rung`
+    by `integrate`, and each W on it is the closed form `states.wigner`:
     the Radon relation ties the two closed forms, W and phi_n**2, together.
     """
     if not frame.is_scalar:
         raise DomainError("radon_tomogram expects a scalar frame point")
     x, mu, nu = float(frame.x), float(frame.mu), float(frame.nu)
     s = math.hypot(mu, nu)
-    d = np.array([-nu / s, mu / s])
-    base = np.array([x * mu / s**2, x * nu / s**2])
+    d0, d1 = -nu / s, mu / s
+    b0, b1 = x * mu / s**2, x * nu / s**2
     mean, cov = wigner_moments(state, t, params)
-    cov_inv = np.linalg.inv(cov)
-    curvature = float(d @ cov_inv @ d)
-    tau_center = -float(d @ cov_inv @ (base - mean)) / curvature
+    (m0, m1), ((sqq, sqp), (_, spp)) = mean.tolist(), cov.tolist()
+    det = (2.0 * state.n + 1.0) ** 2 / 4.0
+    a0, a1 = (spp * d0 - sqp * d1) / det, (sqq * d1 - sqp * d0) / det  # Sigma^-1 d
+    curvature = d0 * a0 + d1 * a1
+    tau_center = -(a0 * (b0 - m0) + a1 * (b1 - m1)) / curvature
     spec = QuadratureSpec(tau_center, 9.0 / math.sqrt(curvature), 220 + 60 * state.n)
 
     def line(taus):
-        return wigner(base[0] + taus * d[0], base[1] + taus * d[1], t, state, params)
+        return wigner(b0 + taus * d0, b1 + taus * d1, t, state, params)
 
     return integrate(line, spec) / (2.0 * math.pi * s)

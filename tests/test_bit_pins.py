@@ -58,9 +58,11 @@ def test_wigner_grid_bits(state, pin):
 
 
 def test_gauss_legendre_rung_bits():
-    # every rung 16, 32, ..., 2048 the library's quadratures can ask for,
-    # nodes then weights, built afresh (not from the rule cache)
-    rules = (numerics._gauss_legendre.__wrapped__(n) for n in range(16, 2049, 16))
+    # every rung 16, 20, 24, 28, 32, 40, ..., 2048 the library's quadratures
+    # can ask for, nodes then weights, built afresh (not from the rule cache)
+    rungs = sorted({numerics._rung(n) for n in range(16, numerics._MAX_RULE_POINTS + 1)})
+    assert len(rungs) == 29
+    rules = (numerics._gauss_legendre.__wrapped__(n) for n in rungs)
     assert _digest(a for rule in rules for a in rule) == (
-        "89f92dbe25e2b88242ca0810d7f84ba6e5c6eab8e4d9ce04baa6e3f8eddce390"
+        "90a834d31b219aefa56e8f068b6d8cd8905e69ad869c454028166af379c1fddc"
     )

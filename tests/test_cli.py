@@ -719,16 +719,16 @@ class TestDeterminism:
         assert a.stdout.count(b"\n") == 44  # 41 scored lines, 2 INFO and the summary
         # pinned, so a refactor meant to be behaviour-neutral is proven so
         digest = hashlib.sha256(a.stdout).hexdigest()
-        assert digest == "facd287faa4a8c5400a721ce1b259ca66353ac0ea6cae6b90307e8db0ef40b74"
+        assert digest == "815d26d4fcf2594831ed0ca2d697b811316cf875094e0a261050db653b6ca11e"
 
     @pytest.mark.parametrize(
         "seed, pin",
         [
-            ("0", "6a99c95f1533dcc6114e8fcaf0303bc3fbfc9336bfffef02dc5001b1e92e1ac6"),
-            ("1", "7b3a1426976fadfc179980e177077ee6db0d68959c43940a56df3b0f55d6013c"),
-            ("2", "ddd8dd85a2092c1d65fad7473e184b1e27ef126966697a0025bed525ba24a482"),
-            ("3", "4b5bca4f9dcb4f215531dd05091070f86bf5414c28ac0ed1148b59763b6c41e7"),
-            ("4", "342ecac2e9e01190431e666c7a6651ec6d14a5e455f69ece10c609123443900a"),
+            ("0", "36c5cf607555ccb2970caa1b16b238df91b9ba67e9cb0d721fc918d82a4bb761"),
+            ("1", "778c5808ff7eb478a7a6d0eb6ea5e6f924a698a5d7008a7f8e7da81f262536b7"),
+            ("2", "4d6a4fcdecabf88a22352c9797ef18f9f4e987fc136795af6dffed73acf49a2b"),
+            ("3", "84b03cbfa2a90e984adab76dd30d0da6f6d5af157b0098993e3e81e0d609ebbe"),
+            ("4", "03f0b1c69e56c9786c7a23b1f74f9d6299aeea626d3472d5ddeeee7579d08e27"),
         ],
         ids=["0", "1", "2", "3", "4"],  # by seed, so a re-pin keeps each test's name
     )
@@ -798,6 +798,45 @@ class TestDeterminism:
         )
         res = subprocess.run([sys.executable, "-c", code], capture_output=True, timeout=300)
         assert res.stdout.split() == [b"0", b"False", b"False"], res.stderr
+
+    @pytest.mark.parametrize(
+        "argv, loads",
+        [
+            (["tomogram", "--state", "fock:1", "--mu", "1", "--nu", "0", "--x-grid=-1:1:3"], False),
+            (["check", "all", "--seed", "0"], False),
+            (["tomogram", "--state", "fock:1", "--mu", "1", "--nu", "0", "--x-grid=-1:1:3", "--format", "json"], True),
+        ],
+        ids=["tomogram-csv", "check", "tomogram-json"],
+    )
+    def test_only_json_grids_load_json(self, argv, loads):
+        code = (
+            "import contextlib, io, sys\n"
+            "from cktomo import cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    code = cli.main({argv!r})\n"
+            "print(code, 'json' in sys.modules)\n"
+        )
+        res = subprocess.run([sys.executable, "-c", code], capture_output=True, timeout=300)
+        assert res.stdout.split() == [b"0", str(loads).encode()], res.stderr
+
+    def test_check_calls_no_lapack(self, monkeypatch, capsys):
+        # the 2x2 inverse of the Radon window and the convergence slopes are
+        # closed forms: every numpy.linalg routine and np.polyfit runs its
+        # LAPACK through these ufuncs, so each is made to raise
+        from numpy.linalg import _umath_linalg
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("LAPACK routine called")
+
+        for name in dir(_umath_linalg):
+            if isinstance(getattr(_umath_linalg, name), np.ufunc):
+                monkeypatch.setattr(_umath_linalg, name, refuse)
+        monkeypatch.setattr(np, "polyfit", refuse)
+        monkeypatch.setattr(np.linalg, "inv", refuse)
+        with pytest.raises(AssertionError):
+            np.linalg.solve(np.eye(2), np.ones(2))
+        assert main(["check", "all", "--seed", "0"]) == 0
+        assert capsys.readouterr().out.endswith("41/41 checks passed (suite=all, seed=0)\n")
 
     def test_figure1_csv_sha256(self):
         res = run_cli(["figure1", "--format", "csv"])
@@ -906,3 +945,56 @@ class TestNaNFails:
         failed = [text for text in lines if text.startswith("FAIL")]
         assert len(failed) == 1 and failed[0].split()[1] == line, lines
         assert " value=nan " in failed[0]
+
+
+def _raise_domain_error(rng):
+    raise DomainError("quadrature rule of 2100 nodes exceeds the cap 2048")
+
+
+def _raise_math_domain_error(rng):
+    return math.sqrt(-rng.random())
+
+
+def _raise_overflow(rng):
+    return math.exp(1e3 * (1.0 + rng.random()))
+
+
+class TestRaisingCheck:
+    # a check that raises FAILs its own line as value=nan and names the
+    # line and the error on stderr; the rest of the report still prints
+    @pytest.mark.parametrize(
+        "check, error",
+        [
+            (_raise_domain_error, "DomainError: quadrature rule of 2100 nodes exceeds the cap 2048"),
+            (_raise_math_domain_error, "ValueError: math domain error"),
+            (_raise_overflow, "OverflowError: math range error"),
+        ],
+        ids=["DomainError", "ValueError", "ArithmeticError"],
+    )
+    @pytest.mark.parametrize("index", [3, 8], ids=["scored", "info"])
+    def test_raising_check_fails_its_line_alone(self, check, error, index, monkeypatch, capsys):
+        suite = "dynamics" if index == 3 else "invariants"
+        assert main(["check", suite, "--seed", "0"]) == 0
+        expected = capsys.readouterr().out.splitlines()
+        rows = list(SUITES[suite])
+        name, _, tol, info = rows[index]
+        rows[index] = (name, check, tol, info)
+        monkeypatch.setitem(SUITES, suite, rows)
+        assert main(["check", suite, "--seed", "0"]) == 1
+        out, err = capsys.readouterr()
+        lines = out.splitlines()
+        tol_text = "-" if info else "%.1e" % tol
+        expected[index] = f"FAIL {name:<28s} value=nan tol={tol_text}"
+        scored = sum(not row[3] for row in rows)
+        expected[-1] = f"{scored - (not info)}/{scored} checks passed (suite={suite}, seed=0)"
+        assert lines == expected
+        assert err.splitlines() == [f"check {name}: {error}"]
+
+    def test_results_of_a_raising_check(self, monkeypatch):
+        rows = list(SUITES["dynamics"])
+        name, _, tol, _ = rows[0]
+        rows[0] = (name, _raise_math_domain_error, tol, False)
+        monkeypatch.setitem(SUITES, "dynamics", rows)
+        results = run_checks("dynamics", 0)
+        assert [r.passed for r in results] == [False] + [True] * 7
+        assert math.isnan(results[0].value) and results[0].name == name

@@ -25,6 +25,7 @@ from cktomo.numerics import (
     _WRITE_BLOCK,
     _bessel_j0_zeros,
     _gauss_legendre,
+    _loglog_slope,
     _rung,
     _stencil_points,
     _worst,
@@ -161,18 +162,31 @@ class TestIntegrate:
         with pytest.raises(DomainError):
             integrate(np.exp, QuadratureSpec(0.0, 1.0, _MAX_RULE_POINTS + 1))
 
-    def test_rungs_of_sixteen(self):
+    def test_rung_ladder(self):
+        # {8, 10, 12, 14} 2**j from 16 to the cap: never fewer nodes than
+        # asked, at most 25 % more, and even, so every rule is mirrored
         requests = range(16, _MAX_RULE_POINTS + 1)
         rungs = [_rung(n) for n in requests]
-        assert all(r % 16 == 0 and n <= r < n + 16 for n, r in zip(requests, rungs))
-        assert len(set(rungs)) == _MAX_RULE_POINTS // 16 == 128
+        assert all(n <= r <= 1.25 * n and r % 2 == 0 for n, r in zip(requests, rungs))
+        ladder = sorted({m << j for m in (8, 10, 12, 14) for j in range(1, 8)} | {_MAX_RULE_POINTS})
+        assert sorted(set(rungs)) == ladder and len(ladder) == 29
+        # each request gets the smallest rung at least as large
+        assert all(_rung(a) == a and _rung(a + 1) == b for a, b in zip(ladder, ladder[1:]))
         # above the cap the request is passed on, for the rule to refuse
         assert _rung(_MAX_RULE_POINTS + 1) == _MAX_RULE_POINTS + 1
 
     def test_integrate_uses_the_rung(self):
         seen = []
         integrate(lambda x: seen.append(x.size) or np.ones_like(x), QuadratureSpec(0.0, 1.0, 300))
-        assert seen == [304]
+        assert seen == [320]
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_cold_check_all_builds_few_rules(self, seed):
+        # the benchmark's check seeds: the windows' node floors share at
+        # most 12 rungs of the ladder in a cold process
+        _gauss_legendre.cache_clear()
+        checks.run_checks("all", seed)
+        assert _gauss_legendre.cache_info().misses <= 12
 
     def test_batched_rows_checked(self):
         # an integrand returns one value per node: batched rows are refused
@@ -290,6 +304,13 @@ class TestCentralDiff:
         errs = [abs(central_diff(np.sin, 0.3, h, richardson=True) - math.cos(0.3)) for h in hs]
         slope = np.polyfit(np.log(hs), np.log(errs), 1)[0]
         assert abs(slope - 4.0) < 0.1
+
+    def test_loglog_slope_matches_polyfit(self):
+        hs = np.logspace(-4, -1, 10)
+        errs = [abs(central_diff(np.sin, 0.3, h) - math.cos(0.3)) for h in hs]
+        expected = np.polyfit(np.log(hs), np.log(errs), 1)[0]
+        assert abs(_loglog_slope(hs, errs) - expected) <= 1e-12
+        assert _loglog_slope([1.0, 2.0, 4.0], [3.0, 12.0, 48.0]) == pytest.approx(2.0, abs=1e-15)
 
     def test_richardson_exact_on_quartics(self):
         got = central_diff(lambda x: x**4 - 3.0 * x**3, 1.5, 0.1, richardson=True)

@@ -286,6 +286,29 @@ class TestDisplacedNumberStates:
         assert abs(normalization(state, mu, nu, t, p) - 1.0) <= 1e-9
 
 
+class TestWignerMomentsCovariance:
+    """The covariance of `wigner_moments` sizes the Radon tau-window and no
+    check line reads it for n >= 1: its quadratic form in the frame
+    direction must be the variance of X = mu q + nu p under the closed-form
+    tomogram, (2n+1) s2/2, for number and displaced number states alike."""
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 8, 16])
+    @pytest.mark.parametrize("alpha", [0j, 1.3 - 0.8j])
+    @pytest.mark.parametrize(
+        "gamma, t, mu, nu", [(0.0, 0.0, 1.0, 0.0), (0.3, 2.0, 0.8, -0.7), (0.9, 1.5, -0.4, 1.2)]
+    )
+    def test_quadratic_form_is_the_tomogram_variance(self, n, alpha, gamma, t, mu, nu):
+        state, p = State(n, alpha), make_params(gamma)
+        mean, cov = states.wigner_moments(state, t, p)
+        xbar = mu * mean[0] + nu * mean[1]
+        spec = _x_window(state, mu, nu, t, p)
+        variance = integrate(
+            lambda xs: (xs - xbar) ** 2 * tomogram(state, TomographyFrame(xs, mu, nu), t, p), spec
+        )
+        expected = mu * mu * cov[0, 0] + 2.0 * mu * nu * cov[0, 1] + nu * nu * cov[1, 1]
+        assert abs(variance - expected) <= 1e-10 * expected
+
+
 class TestWigner:
     def test_ground_closed_form(self):
         p = make_params(0.0)
